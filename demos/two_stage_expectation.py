@@ -35,7 +35,7 @@ rng = np.random.default_rng(9)
 confidences = []
 sharp = 0
 for _ in range(400):
-    col = collapse_state(prepare(op.ansatz), op, 2, rng)
+    col = collapse_state(prepare(op.ansatz), op, rng)
     confidences.append(col.confidence)
     sharp += col.outcomes[0] == 1
 phi = op.rotation_angle

@@ -73,7 +73,6 @@ from .statevector import (
     phase_circuit_branches,
     prepare,
     run_phase_circuit,
-    sample_pauli_outcome,
     sample_pauli_outcomes,
     states_close,
     validate_pauli,

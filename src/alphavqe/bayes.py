@@ -6,18 +6,16 @@ bit E with probability
     P(E | phi; m, theta) = (1 + (-1)^E cos(m (phi - theta))) / 2.
 
 Beliefs over phi live on the unwrapped real line and are summarized as
-normals N(mu, sigma^2).  Posteriors are computed three ways: exactly on a
-dense grid (the validation oracle and the starved fallback), in closed form
-for any weighted sum of such cosine likelihoods (the refit normal's moments
-are Gaussian trigonometric integrals, so sampling them would only add
-noise), and by rejection filtering for custom likelihood callables: draw
-candidates from the prior, accept each with probability equal to its
-likelihood, and refit a normal to the accepted samples.
+normals N(mu, sigma^2).  Posteriors are computed two ways: exactly on a
+dense grid (the validation oracle and the degenerate-mass fallback), and in
+closed form for any weighted sum of such cosine likelihoods, whose refit
+normal's moments are Gaussian trigonometric integrals.  Every likelihood the
+estimators use is of that kind: the plain cosine, and the two-branch mixture
+of the collapsed two-stage estimator.
 
-`rejection_filter_update` dispatches between them: the plain cosine goes to
-`moment_update`, a cosine mixture given as (weight, theta) data goes to
-`mixture_update` (the two-branch likelihood of the collapsed two-stage
-estimator is one), and only an explicit callable reaches the sampler.
+`rejection_filter_update` is the one update the estimators call: it takes
+the plain cosine or a (weight, theta) mixture to `mixture_update` and falls
+back to the grid when the closed form degenerates.
 
 The closed-form expected posterior variance after one measurement (the Bayes
 risk) is
@@ -32,7 +30,6 @@ m (mu - theta) is an odd multiple of pi/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -163,7 +160,7 @@ class GridBelief:
 
 
 def exact_update(prior: GridBelief, e: int, setting: ExperimentSetting, likelihood_fn=None) -> GridBelief:
-    """Exact Bayesian update on the grid: the oracle for the closed-form and sampled updates."""
+    """Exact Bayesian update on the grid: the oracle and fallback for the closed-form update."""
     lf = likelihood if likelihood_fn is None else likelihood_fn
     w = prior.weights * lf(e, prior.support, setting)
     total = w.sum()
@@ -242,96 +239,28 @@ def _mixture_likelihood(components):
     return lf
 
 
-@lru_cache(maxsize=None)
-def _width_debias(n: int) -> float:
-    """Factor making the refit width median-unbiased under repeated refits.
-
-    The sample variance of n points scatters around the truth with
-    E[ln S^2] = ln sigma^2 + psi((n-1)/2) - ln((n-1)/2), which is below
-    ln sigma^2, so a long chain of refits compounds multiplicatively into a
-    systematically overconfident width (the reported sigma drifts well below
-    the tracked posterior's).  Cancelling the log-domain bias keeps the
-    typical reported width on the posterior across arbitrarily many updates.
-    """
-    from scipy.special import digamma
-
-    half = (n - 1) / 2.0
-    return float(np.exp(0.5 * (np.log(half) - digamma(half))))
-
-
 def rejection_filter_update(
-    prior: NormalBelief,
-    e: int,
-    setting: ExperimentSetting,
-    particles: int,
-    rng: np.random.Generator,
-    likelihood_fn=None,
-    draw_cap_factor: int = 100,
-    mixture=None,
+    prior: NormalBelief, e: int, setting: ExperimentSetting, mixture=None
 ) -> tuple[NormalBelief, bool]:
     """One normal-to-normal Bayesian update step.  Returns (posterior, starved).
 
-    Three routes, by what describes the likelihood:
+    The likelihood is the cosine at `setting` or, when `mixture` is given as
+    a sequence of (weight, theta) pairs, the weighted sum of cosines at the
+    setting's m and each listed theta (the setting's own theta is then not
+    used).  `mixture_update` gives the refit normal exactly; the rare outcome
+    that leaves it no mass falls back to the exact grid posterior under the
+    same likelihood and reports starved=True.
 
-    - Neither likelihood_fn nor mixture: the built-in cosine at `setting`.
-      The refit normal's moments are known exactly, so `moment_update` is
-      used and the sampler never runs.
-    - mixture, a sequence of (weight, theta) pairs: the weighted sum of
-      cosines at the setting's m and each listed theta (the setting's own
-      theta is not used).  `mixture_update` gives its moments exactly, so
-      the sampler never runs either.
-    - likelihood_fn, any callable (e, phi, setting): rejection sampling.
-      Candidates are drawn from the prior normal and accepted with
-      probability equal to their (raw, unnormalized) likelihood until
-      `particles` have been accepted.  When the draw cap of
-      draw_cap_factor * particles candidates is exhausted first, the update
-      falls back to the grid and reports starved=True.  The sampled refit
-      width carries the `_width_debias` correction; without it the posterior
-      sigma of a several-hundred-update run sits tens of percent below the
-      exactly tracked value.
-
-    On the closed-form routes particles and rng are unused, and the rare
-    degenerate outcome falls back to the exact grid posterior under the same
-    likelihood with starved=True.
+    The name is kept from the rejection-filter sampler this update replaced,
+    because it is public and instrumentation wraps it by name.
     """
-    if particles < 2:
-        raise ValueError(f"particles must be at least 2, got {particles}")
-    if likelihood_fn is None:
-        try:
-            if mixture is None:
-                return moment_update(prior, e, setting), False
-            return mixture_update(prior, e, setting.m, mixture), False
-        except DegenerateUpdateError:
-            lf = likelihood if mixture is None else _mixture_likelihood(mixture)
-            return _grid_fallback(prior, e, setting, lf), True
-    if mixture is not None:
-        raise ValueError("pass a likelihood_fn or a mixture, not both")
-    lf = likelihood_fn
-    cap = draw_cap_factor * particles
-    batch = max(2 * particles, 512)
-    kept: list[np.ndarray] = []
-    accepted = 0
-    drawn = 0
-    while accepted < particles and drawn < cap:
-        size = min(batch, cap - drawn)
-        cand = rng.normal(prior.mu, prior.sigma, size)
-        keep = cand[rng.random(size) < lf(e, cand, setting)]
-        kept.append(keep)
-        accepted += keep.size
-        drawn += size
-    if accepted < particles:
-        return _grid_fallback(prior, e, setting, lf), True
-    samples = np.concatenate(kept)[:particles]
-    sigma = float(samples.std(ddof=1)) * _width_debias(particles)
-    if not sigma > 0.0:
-        # all accepted samples identical; the normal refit is undefined
-        return _grid_fallback(prior, e, setting, lf), True
-    return NormalBelief(float(samples.mean()), sigma), False
-
-
-def _grid_fallback(prior: NormalBelief, e: int, setting: ExperimentSetting, lf) -> NormalBelief:
-    post = exact_update(GridBelief.from_normal(prior), e, setting, likelihood_fn=lf)
-    return NormalBelief(post.mean(), post.std())
+    components = ((1.0, setting.theta),) if mixture is None else mixture
+    try:
+        return mixture_update(prior, e, setting.m, components), False
+    except DegenerateUpdateError:
+        lf = _mixture_likelihood(components)
+        post = exact_update(GridBelief.from_normal(prior), e, setting, likelihood_fn=lf)
+        return NormalBelief(post.mean(), post.std()), True
 
 
 def _gain(t, sin2):

@@ -46,7 +46,6 @@ class CliError(Exception):
 _TYPES = {
     "seed": "int",
     "out": "str",
-    "particles": "int",
     "phases": "int",
     "iters": "int",
     "trials": "int",
@@ -190,7 +189,6 @@ def cmd_phase_sim(cfg: dict) -> int:
             AlphaQPE(alpha),
             n_phases=cfg["phases"],
             iterations=iters,
-            particles=cfg["particles"],
             seed=child_seed(cfg["seed"], "alpha", idx),
         )
         anchor_k = 20 if iters >= 20 else None
@@ -248,9 +246,7 @@ def cmd_expectation(cfg: dict) -> int:
     alpha = cfg["alpha"][0]
     epsilon = cfg["epsilon"][0]
     d_max = cfg["dmax"][0]
-    config = TwoStageConfig(
-        alpha=alpha, d_max=d_max, target_epsilon=epsilon, particles=cfg["particles"]
-    )
+    config = TwoStageConfig(alpha=alpha, d_max=d_max, target_epsilon=epsilon)
     rows = []
     errors: list[float] = []
     counts: list[float] = []
@@ -293,12 +289,7 @@ def cmd_vqe(cfg: dict) -> int:
         raise CliError(f"mode must be exact, statistical, or alpha, got {mode!r}")
     epsilon = cfg["epsilon"][0]
     template = Ansatz(hamiltonian.n_qubits, cfg["layers"], np.zeros(hamiltonian.n_qubits * cfg["layers"]))
-    two_stage = TwoStageConfig(
-        alpha=cfg["alpha"][0],
-        d_max=cfg["dmax"][0],
-        target_epsilon=epsilon,
-        particles=cfg["particles"],
-    )
+    two_stage = TwoStageConfig(alpha=cfg["alpha"][0], d_max=cfg["dmax"][0], target_epsilon=epsilon)
     result = optimize(
         hamiltonian,
         template,
@@ -393,7 +384,6 @@ _SUBCOMMANDS = {
             "alpha": [0.0, 0.5, 0.75, 1.0],
             "phases": 200,
             "iters": 60,
-            "particles": 600,
         },
         "Simulate phase-estimation ensembles and tabulate convergence against the analytic curve",
     ),
@@ -417,7 +407,6 @@ _SUBCOMMANDS = {
             "alpha": [0.5],
             "epsilon": [0.02],
             "dmax": [32.0],
-            "particles": 600,
         },
         "Run the gated two-stage expectation estimator on known single-qubit states",
     ),
@@ -433,7 +422,6 @@ _SUBCOMMANDS = {
             "alpha": [0.5],
             "epsilon": [0.01],
             "dmax": [32.0],
-            "particles": 600,
         },
         "Minimize a Pauli-sum energy and compare against dense diagonalization",
     ),
@@ -451,8 +439,6 @@ _SUBCOMMANDS = {
 _FLAG_HELP = {
     "seed": "master seed; all randomness derives from it through named substreams",
     "out": "output CSV path (default: stdout)",
-    "particles": "accepted samples per rejection-filter update; only the sampler for custom "
-    "likelihood callables reads it, which no subcommand uses, so it does not change the output",
     "phases": "number of true phases in the ensemble",
     "iters": "iteration count (phase-sim) or optimizer iteration cap (vqe)",
     "trials": "trials per listed expectation value",

@@ -112,7 +112,6 @@ def run_estimation(
     *,
     epsilon: float | None = None,
     max_iterations: int | None = None,
-    particles: int = 600,
     seed: int = 0,
 ) -> tuple[NormalBelief, EstimationTrace]:
     """Estimate a phase until sigma <= epsilon or max_iterations, whichever first.
@@ -145,7 +144,7 @@ def run_estimation(
         if oracle.integer_m:
             setting = setting.rounded()
         outcome = oracle.sample(setting, rng)
-        belief, starved = rejection_filter_update(belief, outcome, setting, particles, rng)
+        belief, starved = rejection_filter_update(belief, outcome, setting)
         k += 1
         rows.append(TraceRow(k, setting.m, setting.theta, outcome, belief.mu, belief.sigma, starved))
     return belief, _make_trace(rows, seed, prior)
@@ -176,7 +175,6 @@ def ensemble_run(
     policy: SchedulePolicy,
     n_phases: int,
     iterations: int,
-    particles: int = 600,
     seed: int = 0,
     prior: NormalBelief | None = None,
 ) -> EnsembleResult:
@@ -200,7 +198,6 @@ def ensemble_run(
             policy,
             prior,
             max_iterations=iterations,
-            particles=particles,
             seed=child_seed(seed, "run", i),
         )
         sigmas[i] = trace.sigmas()

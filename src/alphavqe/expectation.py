@@ -1,10 +1,15 @@
 """Signed Pauli-expectation estimation under a coherence-depth budget.
 
-Stage 1 measures the Pauli a fixed number of times and screens the magnitude
-with a Hoeffding bound: estimates landing inside the gate interval are routed
-to phase estimation on the rotation operator (the sign rides along from the
-stage-1 mean for free); everything else falls back to plain statistical
-sampling at the target precision.
+Stage 1 measures the Pauli a fixed number of times and gates on the
+magnitude of the sample mean: estimates landing inside the fixed
+`gate_interval` are routed to phase estimation on the rotation operator (the
+sign rides along from the stage-1 mean for free); everything else falls back
+to plain statistical sampling at the target precision.  The gate sits
+`stage1_tolerance` inside `target_interval` on both sides, and
+`hoeffding_bound(stage1_samples, stage1_tolerance)` = 2 e^-5 ~ 0.013 at the
+defaults bounds the chance that a stage-1 mean misses the true magnitude by
+more than that tolerance, so a gated term's true magnitude lies inside the
+target interval except with at most that probability.
 
 On the phase-estimation path the trial state is not an eigenstate of the
 rotation operator, so before every measurement it is collapsed toward one of
@@ -85,11 +90,6 @@ class TwoStageConfig:
     calibration sweeps without hurting the realized error rate, and still
     keeps m * sigma well inside the regime where the normal belief tracks
     the posterior.
-
-    particles is validated and handed on to `rejection_filter_update`, but
-    only that function's sampler for custom likelihood callables reads it.
-    Stage 2 passes its branch mixture as (weight, theta) data, which takes the
-    closed-form posterior, so particles does not change this estimator.
     """
 
     alpha: float
@@ -99,11 +99,9 @@ class TwoStageConfig:
     stage1_tolerance: float = 0.1
     gate_interval: tuple[float, float] = (0.36, 0.85)
     target_interval: tuple[float, float] = TARGET_INTERVAL
-    collapse_measurements: int = 2
     likelihood_mixture: bool = True
     stop_sigma_factor: float = 1.0
     schedule_scale: float = 1.5
-    particles: int = 2000
     idealized_collapse: bool = False
 
     def __post_init__(self) -> None:
@@ -120,14 +118,10 @@ class TwoStageConfig:
         lo, hi = self.gate_interval
         if not 0.0 < lo < hi < 1.0:
             raise ValueError(f"gate_interval must satisfy 0 < lo < hi < 1, got {self.gate_interval}")
-        if self.collapse_measurements != 2:
-            raise ValueError("only the two-measurement collapse is implemented")
         if not self.stop_sigma_factor > 0.0:
             raise ValueError(f"stop_sigma_factor must be positive, got {self.stop_sigma_factor}")
         if not self.schedule_scale > 0.0:
             raise ValueError(f"schedule_scale must be positive, got {self.schedule_scale}")
-        if self.particles < 2:
-            raise ValueError(f"particles must be at least 2, got {self.particles}")
 
 
 def hoeffding_bound(n: int, t: float) -> float:
@@ -190,17 +184,13 @@ def _plane_confidence(state: np.ndarray, op: RotationOperator) -> float:
     return 0.5 if total <= 0.0 else float(p_plus / total)
 
 
-def collapse_state(
-    psi: np.ndarray, op: RotationOperator, m: int = 2, rng: np.random.Generator | None = None
-) -> CollapseResult:
+def collapse_state(psi: np.ndarray, op: RotationOperator, rng: np.random.Generator | None) -> CollapseResult:
     """Drive the trial state toward one rotation eigenvector.
 
     Runs the two fixed ancilla measurements on psi and reports the
     post-measurement state, the more likely eigenvector branch (+1 for the
     positive eigenphase) and that branch's exact probability.
     """
-    if m != 2:
-        raise ValueError("only the two-measurement collapse is implemented")
     if rng is None:
         raise ValueError("collapse sampling needs a random generator")
     b2, state, _ = run_phase_circuit(psi, op, ExperimentSetting(2.0, 0.0), 1, rng)
@@ -324,7 +314,7 @@ def two_stage_estimate(
                 v_plus, _, _ = op.plane_eigenvectors()
                 state, branch, confidence = v_plus, 1, 1.0
             else:
-                col = collapse_state(op.base_state, op, config.collapse_measurements, rng)
+                col = collapse_state(op.base_state, op, rng)
                 measurements += col.n_measurements
                 max_depth = max(max_depth, 2.0)
                 state, branch, confidence = col.state, col.branch, col.confidence
@@ -332,13 +322,10 @@ def two_stage_estimate(
             outcome, _, _ = run_phase_circuit(state, op, setting, branch, rng)
             measurements += 1
             max_depth = max(max_depth, setting.m)
-            # the mixture goes to the updater as data, so both toggles take the
-            # closed-form posterior; at full confidence the mixture reduces to
-            # the plain cosine bit for bit, which keeps the toggle inert there
+            # at full confidence the mixture reduces to the plain cosine bit
+            # for bit, which keeps the toggle inert there
             mixture = _branch_mixture(confidence, setting.theta) if config.likelihood_mixture else None
-            belief, _ = rejection_filter_update(
-                belief, outcome, setting, config.particles, rng, mixture=mixture
-            )
+            belief, _ = rejection_filter_update(belief, outcome, setting, mixture=mixture)
             iterations += 1
         # a posterior parked on an alias lobe of the periodic likelihood is
         # confidently wrong, and more updates of the same kind cannot move

@@ -37,7 +37,6 @@ __all__ = [
     "build_rotation_operator",
     "phase_circuit_branches",
     "run_phase_circuit",
-    "sample_pauli_outcome",
     "sample_pauli_outcomes",
     "states_close",
 ]
@@ -330,12 +329,6 @@ def run_phase_circuit(
     (p0, state0), (_, state1) = phase_circuit_branches(system_state, op, setting, power_sign)
     outcome = 0 if rng.random() < p0 else 1
     return outcome, (state0 if outcome == 0 else state1), p0
-
-
-def sample_pauli_outcome(state: np.ndarray, pauli: str, rng: np.random.Generator) -> int:
-    """One projective +-1 measurement of the Pauli string."""
-    p_plus = 0.5 * (1.0 + np.clip(pauli_expectation(state, pauli), -1.0, 1.0))
-    return 1 if rng.random() < p_plus else -1
 
 
 def sample_pauli_outcomes(

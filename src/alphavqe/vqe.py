@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expectation import TwoStageConfig, statistical_estimate, two_stage_estimate
-from .statevector import MAX_QUBITS, Ansatz, pauli_expectation, prepare, validate_pauli
+from .statevector import _PAULI_MATS, MAX_QUBITS, Ansatz, pauli_expectation, prepare, validate_pauli
 
 __all__ = [
     "Hamiltonian",
@@ -38,14 +38,6 @@ __all__ = [
     "VQEResult",
     "optimize",
 ]
-
-_PAULI_DENSE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class HamiltonianParseError(ValueError):
     """Malformed Hamiltonian text; the message names the offending line."""
@@ -140,7 +132,7 @@ def dense_matrix(h: Hamiltonian) -> np.ndarray:
     for coeff, pauli in h.terms:
         term = np.eye(1, dtype=complex)
         for letter in pauli:
-            term = np.kron(term, _PAULI_DENSE[letter])
+            term = np.kron(term, _PAULI_MATS[letter])
         out += coeff * term
     return out
 

@@ -90,7 +90,6 @@ def test_criterion_2_contraction_constants():
                 policy,
                 NormalBelief(0.0, 1.0),
                 max_iterations=40,
-                particles=600,
                 seed=child_seed(202, label, i),
             )
             s = trace.sigmas()
@@ -123,14 +122,13 @@ def test_criterion_3_iteration_law():
                 AlphaQPE(alpha, scale=best_prefactor),
                 NormalBelief(0.0, 1.0),
                 epsilon=epsilon,
-                particles=600,
                 seed=child_seed(303, "run", alpha, i),
             )
             counts.append(len(trace.rows))
         median = float(np.median(counts))
         medians_ok.append(f / 1.5 <= median <= f * 1.5)
 
-        ens = ensemble_run(AlphaQPE(alpha), n_phases=100, iterations=60, particles=600, seed=404)
+        ens = ensemble_run(AlphaQPE(alpha), n_phases=100, iterations=60, seed=404)
         k = np.arange(20, 61)
         curve = analytic_risk_curve(k, 20.0, float(ens.mean_sigma[20]), alpha)
         rms = float(np.sqrt(np.mean((np.log(ens.mean_sigma[20:61]) - np.log(curve)) ** 2)))
@@ -223,7 +221,7 @@ def test_criterion_6_collapse_table():
             if p_want > 1e-12:
                 worst = max(worst, abs(conf_got - conf_want))
         for trial in range(40):
-            col = collapse_state(op.base_state, op, 2, rng_for(606, "collapse", j, trial))
+            col = collapse_state(op.base_state, op, rng_for(606, "collapse", j, trial))
             if col.outcomes[0] == 1:
                 b2_one_seen += 1
                 confidence_ok &= col.confidence >= 0.75 - 1e-12
@@ -306,7 +304,6 @@ def test_criterion_9_acceleration_monotonicity():
                 AlphaQPE(alpha, depth_cap=d_max),
                 NormalBelief(0.0, 1.0),
                 epsilon=epsilon,
-                particles=600,
                 seed=child_seed(909, "run", alpha, i),
             )
             counts.append(len(trace.rows))

@@ -1,4 +1,4 @@
-"""Likelihood, exact grid updates, closed-form and rejection-filter updates, and the risk formulas."""
+"""Likelihood, exact grid updates, the closed-form update and its grid fallback, and the risk formulas."""
 
 import numpy as np
 import pytest
@@ -128,60 +128,14 @@ def test_moment_update_handles_near_zero_mass_outcome():
     assert post.sigma == pytest.approx(np.sqrt(3.0) * 1e-4, rel=1e-9)
 
 
-def test_rejection_filter_builtin_model_is_exact_and_rng_free():
-    prior = NormalBelief(0.3, 0.25)
-    setting = ExperimentSetting(4.0, 0.1)
-    post, starved = rejection_filter_update(
-        prior, 0, setting, particles=600, rng=np.random.default_rng(5)
-    )
-    assert not starved
-    assert post == moment_update(prior, 0, setting)
-    again, _ = rejection_filter_update(
-        prior, 0, setting, particles=600, rng=np.random.default_rng(77)
-    )
-    assert again == post
-
-
-def test_rejection_filter_sampler_matches_brute_force():
+def test_rejection_filter_update_matches_brute_force():
     prior = NormalBelief(0.3, 0.25)
     setting = ExperimentSetting(4.0, 0.1)
     want_mean, want_std = brute_posterior_moments(0.3, 0.25, 0, 4.0, 0.1, seed=11)
-    post, starved = rejection_filter_update(
-        prior, 0, setting, particles=200_000, rng=np.random.default_rng(5),
-        likelihood_fn=likelihood,
-    )
+    post, starved = rejection_filter_update(prior, 0, setting)
     assert not starved
     assert post.mu == pytest.approx(want_mean, abs=3e-3)
     assert post.sigma == pytest.approx(want_std, rel=2e-2)
-    # and both agree with the continuous quadrature oracle
-    assert post.mu == pytest.approx(QUAD_POSTERIOR[0][1], abs=3e-3)
-    assert post.sigma == pytest.approx(QUAD_POSTERIOR[0][2], rel=2e-2)
-
-
-def test_rejection_filter_seeded_reproducibility():
-    prior = NormalBelief(-0.2, 0.5)
-    setting = ExperimentSetting(2.0, 0.3)
-    a, _ = rejection_filter_update(
-        prior, 1, setting, 600, np.random.default_rng(42), likelihood_fn=likelihood
-    )
-    b, _ = rejection_filter_update(
-        prior, 1, setting, 600, np.random.default_rng(42), likelihood_fn=likelihood
-    )
-    assert a == b
-
-
-def test_rejection_filter_starvation_falls_back_to_grid():
-    # acceptance ~ sigma^2 / 4 = 2.5e-9: the draw cap hits long before 600 accepts
-    prior = NormalBelief(0.0, 1e-4)
-    setting = ExperimentSetting(1.0, 0.0)
-    post, starved = rejection_filter_update(
-        prior, 1, setting, 600, np.random.default_rng(0), draw_cap_factor=2,
-        likelihood_fn=likelihood,
-    )
-    assert starved
-    assert np.isfinite(post.mu) and post.sigma > 0.0
-    # the outcome-1 posterior is phi^2-weighted, so it widens toward sqrt(3) sigma
-    assert post.sigma == pytest.approx(np.sqrt(3.0) * 1e-4, rel=1e-3)
 
 
 def _two_branch_likelihood(confidence):
@@ -211,12 +165,10 @@ def test_mixture_update_matches_grid_oracle():
             scaled = mixture_update(prior, e, setting.m, [(2.5 * w, theta) for w, theta in mixture])
             assert scaled.mu == pytest.approx(post.mu, rel=1e-12, abs=1e-12 * sigma), (i, e)
             assert scaled.sigma == pytest.approx(post.sigma, rel=1e-12), (i, e)
-            # the updater routes mixture data to the closed form and never draws
-            rng = np.random.default_rng(i)
-            routed, starved = rejection_filter_update(prior, e, setting, 600, rng, mixture=mixture)
+            # the updater routes mixture data to the closed form
+            routed, starved = rejection_filter_update(prior, e, setting, mixture=mixture)
             assert not starved
             assert routed == post
-            assert rng.bit_generator.state == np.random.default_rng(i).bit_generator.state
 
 
 def test_mixture_update_at_full_confidence_is_moment_update():
@@ -231,6 +183,7 @@ def test_mixture_update_at_full_confidence_is_moment_update():
             # must stay inert at confidence 1
             assert mixture_update(prior, e, setting.m, ((1.0, setting.theta), (0.0, -setting.theta))) == want
             assert mixture_update(prior, e, setting.m, ((1.0, setting.theta),)) == want
+            assert rejection_filter_update(prior, e, setting) == (want, False)
 
 
 def test_mixture_update_rejects_bad_input():
@@ -241,32 +194,33 @@ def test_mixture_update_rejects_bad_input():
         mixture_update(prior, 0, 1.0, ((1.2, 0.0), (-0.2, 0.5)))
     with pytest.raises(ValueError):
         mixture_update(prior, 0, 1.0, ())
-    with pytest.raises(ValueError):
-        rejection_filter_update(
-            prior, 0, ExperimentSetting(1.0, 0.0), 600, np.random.default_rng(0),
-            likelihood_fn=likelihood, mixture=((1.0, 0.0),),
-        )
 
 
 def test_mixture_near_zero_mass_outcome_falls_back_to_grid():
     # at m sigma = 8e-9 the damping e^(-t/2) rounds to 1, so outcome 1 (mass
     # ~ t/4) leaves no closed-form mass; the grid still resolves the
-    # likelihood on its +-8 sigma support
+    # likelihood on its +-8 sigma support.  Checked for the plain cosine
+    # (mixture None, confidence 1) and for a two-branch mixture.
     prior = NormalBelief(0.0, 8e-9)
     setting = ExperimentSetting(1.0, 3e-9)
-    confidence = 0.8
-    mixture = ((confidence, setting.theta), (1.0 - confidence, -setting.theta))
-    with pytest.raises(DegenerateUpdateError):
-        mixture_update(prior, 1, setting.m, mixture)
-    post, starved = rejection_filter_update(prior, 1, setting, 600, np.random.default_rng(0), mixture=mixture)
-    assert starved
     grid = GridBelief.from_normal(prior)
-    want = exact_update(grid, 1, setting, likelihood_fn=_two_branch_likelihood(confidence))
-    assert post.mu == pytest.approx(want.mean(), rel=1e-12, abs=1e-12 * prior.sigma)
-    assert post.sigma == pytest.approx(want.std(), rel=1e-12)
-    # the outcome-1 posterior is weighted away from the likelihood's zero,
-    # so it widens
-    assert np.isfinite(post.mu) and post.sigma > prior.sigma
+    confidence = 0.8
+    cosine = ((1.0, setting.theta),)
+    two_branch = ((confidence, setting.theta), (1.0 - confidence, -setting.theta))
+    for mixture, components, lf in [
+        (None, cosine, likelihood),
+        (two_branch, two_branch, _two_branch_likelihood(confidence)),
+    ]:
+        with pytest.raises(DegenerateUpdateError):
+            mixture_update(prior, 1, setting.m, components)
+        post, starved = rejection_filter_update(prior, 1, setting, mixture=mixture)
+        assert starved
+        want = exact_update(grid, 1, setting, likelihood_fn=lf)
+        assert post.mu == pytest.approx(want.mean(), rel=1e-12, abs=1e-12 * prior.sigma)
+        assert post.sigma == pytest.approx(want.std(), rel=1e-12)
+        # the outcome-1 posterior is weighted away from the likelihood's
+        # zero, so it widens
+        assert np.isfinite(post.mu) and post.sigma > prior.sigma
 
 
 def test_closed_form_risk_matches_quadrature_spot():

@@ -35,7 +35,7 @@ def test_tradeoff_and_collapse_check_pass_their_internal_checks(tmp_path):
 
 
 def test_phase_sim_seed_changes_output(tmp_path):
-    base = ["phase-sim", "--alpha", "1.0", "--phases", "4", "--iters", "5", "--particles", "200"]
+    base = ["phase-sim", "--alpha", "1.0", "--phases", "4", "--iters", "5"]
     _, run_a = run_to_file(tmp_path, "s1.csv", base + ["--seed", "1"])
     _, run_b = run_to_file(tmp_path, "s2.csv", base + ["--seed", "1"])
     _, run_c = run_to_file(tmp_path, "s3.csv", base + ["--seed", "2"])
@@ -57,7 +57,6 @@ def test_expectation_reports_summary_footer(tmp_path):
             "--avalues", "0.7071",
             "--trials", "2",
             "--epsilon", "0.1",
-            "--particles", "400",
         ],
     )
     text = body.decode()

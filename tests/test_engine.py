@@ -56,7 +56,7 @@ def test_zero_iterations_returns_the_prior():
 
 def test_trace_layout_and_reproducibility():
     prior = NormalBelief(0.0, 1.0)
-    args = dict(epsilon=None, max_iterations=25, particles=300, seed=42)
+    args = dict(epsilon=None, max_iterations=25, seed=42)
     _, t1 = run_estimation(SyntheticOracle(-0.9), AlphaQPE(0.75), prior, **args)
     _, t2 = run_estimation(SyntheticOracle(-0.9), AlphaQPE(0.75), prior, **args)
     assert t1 == t2
@@ -72,7 +72,7 @@ def test_trace_layout_and_reproducibility():
 def test_settings_follow_the_policy():
     prior = NormalBelief(0.0, 1.0)
     _, trace = run_estimation(
-        SyntheticOracle(0.4), RFPE(), prior, max_iterations=15, particles=300, seed=7
+        SyntheticOracle(0.4), RFPE(), prior, max_iterations=15, seed=7
     )
     sigmas = trace.sigmas()
     for i, row in enumerate(trace.rows):
@@ -85,7 +85,7 @@ def test_settings_follow_the_policy():
 def test_epsilon_stop_halts_at_first_crossing():
     prior = NormalBelief(0.0, 1.0)
     belief, trace = run_estimation(
-        SyntheticOracle(0.5), AlphaQPE(1.0), prior, epsilon=0.05, particles=400, seed=11
+        SyntheticOracle(0.5), AlphaQPE(1.0), prior, epsilon=0.05, seed=11
     )
     sigmas = trace.sigmas()
     assert belief.sigma <= 0.05
@@ -98,7 +98,6 @@ def test_converges_to_the_true_phase():
         AlphaQPE(0.5),
         NormalBelief(0.0, 1.0),
         epsilon=0.02,
-        particles=600,
         seed=3,
     )
     assert belief.sigma <= 0.02
@@ -113,7 +112,6 @@ def test_hard_cap_raises_with_partial_trace(monkeypatch):
             StatisticalSampling(),
             NormalBelief(0.0, 1.0),
             epsilon=1e-9,
-            particles=200,
             seed=1,
         )
     assert len(err.value.trace.rows) == 6
@@ -138,13 +136,13 @@ def test_circular_distance_wraps():
 
 
 def test_ensemble_shapes_and_determinism():
-    res = ensemble_run(AlphaQPE(1.0), n_phases=20, iterations=15, particles=300, seed=8)
+    res = ensemble_run(AlphaQPE(1.0), n_phases=20, iterations=15, seed=8)
     assert_array_equal(res.iterations, np.arange(16))
     assert res.mean_sigma.shape == (16,)
     assert res.mean_sigma[0] == 1.0
     assert res.median_error[-1] < res.median_error[0]
     assert np.all(np.diff(res.mean_sigma) < 0.0)
-    again = ensemble_run(AlphaQPE(1.0), n_phases=20, iterations=15, particles=300, seed=8)
+    again = ensemble_run(AlphaQPE(1.0), n_phases=20, iterations=15, seed=8)
     assert_array_equal(res.median_error, again.median_error)
 
 

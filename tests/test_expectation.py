@@ -48,6 +48,7 @@ def test_gate_with_tolerance_sits_inside_target_interval():
     "kwargs",
     [
         dict(alpha=1.5),
+        dict(alpha=-0.1),
         dict(d_max=1.0),
         dict(target_epsilon=0.0),
         dict(target_epsilon=1.0),
@@ -55,10 +56,9 @@ def test_gate_with_tolerance_sits_inside_target_interval():
         dict(stage1_tolerance=0.0),
         dict(gate_interval=(0.9, 0.3)),
         dict(gate_interval=(0.0, 0.5)),
-        dict(collapse_measurements=3),
+        dict(gate_interval=(0.3, 1.0)),
         dict(stop_sigma_factor=0.0),
         dict(schedule_scale=-1.0),
-        dict(particles=1),
     ],
 )
 def test_config_validation(kwargs):
@@ -121,7 +121,7 @@ def test_collapse_state_contract():
     op = build_rotation_operator(ansatz_with_z(0.6), "Z")
     seen_b2_one = False
     for seed in range(20):
-        col = collapse_state(op.base_state, op, 2, np.random.default_rng(seed))
+        col = collapse_state(op.base_state, op, np.random.default_rng(seed))
         assert col.branch in (-1, 1)
         assert col.n_measurements == 2
         assert 0.5 <= col.confidence <= 1.0
@@ -134,9 +134,7 @@ def test_collapse_state_contract():
             assert col.confidence == pytest.approx(0.5, abs=1e-10)
     assert seen_b2_one
     with pytest.raises(ValueError):
-        collapse_state(op.base_state, op, 3, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        collapse_state(op.base_state, op, 2, None)
+        collapse_state(op.base_state, op, None)
 
 
 def test_principal_phase_folding():
