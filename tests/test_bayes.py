@@ -128,6 +128,35 @@ def test_moment_update_handles_near_zero_mass_outcome():
     assert post.sigma == pytest.approx(np.sqrt(3.0) * 1e-4, rel=1e-9)
 
 
+def test_rejection_filter_builtin_model_is_exact_and_rng_free():
+    prior = NormalBelief(0.3, 0.25)
+    setting = ExperimentSetting(4.0, 0.1)
+    state = np.random.get_state()
+    post, starved = rejection_filter_update(prior, 0, setting)
+    assert not starved
+    assert post == moment_update(prior, 0, setting)
+    again, _ = rejection_filter_update(prior, 0, setting)
+    assert again == post
+    # the closed form draws no random numbers
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
+
+
+def test_rejection_filter_starvation_falls_back_to_grid():
+    # at m sigma = 8e-9 the damping e^(-t/2) rounds to 1, so the closed form
+    # has no outcome-1 mass and the update falls back to the grid
+    prior = NormalBelief(0.0, 8e-9)
+    setting = ExperimentSetting(1.0, 0.0)
+    with pytest.raises(DegenerateUpdateError):
+        moment_update(prior, 1, setting)
+    post, starved = rejection_filter_update(prior, 1, setting)
+    assert starved
+    want = exact_update(GridBelief.from_normal(prior), 1, setting)
+    assert post == NormalBelief(want.mean(), want.std())
+    # the outcome-1 posterior is weighted away from phi = 0, so it widens
+    assert np.isfinite(post.mu) and post.sigma > prior.sigma
+
+
 def test_rejection_filter_update_matches_brute_force():
     prior = NormalBelief(0.3, 0.25)
     setting = ExperimentSetting(4.0, 0.1)
