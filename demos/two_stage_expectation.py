@@ -13,7 +13,7 @@ from alphavqe.expectation import (
     collapse_state,
     two_stage_estimate,
 )
-from alphavqe.statevector import Ansatz, build_rotation_operator, prepare
+from alphavqe.statevector import Ansatz, build_rotation_operator
 
 cfg = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
 print(f"target interval for the phase path: [{TARGET_INTERVAL[0]:.4f}, {TARGET_INTERVAL[1]:.4f}]")
@@ -35,7 +35,7 @@ rng = np.random.default_rng(9)
 confidences = []
 sharp = 0
 for _ in range(400):
-    col = collapse_state(prepare(op.ansatz), op, rng)
+    col = collapse_state(op, rng)
     confidences.append(col.confidence)
     sharp += col.outcomes[0] == 1
 phi = op.rotation_angle

@@ -50,13 +50,11 @@ from .rand import child_seed, rng_for
 from .schedules import (
     AlphaQPE,
     BetaQPE,
-    DepthReport,
     RFPE,
     SchedulePolicy,
     StatisticalSampling,
     alpha_max,
     analytic_risk_curve,
-    depth_accounting,
     n_min,
     n_min_restarts,
     next_setting,

@@ -30,7 +30,9 @@ at least 3/4, while b2 = 0 leaves an exactly even superposition.  Either way
 the post-measurement state lies in the plane spanned by the two eigenvectors
 and its branch weights are computed exactly, so the two-component mixture
 likelihood keeps every belief update valid; the even-superposition case still
-informs the phase magnitude and is cheaper to keep than to retry.
+informs the phase magnitude and is cheaper to keep than to retry.  The
+four branches, their probabilities and confidences are computed once per
+operator and then sampled.
 """
 
 from __future__ import annotations
@@ -99,10 +101,8 @@ class TwoStageConfig:
     stage1_tolerance: float = 0.1
     gate_interval: tuple[float, float] = (0.36, 0.85)
     target_interval: tuple[float, float] = TARGET_INTERVAL
-    likelihood_mixture: bool = True
     stop_sigma_factor: float = 1.0
     schedule_scale: float = 1.5
-    idealized_collapse: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -175,27 +175,43 @@ class CollapseResult:
     n_measurements: int
 
 
-def _plane_confidence(state: np.ndarray, op: RotationOperator) -> float:
-    """Exact probability that `state` is the plus-branch eigenvector."""
-    v_plus, v_minus, _ = op.plane_eigenvectors()
-    p_plus = abs(np.vdot(v_plus, state)) ** 2
-    p_minus = abs(np.vdot(v_minus, state)) ** 2
-    total = p_plus + p_minus
-    return 0.5 if total <= 0.0 else float(p_plus / total)
+def _collapse_table(op: RotationOperator):
+    """The two fixed ancilla measurements on op.base_state, run once per operator.
+
+    Returns (p_b2, branches): p_b2[b2] is the probability of the first bit and
+    branches[(b2, b1)] = (p(b1 | b2), read-only post-measurement state, exact
+    probability that the state is the plus-branch eigenvector).  A zero
+    state, which stands for a zero-probability branch, gets confidence 1/2.
+    """
+    if op._collapse is None:
+        v_plus, v_minus, _ = op.plane_eigenvectors()
+        first = phase_circuit_branches(op.base_state, op, ExperimentSetting(2.0, 0.0), 1)
+        branches = {}
+        for b2, (_, state2) in enumerate(first):
+            second = phase_circuit_branches(state2, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), 1)
+            for b1, (p1, state1) in enumerate(second):
+                state1.flags.writeable = False
+                p_plus = abs(np.vdot(v_plus, state1)) ** 2
+                total = p_plus + abs(np.vdot(v_minus, state1)) ** 2
+                branches[(b2, b1)] = (p1, state1, 0.5 if total <= 0.0 else float(p_plus / total))
+        op._collapse = (tuple(p2 for p2, _ in first), branches)
+    return op._collapse
 
 
-def collapse_state(psi: np.ndarray, op: RotationOperator, rng: np.random.Generator | None) -> CollapseResult:
-    """Drive the trial state toward one rotation eigenvector.
+def collapse_state(op: RotationOperator, rng: np.random.Generator | None) -> CollapseResult:
+    """Drive the freshly prepared trial state toward one rotation eigenvector.
 
-    Runs the two fixed ancilla measurements on psi and reports the
-    post-measurement state, the more likely eigenvector branch (+1 for the
-    positive eigenphase) and that branch's exact probability.
+    Samples the two fixed ancilla measurements (one uniform each, in circuit
+    order) and reports the read-only post-measurement state, the more likely
+    eigenvector branch (+1 for the positive eigenphase) and that branch's
+    exact probability.
     """
     if rng is None:
         raise ValueError("collapse sampling needs a random generator")
-    b2, state, _ = run_phase_circuit(psi, op, ExperimentSetting(2.0, 0.0), 1, rng)
-    b1, state, _ = run_phase_circuit(state, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), 1, rng)
-    conf_plus = _plane_confidence(state, op)
+    p_b2, branches = _collapse_table(op)
+    b2 = 0 if rng.random() < p_b2[0] else 1
+    b1 = 0 if rng.random() < branches[(b2, 0)][0] else 1
+    _, state, conf_plus = branches[(b2, b1)]
     branch = 1 if conf_plus >= 0.5 else -1
     return CollapseResult(state, branch, max(conf_plus, 1.0 - conf_plus), (b2, b1), 2)
 
@@ -206,19 +222,8 @@ def collapse_distribution(op: RotationOperator) -> dict[tuple[int, int], tuple[f
     Returns {(b2, b1): (probability, plus-branch confidence)}; confidence of a
     zero-probability outcome is reported as the limiting value 1/2.
     """
-    out: dict[tuple[int, int], tuple[float, float]] = {}
-    first = phase_circuit_branches(op.base_state, op, ExperimentSetting(2.0, 0.0), 1)
-    for b2, (p2, state2) in enumerate(first):
-        if p2 <= 0.0:
-            out[(b2, 0)] = (0.0, 0.5)
-            out[(b2, 1)] = (0.0, 0.5)
-            continue
-        second = phase_circuit_branches(state2, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), 1)
-        for b1, (p1, state1) in enumerate(second):
-            prob = p2 * p1
-            conf = _plane_confidence(state1, op) if prob > 0.0 else 0.5
-            out[(b2, b1)] = (float(prob), conf)
-    return out
+    p_b2, branches = _collapse_table(op)
+    return {(b2, b1): (float(p_b2[b2] * p1), conf) for (b2, b1), (p1, _, conf) in branches.items()}
 
 
 def _branch_mixture(confidence: float, theta: float) -> tuple[tuple[float, float], ...]:
@@ -310,21 +315,14 @@ def two_stage_estimate(
                     f"phase sigma={belief.sigma:.3g} stuck above {target_sigma:.3g}",
                     EstimationTrace(rows=(), seed=0, prior_mu=belief.mu, prior_sigma=belief.sigma),
                 )
-            if config.idealized_collapse:
-                v_plus, _, _ = op.plane_eigenvectors()
-                state, branch, confidence = v_plus, 1, 1.0
-            else:
-                col = collapse_state(op.base_state, op, rng)
-                measurements += col.n_measurements
-                max_depth = max(max_depth, 2.0)
-                state, branch, confidence = col.state, col.branch, col.confidence
+            col = collapse_state(op, rng)
+            measurements += col.n_measurements
+            max_depth = max(max_depth, 2.0)
             setting = next_setting(policy, belief).rounded()
-            outcome, _, _ = run_phase_circuit(state, op, setting, branch, rng)
+            outcome, _, _ = run_phase_circuit(col.state, op, setting, col.branch, rng)
             measurements += 1
             max_depth = max(max_depth, setting.m)
-            # at full confidence the mixture reduces to the plain cosine bit
-            # for bit, which keeps the toggle inert there
-            mixture = _branch_mixture(confidence, setting.theta) if config.likelihood_mixture else None
+            mixture = _branch_mixture(col.confidence, setting.theta)
             belief, _ = rejection_filter_update(belief, outcome, setting, mixture=mixture)
             iterations += 1
         # a posterior parked on an alias lobe of the periodic likelihood is

@@ -41,8 +41,6 @@ __all__ = [
     "n_min",
     "n_min_restarts",
     "analytic_risk_curve",
-    "DepthReport",
-    "depth_accounting",
 ]
 
 
@@ -207,39 +205,3 @@ def analytic_risk_curve(k, k0: float, r_k0: float, alpha: float, scale: float = 
         log_r = np.log(r_k0) - np.log1p(r_k0**two_1ma * (1.0 - alpha) / 2.0 * (k - k0)) / two_1ma
         out = np.exp(log_r)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class DepthReport:
-    """Resource ledger for a trace, in units of one base-operator application.
-
-    The rounded fields use the circuit-mode repetition counts max(1, round(m));
-    the raw fields keep the schedule's real-valued m.
-    """
-
-    n_measurements: int
-    max_m: float
-    max_m_rounded: int
-    max_depth: float
-    max_depth_rounded: float
-    total_depth: float
-    total_depth_rounded: float
-
-
-def depth_accounting(trace, depth_of_u: float) -> DepthReport:
-    """Summarize measurement count and coherent depth for an estimation trace."""
-    if not trace.rows:
-        raise ValueError("cannot account for an empty trace")
-    if not depth_of_u > 0.0:
-        raise ValueError(f"depth_of_u must be positive, got {depth_of_u}")
-    ms = np.array([row.m for row in trace.rows], dtype=float)
-    ms_rounded = np.maximum(1, np.rint(ms)).astype(int)
-    return DepthReport(
-        n_measurements=len(trace.rows),
-        max_m=float(ms.max()),
-        max_m_rounded=int(ms_rounded.max()),
-        max_depth=float(ms.max() * depth_of_u),
-        max_depth_rounded=float(ms_rounded.max() * depth_of_u),
-        total_depth=float(ms.sum() * depth_of_u),
-        total_depth_rounded=float(ms_rounded.sum() * depth_of_u),
-    )

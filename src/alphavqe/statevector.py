@@ -184,9 +184,10 @@ def pauli_expectation(state: np.ndarray, pauli: str) -> float:
 class RotationOperator:
     """The reflection product (R Pi R^dag)(P R Pi R^dag P) for one (R, P) pair.
 
-    apply/apply_adjoint run the full gate sequence on arbitrary states, which
-    is what the measurement circuits use; plane_eigenvectors exposes the two
-    rotation eigenvectors for analysis and collapse bookkeeping.
+    apply/apply_adjoint run the full gate sequence on arbitrary states and are
+    the reference path; power_apply and plane_eigenvectors work with U's 2x2
+    restriction to its rotation plane, built on first use from two gate-level
+    applications.
     """
 
     def __init__(self, ansatz: Ansatz, pauli: str):
@@ -200,8 +201,10 @@ class RotationOperator:
         self.n_qubits = ansatz.n_qubits
         self.base_state = prepare(ansatz)
         self.expectation = pauli_expectation(self.base_state, pauli)
+        self._restriction: tuple[np.ndarray, np.ndarray] | None = None
         self._plane: tuple[np.ndarray, np.ndarray, float] | None = None
-        self._spectrum: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # the collapse statistics of expectation._collapse_table, built on first use
+        self._collapse = None
 
     @property
     def rotation_angle(self) -> float:
@@ -226,24 +229,27 @@ class RotationOperator:
         v = self._reflect_trial(v)
         return apply_pauli(v, self.pauli)
 
-    def power_apply(self, state: np.ndarray, m: int, power_sign: int = 1) -> np.ndarray:
-        """U^(sign*m) applied through the cached eigendecomposition.
+    def _plane_restriction(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, M): the orthonormal columns of B span {psi, P psi} and M = B^H U B.
 
-        Repetition counts enter every circuit execution, so powering gate by
-        gate would dominate the simulator's runtime; two dense matvecs per
-        call cost the same for m=1 and m=100.
+        Householder QR keeps B orthonormal even when psi is a Pauli eigenstate
+        up to rounding, where Gram-Schmidt's second vector would be all
+        cancellation noise; U is then the identity and M = I to rounding.
         """
-        if self._spectrum is None:
-            dim = 2**self.n_qubits
-            dense = np.empty((dim, dim), dtype=complex)
-            eye = np.eye(dim, dtype=complex)
-            for j in range(dim):
-                dense[:, j] = self.apply(eye[j])
-            vals, vecs = np.linalg.eig(dense)
-            self._spectrum = (vals, vecs, np.linalg.inv(vecs))
-        vals, vecs, vinv = self._spectrum
-        exponent = m if power_sign > 0 else -m
-        return vecs @ (vals**exponent * (vinv @ state))
+        if self._restriction is None:
+            psi = self.base_state
+            basis, _ = np.linalg.qr(np.stack([psi, apply_pauli(psi, self.pauli)], axis=1))
+            images = np.stack([self.apply(basis[:, 0]), self.apply(basis[:, 1])], axis=1)
+            self._restriction = (basis, basis.conj().T @ images)
+        return self._restriction
+
+    def power_apply(self, state: np.ndarray, m: int, power_sign: int = 1) -> np.ndarray:
+        """U^(sign*m) x = x + B (M^m - I) B^H x, with M^H in place of M for sign -1."""
+        basis, restricted = self._plane_restriction()
+        if power_sign < 0:
+            restricted = restricted.conj().T
+        step = np.linalg.matrix_power(restricted, m) - np.eye(2)
+        return state + basis @ (step @ (basis.conj().T @ state))
 
     def plane_eigenvectors(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(v_plus, v_minus, phi) with U v_plus = e^{+i phi} v_plus and
@@ -257,17 +263,12 @@ class RotationOperator:
         a = self.expectation
         if 1.0 - a * a < 1e-12:
             raise ValueError("trial state is a Pauli eigenstate; rotation plane is degenerate")
-        e1 = self.base_state
-        e2 = (apply_pauli(e1, self.pauli) - a * e1) / np.sqrt(1.0 - a * a)
-        u1, u2 = self.apply(e1), self.apply(e2)
-        restricted = np.array(
-            [[np.vdot(e1, u1), np.vdot(e1, u2)], [np.vdot(e2, u1), np.vdot(e2, u2)]]
-        )
+        basis, restricted = self._plane_restriction()
         vals, vecs = np.linalg.eig(restricted)
         order = np.argsort(-np.angle(vals))
         vals, vecs = vals[order], vecs[:, order]
-        v_plus = vecs[0, 0] * e1 + vecs[1, 0] * e2
-        v_minus = vecs[0, 1] * e1 + vecs[1, 1] * e2
+        v_plus = basis @ vecs[:, 0]
+        v_minus = basis @ vecs[:, 1]
         v_plus /= np.linalg.norm(v_plus)
         v_minus /= np.linalg.norm(v_minus)
         self._plane = (v_plus, v_minus, float(np.angle(vals[0])))

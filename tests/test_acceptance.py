@@ -221,7 +221,7 @@ def test_criterion_6_collapse_table():
             if p_want > 1e-12:
                 worst = max(worst, abs(conf_got - conf_want))
         for trial in range(40):
-            col = collapse_state(op.base_state, op, rng_for(606, "collapse", j, trial))
+            col = collapse_state(op, rng_for(606, "collapse", j, trial))
             if col.outcomes[0] == 1:
                 b2_one_seen += 1
                 confidence_ok &= col.confidence >= 0.75 - 1e-12

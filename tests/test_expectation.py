@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from alphavqe.bayes import ExperimentSetting
 from alphavqe.expectation import (
     TARGET_INTERVAL,
     TwoStageConfig,
@@ -15,7 +16,14 @@ from alphavqe.expectation import (
     statistical_estimate,
     two_stage_estimate,
 )
-from alphavqe.statevector import Ansatz, build_rotation_operator, pauli_expectation, prepare
+from alphavqe.statevector import (
+    Ansatz,
+    build_rotation_operator,
+    pauli_expectation,
+    prepare,
+    run_phase_circuit,
+    states_close,
+)
 
 CONFIG = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
 
@@ -121,7 +129,7 @@ def test_collapse_state_contract():
     op = build_rotation_operator(ansatz_with_z(0.6), "Z")
     seen_b2_one = False
     for seed in range(20):
-        col = collapse_state(op.base_state, op, np.random.default_rng(seed))
+        col = collapse_state(op, np.random.default_rng(seed))
         assert col.branch in (-1, 1)
         assert col.n_measurements == 2
         assert 0.5 <= col.confidence <= 1.0
@@ -134,7 +142,32 @@ def test_collapse_state_contract():
             assert col.confidence == pytest.approx(0.5, abs=1e-10)
     assert seen_b2_one
     with pytest.raises(ValueError):
-        collapse_state(op.base_state, op, None)
+        collapse_state(op, None)
+
+
+def test_collapse_state_samples_the_two_circuits_it_replaces():
+    ops = [
+        build_rotation_operator(ansatz_with_z(0.6), "Z"),
+        build_rotation_operator(Ansatz(3, 2, np.random.default_rng(2).uniform(-np.pi, np.pi, 6)), "XZY"),
+    ]
+    for op in ops:
+        v_plus, v_minus, _ = op.plane_eigenvectors()
+        for seed in range(50):
+            rng_table, rng_circuit = np.random.default_rng(seed), np.random.default_rng(seed)
+            col = collapse_state(op, rng_table)
+            b2, state, _ = run_phase_circuit(op.base_state, op, ExperimentSetting(2.0, 0.0), 1, rng_circuit)
+            b1, state, _ = run_phase_circuit(state, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), 1, rng_circuit)
+            assert col.outcomes == (b2, b1)
+            assert rng_table.random() == rng_circuit.random()
+            assert states_close(col.state, state)
+            plus, minus = abs(np.vdot(v_plus, state)) ** 2, abs(np.vdot(v_minus, state)) ** 2
+            conf_plus = plus / (plus + minus)
+            assert col.confidence == pytest.approx(max(conf_plus, 1.0 - conf_plus), abs=1e-12)
+            if abs(conf_plus - 0.5) > 1e-9:
+                assert col.branch == (1 if conf_plus > 0.5 else -1)
+    # the state is shared by every collapse on this operator
+    with pytest.raises(ValueError):
+        col.state[0] = 0.0
 
 
 def test_principal_phase_folding():
@@ -178,28 +211,3 @@ def test_depth_cap_respected_for_small_budget():
     res = two_stage_estimate(ansatz_with_z(0.6), "Z", cfg, np.random.default_rng(12))
     assert res.path == "alpha_qpe"
     assert res.max_depth_used <= 5.0
-
-
-def test_idealized_collapse_mixture_toggle_is_inert():
-    # with a perfectly collapsed input the mixture weight is 1, so the update
-    # reduces to the plain likelihood and the runs agree bit for bit
-    for seed in (0, 1, 2):
-        runs = []
-        for mixture in (True, False):
-            cfg = TwoStageConfig(
-                alpha=0.5,
-                d_max=32.0,
-                target_epsilon=0.05,
-                likelihood_mixture=mixture,
-                idealized_collapse=True,
-            )
-            runs.append(two_stage_estimate(ansatz_with_z(0.7), "Z", cfg, np.random.default_rng(seed)))
-        assert runs[0].value == runs[1].value
-        assert runs[0].measurements_used == runs[1].measurements_used
-
-
-def test_idealized_collapse_converges():
-    cfg = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02, idealized_collapse=True)
-    res = two_stage_estimate(ansatz_with_z(0.55), "Z", cfg, np.random.default_rng(1))
-    assert res.path == "alpha_qpe"
-    assert abs(res.value - 0.55) <= 0.02

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphavqe.bayes import NormalBelief, variance_gain
-from alphavqe.engine import SyntheticOracle, run_estimation
 from alphavqe.schedules import (
     AlphaQPE,
     BetaQPE,
@@ -13,7 +12,6 @@ from alphavqe.schedules import (
     StatisticalSampling,
     alpha_max,
     analytic_risk_curve,
-    depth_accounting,
     n_min,
     n_min_restarts,
     next_setting,
@@ -138,35 +136,3 @@ def test_analytic_curve_decreasing_in_alpha():
     k = 40.0
     values = [analytic_risk_curve(k, 0.0, 1.0, a) for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_depth_accounting_counts_raw_and_rounded():
-    _, trace = run_estimation(
-        SyntheticOracle(0.3),
-        AlphaQPE(0.5),
-        NormalBelief(0.0, 1.0),
-        max_iterations=25,
-        seed=3,
-    )
-    report = depth_accounting(trace, depth_of_u=7.0)
-    assert report.n_measurements == 25
-    ms = [row.m for row in trace.rows]
-    assert report.max_m == pytest.approx(max(ms))
-    assert report.max_depth == pytest.approx(max(ms) * 7.0)
-    assert report.total_depth == pytest.approx(sum(ms) * 7.0)
-    assert report.max_m_rounded == max(max(1, round(m)) for m in ms)
-    assert report.total_depth_rounded == pytest.approx(
-        sum(max(1, round(m)) for m in ms) * 7.0
-    )
-
-
-def test_depth_accounting_rejects_empty_trace():
-    _, trace = run_estimation(
-        SyntheticOracle(0.0),
-        StatisticalSampling(),
-        NormalBelief(0.0, 1.0),
-        max_iterations=0,
-        seed=0,
-    )
-    with pytest.raises(ValueError):
-        depth_accounting(trace, depth_of_u=1.0)

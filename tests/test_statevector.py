@@ -141,6 +141,43 @@ def test_plane_degenerates_on_pauli_eigenstate():
         op.plane_eigenvectors()
 
 
+def assert_power_matches_repeated_apply(op, state, ms):
+    """power_apply against gate-level apply/apply_adjoint repeated m times."""
+    for sign, step in ((1, op.apply), (-1, op.apply_adjoint)):
+        want, done = state, 0
+        for m in ms:
+            while done < m:
+                want, done = step(want), done + 1
+            assert_allclose(op.power_apply(state, m, sign), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 11))
+def test_power_apply_matches_repeated_gate_application(n_qubits):
+    rng = np.random.default_rng(400 + n_qubits)
+    for _ in range(2):
+        op = build_rotation_operator(
+            random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits))
+        )
+        assert_power_matches_repeated_apply(op, random_state(n_qubits, rng), (1, 3, 16))
+
+
+@pytest.mark.parametrize("angle", [1e-3, 1e-6, 1e-9, 0.0])
+def test_power_apply_near_a_pauli_eigenstate(angle):
+    # <ZI> = cos(angle): the rotation plane shrinks to nothing as angle -> 0
+    op = build_rotation_operator(Ansatz(2, 1, np.array([angle, 0.7])), "ZI")
+    assert_power_matches_repeated_apply(op, random_state(2, np.random.default_rng(5)), (1, 3, 16, 64))
+
+
+def test_power_apply_is_identity_on_an_exact_pauli_eigenstate():
+    op = build_rotation_operator(Ansatz(2, 1, np.array([0.0, 0.7])), "ZI")
+    state = random_state(2, np.random.default_rng(6))
+    for m in (1, 3, 16, 64):
+        for sign in (1, -1):
+            assert_allclose(op.power_apply(state, m, sign), state, atol=1e-14)
+    with pytest.raises(ValueError):
+        op.plane_eigenvectors()
+
+
 def test_adjoint_applies_inverse_rotation():
     rng = np.random.default_rng(4)
     op = build_rotation_operator(random_ansatz(2, 1, rng), "XY")
