@@ -23,7 +23,6 @@ from .bayes import (
     variance_gain,
 )
 from .engine import (
-    CircuitOracle,
     EnsembleResult,
     EstimationTimeout,
     EstimationTrace,
@@ -49,10 +48,8 @@ from .expectation import (
 from .rand import child_seed, rng_for
 from .schedules import (
     AlphaQPE,
-    BetaQPE,
     RFPE,
     SchedulePolicy,
-    StatisticalSampling,
     alpha_max,
     analytic_risk_curve,
     n_min,

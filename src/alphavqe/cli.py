@@ -133,6 +133,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _single(cfg: dict, key: str) -> float:
+    """The one value of a list flag that a subcommand reads as a scalar."""
+    if len(cfg[key]) != 1:
+        raise CliError(f"{key} takes exactly one value here, got {_fmt(cfg[key])!r}")
+    return cfg[key][0]
+
+
 def _write_csv(cfg: dict, subcommand: str, columns, rows, footer: list[str] | None = None) -> None:
     buf = io.StringIO()
     buf.write(f"# alphavqe {__version__}\n")
@@ -243,10 +250,9 @@ def cmd_tradeoff(cfg: dict) -> int:
 
 
 def cmd_expectation(cfg: dict) -> int:
-    alpha = cfg["alpha"][0]
-    epsilon = cfg["epsilon"][0]
-    d_max = cfg["dmax"][0]
-    config = TwoStageConfig(alpha=alpha, d_max=d_max, target_epsilon=epsilon)
+    config = TwoStageConfig(
+        alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=_single(cfg, "epsilon")
+    )
     rows = []
     errors: list[float] = []
     counts: list[float] = []
@@ -287,9 +293,9 @@ def cmd_vqe(cfg: dict) -> int:
     mode = cfg["mode"]
     if mode not in ("exact", "statistical", "alpha"):
         raise CliError(f"mode must be exact, statistical, or alpha, got {mode!r}")
-    epsilon = cfg["epsilon"][0]
+    epsilon = _single(cfg, "epsilon")
     template = Ansatz(hamiltonian.n_qubits, cfg["layers"], np.zeros(hamiltonian.n_qubits * cfg["layers"]))
-    two_stage = TwoStageConfig(alpha=cfg["alpha"][0], d_max=cfg["dmax"][0], target_epsilon=epsilon)
+    two_stage = TwoStageConfig(alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=epsilon)
     result = optimize(
         hamiltonian,
         template,

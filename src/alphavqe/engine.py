@@ -1,29 +1,29 @@
 """Iterative phase estimation: schedule -> measurement -> belief update, traced.
 
-A run threads a normal belief through repeated single-bit measurements.  The
-measurement can be synthetic (outcomes drawn from the analytic likelihood at a
-hidden true phase) or circuit-backed (the ancilla circuit run on a freshly
-prepared eigenstate of a rotation operator).  Identical seeds and
-configuration reproduce traces bit for bit.
+A run threads a normal belief through repeated single-bit measurements.
+`run_estimation` is the one estimation loop: plain phase estimation and stage
+2 of the two-stage expectation estimator both run through it.  An oracle has
+an `integer_m` flag (round each m to a whole count) and `sample(setting, rng)
+-> (outcome, mixture)`, where mixture is the likelihood the outcome was drawn
+from and the belief update uses: None for the plain cosine, or (weight, theta)
+cosine components.  `SyntheticOracle` draws from the plain cosine at a hidden
+true phase.  Identical seeds and configuration reproduce traces bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bayes import NormalBelief, likelihood, rejection_filter_update
 from .rand import child_seed, rng_for
 from .schedules import SchedulePolicy, next_setting
-from .statevector import RotationOperator, run_phase_circuit
 
 __all__ = [
     "HARD_ITERATION_CAP",
     "EstimationTimeout",
     "SyntheticOracle",
-    "CircuitOracle",
     "TraceRow",
     "EstimationTrace",
     "run_estimation",
@@ -54,26 +54,8 @@ class SyntheticOracle:
         if not -np.pi <= self.true_phi < np.pi:
             raise ValueError(f"true_phi must lie in [-pi, pi), got {self.true_phi}")
 
-    def sample(self, setting, rng: np.random.Generator) -> int:
-        return 0 if rng.random() < likelihood(0, self.true_phi, setting) else 1
-
-
-@dataclass
-class CircuitOracle:
-    """Outcomes from the ancilla circuit on a freshly prepared system state.
-
-    prepare_state is called anew for every measurement; sign selects whether
-    controlled-U (+1) or controlled-U^dag (-1) drives the ancilla.
-    """
-
-    operator: RotationOperator
-    prepare_state: Callable[[], np.ndarray]
-    sign: int = 1
-    integer_m: bool = True
-
-    def sample(self, setting, rng: np.random.Generator) -> int:
-        outcome, _, _ = run_phase_circuit(self.prepare_state(), self.operator, setting, self.sign, rng)
-        return outcome
+    def sample(self, setting, rng: np.random.Generator) -> tuple[int, None]:
+        return (0 if rng.random() < likelihood(0, self.true_phi, setting) else 1), None
 
 
 @dataclass(frozen=True)
@@ -92,7 +74,6 @@ class TraceRow:
 @dataclass(frozen=True)
 class EstimationTrace:
     rows: tuple[TraceRow, ...]
-    seed: int
     prior_mu: float
     prior_sigma: float
 
@@ -112,11 +93,12 @@ def run_estimation(
     *,
     epsilon: float | None = None,
     max_iterations: int | None = None,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> tuple[NormalBelief, EstimationTrace]:
     """Estimate a phase until sigma <= epsilon or max_iterations, whichever first.
 
-    At least one stopping rule is required.  If only epsilon is given and the
+    `seed` is an integer or a Generator, which is drawn from in place.  At
+    least one stopping rule is required.  If only epsilon is given and the
     hard cap of 10**6 iterations is reached, EstimationTimeout is raised with
     the partial trace attached.
     """
@@ -138,20 +120,16 @@ def run_estimation(
         if k >= HARD_ITERATION_CAP:
             raise EstimationTimeout(
                 f"sigma={belief.sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
-                _make_trace(rows, seed, prior),
+                EstimationTrace(tuple(rows), prior.mu, prior.sigma),
             )
         setting = next_setting(policy, belief)
         if oracle.integer_m:
             setting = setting.rounded()
-        outcome = oracle.sample(setting, rng)
-        belief, starved = rejection_filter_update(belief, outcome, setting)
+        outcome, mixture = oracle.sample(setting, rng)
+        belief, starved = rejection_filter_update(belief, outcome, setting, mixture=mixture)
         k += 1
         rows.append(TraceRow(k, setting.m, setting.theta, outcome, belief.mu, belief.sigma, starved))
-    return belief, _make_trace(rows, seed, prior)
-
-
-def _make_trace(rows: list[TraceRow], seed: int, prior: NormalBelief) -> EstimationTrace:
-    return EstimationTrace(rows=tuple(rows), seed=seed, prior_mu=prior.mu, prior_sigma=prior.sigma)
+    return belief, EstimationTrace(tuple(rows), prior.mu, prior.sigma)
 
 
 def circular_distance(a, b):
@@ -168,7 +146,6 @@ class EnsembleResult:
     median_sigma: np.ndarray
     median_error: np.ndarray
     n_phases: int
-    policy: SchedulePolicy = field(repr=False, default=None)
 
 
 def ensemble_run(
@@ -208,5 +185,4 @@ def ensemble_run(
         median_sigma=np.median(sigmas, axis=0),
         median_error=np.median(errors, axis=0),
         n_phases=n_phases,
-        policy=policy,
     )

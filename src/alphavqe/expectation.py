@@ -42,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# rejection_filter_update and next_setting go uncalled here: bench/tracing.py patches them by name
 from .bayes import ExperimentSetting, NormalBelief, rejection_filter_update
-from .engine import HARD_ITERATION_CAP, EstimationTimeout, EstimationTrace
+from .engine import run_estimation
 from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
@@ -234,6 +235,21 @@ def _branch_mixture(confidence: float, theta: float) -> tuple[tuple[float, float
 
 
 @dataclass(frozen=True)
+class _CollapsedCircuit:
+    """Stage-2 oracle: collapse the freshly prepared trial state, then run the
+    ancilla circuit on the branch it most likely landed in.  Reports the
+    two-branch mixture the outcome was drawn from."""
+
+    op: RotationOperator
+    integer_m: bool = True
+
+    def sample(self, setting: ExperimentSetting, rng: np.random.Generator):
+        col = collapse_state(self.op, rng)
+        outcome, _, _ = run_phase_circuit(col.state, self.op, setting, col.branch, rng)
+        return outcome, _branch_mixture(col.confidence, setting.theta)
+
+
+@dataclass(frozen=True)
 class ExpectationResult:
     """Outcome of the gated estimator.
 
@@ -244,12 +260,10 @@ class ExpectationResult:
 
     value: float
     path: str
-    sign_source: str
     measurements_used: int
     max_depth_used: float
     posterior_sigma: float
     stage1_estimate: float
-    gate_passed: bool
     iterations: int
 
 
@@ -258,17 +272,21 @@ def two_stage_estimate(
 ) -> ExpectationResult:
     """Estimate <psi|P|psi> with sign to precision ~target_epsilon.
 
-    Gate passes: per iteration, prepare the trial state afresh, collapse it
-    with the two fixed ancilla measurements, then run one ancilla measurement
-    with the schedule's (m, theta) (controlled-U for the plus branch,
-    controlled-U^dag for the minus branch), updating the phase belief until
+    Gate passes: stage 2 is `run_estimation` on one oracle, drawing from
+    `rng`.  Per iteration it prepares the trial state afresh, collapses it
+    with the two fixed ancilla measurements, then runs one ancilla
+    measurement with the schedule's (m, theta) (controlled-U for the plus
+    branch, controlled-U^dag for the minus branch), updating the phase belief
+    under the two-branch mixture likelihood until
     sigma <= stop_sigma_factor * target_epsilon.  A first collapse bit of 0
     is kept, not retried; the even superposition it leaves still pins the
     phase magnitude through the mixture likelihood.  A converged phase whose
     implied magnitude contradicts the stage-1 estimate beyond
     stage1_tolerance is treated as an alias capture and rerun once from the
-    prior.  Gate fails: statistical sampling topped up to
-    ceil(1 / target_epsilon^2) total shots, stage 1 included.
+    prior.  Each run may take the engine's 10**6 iterations; past that,
+    EstimationTimeout carries that run's partial trace.  Gate fails:
+    statistical sampling topped up to ceil(1 / target_epsilon^2) total
+    shots, stage 1 included.
     """
     op = build_rotation_operator(ansatz, pauli)
     s1 = stage1_gate(ansatz, pauli, config, rng)
@@ -282,12 +300,10 @@ def two_stage_estimate(
         return ExpectationResult(
             value=float(value),
             path="statistical_fallback",
-            sign_source="stage1",
             measurements_used=total,
             max_depth_used=0.0,
             posterior_sigma=float(np.sqrt(max(0.0, 1.0 - value * value) / total)),
             stage1_estimate=s1.estimate,
-            gate_passed=False,
             iterations=0,
         )
 
@@ -297,50 +313,31 @@ def two_stage_estimate(
     # phase prior can start this tight with a factor-2 margin; a wide prior
     # would span several lobes of the early likelihood and occasionally lock
     # the belief onto an alias, which a lobe-width prior cannot reach
-    belief = NormalBelief(phi0, 4.0 / math.sqrt(config.stage1_samples))
+    prior = NormalBelief(phi0, 4.0 / math.sqrt(config.stage1_samples))
     # the circuit m is integer, so the binding cap is floor(d_max)
     policy = AlphaQPE(
         config.alpha, scale=config.schedule_scale, depth_cap=float(np.floor(config.d_max))
     )
-    target_sigma = config.stop_sigma_factor * config.target_epsilon
-    measurements = config.stage1_samples
-    max_depth = 0.0
-    iterations = 0
-    prior = belief
-    for _attempt in range(2):
-        belief = prior
-        while belief.sigma > target_sigma:
-            if iterations >= HARD_ITERATION_CAP:
-                raise EstimationTimeout(
-                    f"phase sigma={belief.sigma:.3g} stuck above {target_sigma:.3g}",
-                    EstimationTrace(rows=(), seed=0, prior_mu=belief.mu, prior_sigma=belief.sigma),
-                )
-            col = collapse_state(op, rng)
-            measurements += col.n_measurements
-            max_depth = max(max_depth, 2.0)
-            setting = next_setting(policy, belief).rounded()
-            outcome, _, _ = run_phase_circuit(col.state, op, setting, col.branch, rng)
-            measurements += 1
-            max_depth = max(max_depth, setting.m)
-            mixture = _branch_mixture(col.confidence, setting.theta)
-            belief, _ = rejection_filter_update(belief, outcome, setting, mixture=mixture)
-            iterations += 1
-        # a posterior parked on an alias lobe of the periodic likelihood is
-        # confidently wrong, and more updates of the same kind cannot move
-        # it; stage 1 already brackets the magnitude within its tolerance,
-        # so a converged phase that contradicts the bracket restarts once
-        # from the prior instead of being returned
-        if abs(float(np.cos(principal_phase(belief.mu) / 2.0)) - abs(s1.estimate)) <= config.stage1_tolerance:
-            break
+    oracle = _CollapsedCircuit(op)
+    epsilon = config.stop_sigma_factor * config.target_epsilon
+    belief, trace = run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
+    rows = trace.rows
+    # a posterior parked on an alias lobe of the periodic likelihood is
+    # confidently wrong, and more updates of the same kind cannot move it;
+    # stage 1 already brackets the magnitude within its tolerance, so a
+    # converged phase that contradicts the bracket restarts once from the
+    # prior instead of being returned
+    if not abs(float(np.cos(principal_phase(belief.mu) / 2.0)) - abs(s1.estimate)) <= config.stage1_tolerance:
+        belief, trace = run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
+        rows += trace.rows
     value = s1.sign * float(np.cos(principal_phase(belief.mu) / 2.0))
     return ExpectationResult(
         value=value,
         path="alpha_qpe",
-        sign_source="stage1",
-        measurements_used=measurements,
-        max_depth_used=max_depth,
+        # per row: two collapse bits and one readout
+        measurements_used=config.stage1_samples + 3 * len(rows),
+        max_depth_used=max(2.0, *(row.m for row in rows)) if rows else 0.0,
         posterior_sigma=belief.sigma,
         stage1_estimate=s1.estimate,
-        gate_passed=True,
-        iterations=iterations,
+        iterations=len(rows),
     )

@@ -7,9 +7,8 @@ count m:
 * AlphaQPE           m = a (1/sigma)^alpha, alpha in [0, 1].  alpha = 0 is
                      statistical sampling, alpha = 1 full phase estimation.
 * RFPE               m = ceil(1.25 / sigma).
-* BetaQPE            m = min(ceil(scale / sigma), d_max); rides the depth
-                     budget once reached.
-* StatisticalSampling  m = 1.
+
+Every policy takes an optional depth_cap that clamps m.
 
 The number of measurements needed to shrink the expected deviation from 1 to
 epsilon under AlphaQPE is (natural logs throughout)
@@ -32,8 +31,6 @@ from .bayes import ExperimentSetting, NormalBelief, variance_gain
 __all__ = [
     "AlphaQPE",
     "RFPE",
-    "BetaQPE",
-    "StatisticalSampling",
     "SchedulePolicy",
     "next_setting",
     "predicted_iterations",
@@ -84,36 +81,7 @@ class RFPE:
         return float(np.ceil(self.scale / sigma))
 
 
-@dataclass(frozen=True)
-class BetaQPE:
-    """m = min(ceil(scale / sigma), d_max); scale 1.25 offered as an option."""
-
-    d_max: float
-    scale: float = 1.0
-    depth_cap: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.d_max >= 1.0:
-            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        _check_depth_cap(self.depth_cap)
-
-    def raw_m(self, sigma: float) -> float:
-        return min(float(np.ceil(self.scale / sigma)), float(self.d_max))
-
-
-@dataclass(frozen=True)
-class StatisticalSampling:
-    """m = 1 always; precision comes from repetition alone."""
-
-    depth_cap: float | None = None
-
-    def raw_m(self, sigma: float) -> float:
-        return 1.0
-
-
-SchedulePolicy = AlphaQPE | RFPE | BetaQPE | StatisticalSampling
+SchedulePolicy = AlphaQPE | RFPE
 
 
 def next_setting(policy: SchedulePolicy, belief: NormalBelief) -> ExperimentSetting:

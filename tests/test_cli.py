@@ -115,5 +115,7 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["expectation", "--avalues", "1.5", "--trials", "1"]) == 1
     assert main(["collapse-check", "--phis", "0.0"]) == 1
     assert main(["vqe", "--hamiltonian", "toy1q", "--mode", "quantum"]) == 1
+    assert main(["expectation", "--alpha", "0.25,0.9", "--trials", "1"]) == 1
+    assert main(["expectation", "--alpha", "", "--trials", "1"]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err

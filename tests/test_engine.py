@@ -7,15 +7,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 import alphavqe.engine as engine
 from alphavqe.bayes import ExperimentSetting, NormalBelief, likelihood
 from alphavqe.engine import (
-    CircuitOracle,
     EstimationTimeout,
     SyntheticOracle,
     circular_distance,
     ensemble_run,
     run_estimation,
 )
-from alphavqe.schedules import RFPE, AlphaQPE, StatisticalSampling
-from alphavqe.statevector import Ansatz, build_rotation_operator
+from alphavqe.schedules import RFPE, AlphaQPE
 
 
 def test_synthetic_oracle_validates_phase():
@@ -29,7 +27,7 @@ def test_synthetic_oracle_outcome_frequency():
     setting = ExperimentSetting(3.0, 0.1)
     oracle = SyntheticOracle(0.7)
     rng = np.random.default_rng(5)
-    draws = np.array([oracle.sample(setting, rng) for _ in range(20_000)])
+    draws = np.array([oracle.sample(setting, rng)[0] for _ in range(20_000)])
     p0 = likelihood(0, 0.7, setting)
     assert (draws == 0).mean() == pytest.approx(p0, abs=3.0 * np.sqrt(p0 * (1 - p0) / 20_000))
 
@@ -109,24 +107,12 @@ def test_hard_cap_raises_with_partial_trace(monkeypatch):
     with pytest.raises(EstimationTimeout) as err:
         run_estimation(
             SyntheticOracle(0.3),
-            StatisticalSampling(),
+            AlphaQPE(0.0),
             NormalBelief(0.0, 1.0),
             epsilon=1e-9,
             seed=1,
         )
     assert len(err.value.trace.rows) == 6
-
-
-def test_circuit_oracle_agrees_with_synthetic_on_eigenstates():
-    op = build_rotation_operator(Ansatz(1, 1, np.array([0.9])), "Z")
-    v_plus, v_minus, phi = op.plane_eigenvectors()
-    setting = ExperimentSetting(2.0, 0.35)
-    p0 = likelihood(0, phi, setting)
-    for state, sign in ((v_plus, 1), (v_minus, -1)):
-        oracle = CircuitOracle(op, lambda s=state: s, sign=sign)
-        rng = np.random.default_rng(99)
-        draws = np.array([oracle.sample(setting, rng) for _ in range(4000)])
-        assert (draws == 0).mean() == pytest.approx(p0, abs=3.0 * np.sqrt(p0 * (1 - p0) / 4000))
 
 
 def test_circular_distance_wraps():

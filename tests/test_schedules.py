@@ -7,9 +7,7 @@ from numpy.testing import assert_allclose
 from alphavqe.bayes import NormalBelief, variance_gain
 from alphavqe.schedules import (
     AlphaQPE,
-    BetaQPE,
     RFPE,
-    StatisticalSampling,
     alpha_max,
     analytic_risk_curve,
     n_min,
@@ -21,7 +19,7 @@ from alphavqe.schedules import (
 
 def test_theta_is_mu_minus_sigma_for_every_policy():
     belief = NormalBelief(0.7, 0.2)
-    for policy in (AlphaQPE(0.5), RFPE(), BetaQPE(16.0), StatisticalSampling()):
+    for policy in (AlphaQPE(0.5), RFPE(), RFPE(scale=1.0, depth_cap=16.0), AlphaQPE(0.0)):
         assert next_setting(policy, belief).theta == pytest.approx(0.5)
 
 
@@ -36,8 +34,8 @@ def test_alpha_qpe_repetition_counts():
 def test_rfpe_and_beta_qpe_ceil_rule():
     belief = NormalBelief(0.0, 0.3)
     assert next_setting(RFPE(), belief).m == 5.0  # ceil(1.25 / 0.3)
-    assert next_setting(BetaQPE(16.0), belief).m == 4.0  # ceil(1 / 0.3)
-    assert next_setting(BetaQPE(2.0), belief).m == 2.0  # budget binds
+    assert next_setting(RFPE(scale=1.0, depth_cap=16.0), belief).m == 4.0  # ceil(1 / 0.3)
+    assert next_setting(RFPE(scale=1.0, depth_cap=2.0), belief).m == 2.0  # budget binds
 
 
 def test_depth_cap_clamps_every_policy():
@@ -45,14 +43,14 @@ def test_depth_cap_clamps_every_policy():
     for policy in (
         AlphaQPE(1.0, depth_cap=32.0),
         RFPE(depth_cap=32.0),
-        BetaQPE(1e6, depth_cap=32.0),
+        RFPE(scale=1.0, depth_cap=32.0),
     ):
         assert next_setting(policy, belief).m == 32.0
 
 
 def test_statistical_sampling_never_repeats():
     for sigma in (1.0, 0.1, 1e-6):
-        assert next_setting(StatisticalSampling(), NormalBelief(0.0, sigma)).m == 1.0
+        assert next_setting(AlphaQPE(0.0), NormalBelief(0.0, sigma)).m == 1.0
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.1])
