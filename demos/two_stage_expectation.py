@@ -2,7 +2,10 @@
 
 Three trial states: one whose magnitude the stage-1 gate routes to phase
 estimation, one it correctly rejects toward plain sampling, and one near
-zero.  Measurement counts show where the depth budget pays off.
+zero.  On the phase path each stage-2 measurement is one ancilla readout on
+the freshly prepared trial state, so the count is the 1000 stage-1 shots
+plus one per stage-2 iteration.  Measurement counts show where the depth
+budget pays off.
 """
 
 import numpy as np
@@ -28,7 +31,8 @@ for truth in [-0.62, 0.93, 0.04]:
     print(f"  measurements : {res.measurements_used}")
     print(f"  deepest m    : {res.max_depth_used:.0f}\n")
 
-# the collapse step in isolation: outcome statistics over repeated preparations
+# the two-measurement collapse (a diagnostic; the estimator does not use it):
+# outcome statistics over repeated preparations
 truth = -0.62
 op = build_rotation_operator(Ansatz(1, 1, np.array([np.arccos(truth)])), "Z")
 rng = np.random.default_rng(9)

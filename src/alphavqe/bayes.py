@@ -5,17 +5,14 @@ bit E with probability
 
     P(E | phi; m, theta) = (1 + (-1)^E cos(m (phi - theta))) / 2.
 
-Beliefs over phi live on the unwrapped real line and are summarized as
-normals N(mu, sigma^2).  Posteriors are computed two ways: exactly on a
-dense grid (the validation oracle and the degenerate-mass fallback), and in
-closed form for any weighted sum of such cosine likelihoods, whose refit
-normal's moments are Gaussian trigonometric integrals.  Every likelihood the
-estimators use is of that kind: the plain cosine, and the two-branch mixture
-of the collapsed two-stage estimator.
+Every estimator reads its outcomes under this one likelihood.  Beliefs over
+phi live on the unwrapped real line and are summarized as normals
+N(mu, sigma^2).  Posteriors are computed two ways: exactly on a dense grid
+(the validation oracle and the degenerate-mass fallback), and in closed form,
+since the refit normal's moments are Gaussian trigonometric integrals.
 
 `rejection_filter_update` is the one update the estimators call: it takes
-the plain cosine or a (weight, theta) mixture to `mixture_update` and falls
-back to the grid when the closed form degenerates.
+the closed form and falls back to the grid when the closed form degenerates.
 
 The closed-form expected posterior variance after one measurement (the Bayes
 risk) is
@@ -41,7 +38,6 @@ __all__ = [
     "likelihood",
     "exact_update",
     "moment_update",
-    "mixture_update",
     "rejection_filter_update",
     "bayes_risk",
     "bayes_risk_quadrature",
@@ -76,8 +72,8 @@ class NormalBelief:
 class ExperimentSetting:
     """Controls for one measurement: repetition count m and phase offset theta.
 
-    m is kept real; schedules may produce fractional values.  Circuit-backed
-    execution uses the integer-rounded variant `m_int`.
+    m is kept real; schedules may produce fractional values.  A circuit-backed
+    oracle gets whole counts from `schedules.next_setting`.
     """
 
     m: float
@@ -88,15 +84,6 @@ class ExperimentSetting:
             raise ValueError(f"m must be finite and positive, got {self.m}")
         if not np.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-
-    @property
-    def m_int(self) -> int:
-        """Repetition count for circuit execution: max(1, round(m))."""
-        return max(1, int(round(self.m)))
-
-    def rounded(self) -> "ExperimentSetting":
-        """The same setting with m replaced by its circuit-mode integer."""
-        return ExperimentSetting(float(self.m_int), self.theta)
 
 
 def likelihood(e: int, phi, setting: ExperimentSetting):
@@ -159,10 +146,9 @@ class GridBelief:
         return float(np.sqrt(self.variance()))
 
 
-def exact_update(prior: GridBelief, e: int, setting: ExperimentSetting, likelihood_fn=None) -> GridBelief:
+def exact_update(prior: GridBelief, e: int, setting: ExperimentSetting) -> GridBelief:
     """Exact Bayesian update on the grid: the oracle and fallback for the closed-form update."""
-    lf = likelihood if likelihood_fn is None else likelihood_fn
-    w = prior.weights * lf(e, prior.support, setting)
+    w = prior.weights * likelihood(e, prior.support, setting)
     total = w.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise DegenerateUpdateError(
@@ -184,82 +170,40 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
 
     Averaging sigma'^2 over both outcomes (weighted by their probabilities
     (1 + s c) / 2) collapses to `bayes_risk`, which pins the algebra down.
-    This is the one-component case of `mixture_update`.
-    """
-    return mixture_update(prior, e, setting.m, ((1.0, setting.theta),))
-
-
-def mixture_update(prior: NormalBelief, e: int, m: float, components) -> NormalBelief:
-    """Exact refit normal for a weighted sum of cosine likelihoods.
-
-    The likelihood is sum_k w_k P(e | phi; m, theta_k) over the (w_k, theta_k)
-    pairs in `components`; the weights must be non-negative with a positive
-    total W (they need not be normalized).  The phasors add linearly, so with
-    the summed damped components c = sum_k w_k e^(-t/2) cos(delta_k) and
-    q = sum_k w_k e^(-t/2) sin(delta_k), delta_k = m (mu - theta_k):
-
-        mu'     = mu - s m sigma^2 q / (W + s c)
-        sigma'^2 = sigma^2 (1 - t (s c W + c^2 + q^2) / (W + s c)^2)
-
-    which is `moment_update`'s formula with c and q summed over components.
-    A component of weight 1 alone (or next to weight-0 ones) reproduces
-    `moment_update` bit for bit.
     """
     if e not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {e!r}")
     s = 1.0 if e == 0 else -1.0
+    m = setting.m
     t = (m * prior.sigma) ** 2
     damp = np.exp(-0.5 * t)
-    total = c = q = 0.0
-    for w, theta in components:
-        if not w >= 0.0:
-            raise ValueError(f"mixture weights must be non-negative, got {w}")
-        delta = m * (prior.mu - theta)
-        total += w
-        c += w * damp * np.cos(delta)
-        q += w * damp * np.sin(delta)
-    if not total > 0.0:
-        raise ValueError("mixture needs a positive total weight")
-    z = total + s * c
+    delta = m * (prior.mu - setting.theta)
+    c = damp * np.cos(delta)
+    q = damp * np.sin(delta)
+    z = 1.0 + s * c
     if not z > 0.0:
         raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}")
     mu = prior.mu - s * m * prior.sigma**2 * q / z
-    var = prior.sigma**2 * (1.0 - t * (s * c * total + c * c + q * q) / (z * z))
+    var = prior.sigma**2 * (1.0 - t * (s * c + c * c + q * q) / (z * z))
     if not (np.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
     return NormalBelief(float(mu), float(np.sqrt(var)))
 
 
-def _mixture_likelihood(components):
-    """The likelihood `mixture_update` is exact for, as a callable for the grid."""
-
-    def lf(e: int, phi, setting: ExperimentSetting):
-        return sum(w * likelihood(e, phi, ExperimentSetting(setting.m, theta)) for w, theta in components)
-
-    return lf
-
-
-def rejection_filter_update(
-    prior: NormalBelief, e: int, setting: ExperimentSetting, mixture=None
-) -> tuple[NormalBelief, bool]:
+def rejection_filter_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> tuple[NormalBelief, bool]:
     """One normal-to-normal Bayesian update step.  Returns (posterior, starved).
 
-    The likelihood is the cosine at `setting` or, when `mixture` is given as
-    a sequence of (weight, theta) pairs, the weighted sum of cosines at the
-    setting's m and each listed theta (the setting's own theta is then not
-    used).  `mixture_update` gives the refit normal exactly; the rare outcome
-    that leaves it no mass falls back to the exact grid posterior under the
-    same likelihood and reports starved=True.
+    `moment_update` gives the refit normal exactly; the rare outcome that
+    leaves it no mass falls back to the exact grid posterior and reports
+    starved=True.
 
     The name is kept from the rejection-filter sampler this update replaced,
     because it is public and instrumentation wraps it by name.
     """
-    components = ((1.0, setting.theta),) if mixture is None else mixture
     try:
-        return mixture_update(prior, e, setting.m, components), False
+        return moment_update(prior, e, setting), False
     except DegenerateUpdateError:
-        lf = _mixture_likelihood(components)
-        post = exact_update(GridBelief.from_normal(prior), e, setting, likelihood_fn=lf)
+        post = exact_update(GridBelief.from_normal(prior), e, setting)
         return NormalBelief(post.mean(), post.std()), True
 
 

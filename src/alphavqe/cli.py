@@ -451,9 +451,9 @@ _FLAG_HELP = {
     "layers": "ansatz layers",
     "hamiltonian": "Hamiltonian file path, or a bundled name (toy1q, toy2q)",
     "mode": "energy estimation mode: exact, statistical, or alpha",
-    "alpha": "comma-separated schedule exponents",
-    "epsilon": "comma-separated target precisions",
-    "dmax": "comma-separated depth budgets",
+    "alpha": "schedule exponents, comma-separated; exactly one for expectation and vqe",
+    "epsilon": "target precisions, comma-separated; exactly one for expectation and vqe",
+    "dmax": "depth budgets, comma-separated; exactly one for expectation and vqe",
     "mvals": "comma-separated repetition counts",
     "offsets": "comma-separated mu - theta offsets",
     "sigmas": "comma-separated prior widths",

@@ -3,11 +3,12 @@
 A run threads a normal belief through repeated single-bit measurements.
 `run_estimation` is the one estimation loop: plain phase estimation and stage
 2 of the two-stage expectation estimator both run through it.  An oracle has
-an `integer_m` flag (round each m to a whole count) and `sample(setting, rng)
--> (outcome, mixture)`, where mixture is the likelihood the outcome was drawn
-from and the belief update uses: None for the plain cosine, or (weight, theta)
-cosine components.  `SyntheticOracle` draws from the plain cosine at a hidden
-true phase.  Identical seeds and configuration reproduce traces bit for bit.
+a `pinned_theta` attribute and `sample(setting, rng) -> outcome`, a bit drawn
+from the cosine likelihood at the setting.  pinned_theta is None when any
+(m, theta) can be run, or the one theta the oracle can read out at, which
+`next_setting` then holds fixed while it picks a whole m.  `SyntheticOracle`
+draws from the cosine at a hidden true phase.  Identical seeds and
+configuration reproduce traces bit for bit.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ class SyntheticOracle:
     """Outcomes drawn from the analytic likelihood at a known true phase."""
 
     true_phi: float
-    integer_m: bool = False
+    pinned_theta = None
 
     def __post_init__(self) -> None:
         if not -np.pi <= self.true_phi < np.pi:
             raise ValueError(f"true_phi must lie in [-pi, pi), got {self.true_phi}")
 
-    def sample(self, setting, rng: np.random.Generator) -> tuple[int, None]:
-        return (0 if rng.random() < likelihood(0, self.true_phi, setting) else 1), None
+    def sample(self, setting, rng: np.random.Generator) -> int:
+        return 0 if rng.random() < likelihood(0, self.true_phi, setting) else 1
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,9 @@ def run_estimation(
                 f"sigma={belief.sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
                 EstimationTrace(tuple(rows), prior.mu, prior.sigma),
             )
-        setting = next_setting(policy, belief)
-        if oracle.integer_m:
-            setting = setting.rounded()
-        outcome, mixture = oracle.sample(setting, rng)
-        belief, starved = rejection_filter_update(belief, outcome, setting, mixture=mixture)
+        setting = next_setting(policy, belief, oracle.pinned_theta)
+        outcome = oracle.sample(setting, rng)
+        belief, starved = rejection_filter_update(belief, outcome, setting)
         k += 1
         rows.append(TraceRow(k, setting.m, setting.theta, outcome, belief.mu, belief.sigma, starved))
     return belief, EstimationTrace(tuple(rows), prior.mu, prior.sigma)

@@ -11,9 +11,21 @@ defaults bounds the chance that a stage-1 mean misses the true magnitude by
 more than that tolerance, so a gated term's true magnitude lies inside the
 target interval except with at most that probability.
 
-On the phase-estimation path the trial state is not an eigenstate of the
-rotation operator, so before every measurement it is collapsed toward one of
-the two eigenvectors by a fixed pair of ancilla measurements:
+On the phase-estimation path every measurement prepares the trial state
+afresh and runs one ancilla circuit on it with controlled powers of the
+rotation operator, read out at theta = 0.  The trial state is an exactly even
+superposition of the two rotation eigenvectors (eigenphases +-phi), so the
+readout is the plain cosine
+
+    P(0) = (1 + cos(m phi)) / 2,
+
+symmetric under phi -> -phi (Knill, Ortiz & Somma, PRA 75, 012328, 2007).
+The belief update needs no branch bookkeeping, and each iteration costs one
+measurement.
+
+The two-measurement collapse toward one eigenvector is kept as a checked
+diagnostic (`collapse_state`, `collapse_distribution`), not as part of the
+estimator:
 
     first  (m, theta) = (2, 0)            -> bit b2
     second (m, theta) = (1, b2 * pi / 2)  -> bit b1
@@ -25,13 +37,7 @@ Writing phi for the positive eigenphase, the joint outcome distribution is
     (b2, b1) = (1, 0): sin^2(phi) / 2              plus-branch prob (1 + sin phi)/2
     (b2, b1) = (1, 1): sin^2(phi) / 2              plus-branch prob (1 - sin phi)/2
 
-so with probability sin^2(phi) the collapse lands on a branch with confidence
-at least 3/4, while b2 = 0 leaves an exactly even superposition.  Either way
-the post-measurement state lies in the plane spanned by the two eigenvectors
-and its branch weights are computed exactly, so the two-component mixture
-likelihood keeps every belief update valid; the even-superposition case still
-informs the phase magnitude and is cheaper to keep than to retry.  The
-four branches, their probabilities and confidences are computed once per
+The four branches, their probabilities and confidences are computed once per
 operator and then sampled.
 """
 
@@ -109,7 +115,9 @@ class TwoStageConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.d_max >= 2.0:
-            raise ValueError(f"d_max must be >= 2 (the collapse uses m = 2), got {self.d_max}")
+            raise ValueError(
+                f"d_max must be >= 2 (at depth 1 stage 2 would only repeat stage 1's sampling), got {self.d_max}"
+            )
         if not 0.0 < self.target_epsilon < 1.0:
             raise ValueError(f"target_epsilon must lie in (0, 1), got {self.target_epsilon}")
         if self.stage1_samples < 1:
@@ -186,10 +194,10 @@ def _collapse_table(op: RotationOperator):
     """
     if op._collapse is None:
         v_plus, v_minus, _ = op.plane_eigenvectors()
-        first = phase_circuit_branches(op.base_state, op, ExperimentSetting(2.0, 0.0), 1)
+        first = phase_circuit_branches(op.base_state, op, ExperimentSetting(2.0, 0.0))
         branches = {}
         for b2, (_, state2) in enumerate(first):
-            second = phase_circuit_branches(state2, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), 1)
+            second = phase_circuit_branches(state2, op, ExperimentSetting(1.0, b2 * np.pi / 2.0))
             for b1, (p1, state1) in enumerate(second):
                 state1.flags.writeable = False
                 p_plus = abs(np.vdot(v_plus, state1)) ** 2
@@ -227,26 +235,17 @@ def collapse_distribution(op: RotationOperator) -> dict[tuple[int, int], tuple[f
     return {(b2, b1): (float(p_b2[b2] * p1), conf) for (b2, b1), (p1, _, conf) in branches.items()}
 
 
-def _branch_mixture(confidence: float, theta: float) -> tuple[tuple[float, float], ...]:
-    """Two-branch outcome model as (weight, theta) cosine components: the
-    collapsed state is the tracked branch with probability `confidence`, else
-    the opposite one (theta enters mirrored)."""
-    return ((confidence, theta), (1.0 - confidence, -theta))
-
-
 @dataclass(frozen=True)
-class _CollapsedCircuit:
-    """Stage-2 oracle: collapse the freshly prepared trial state, then run the
-    ancilla circuit on the branch it most likely landed in.  Reports the
-    two-branch mixture the outcome was drawn from."""
+class _TrialStateCircuit:
+    """Stage-2 oracle: one ancilla circuit on the freshly prepared trial
+    state, read out at theta = 0, where it follows the plain cosine."""
 
     op: RotationOperator
-    integer_m: bool = True
+    pinned_theta = 0.0
 
-    def sample(self, setting: ExperimentSetting, rng: np.random.Generator):
-        col = collapse_state(self.op, rng)
-        outcome, _, _ = run_phase_circuit(col.state, self.op, setting, col.branch, rng)
-        return outcome, _branch_mixture(col.confidence, setting.theta)
+    def sample(self, setting: ExperimentSetting, rng: np.random.Generator) -> int:
+        outcome, _, _ = run_phase_circuit(self.op.base_state, self.op, setting, rng)
+        return outcome
 
 
 @dataclass(frozen=True)
@@ -273,20 +272,17 @@ def two_stage_estimate(
     """Estimate <psi|P|psi> with sign to precision ~target_epsilon.
 
     Gate passes: stage 2 is `run_estimation` on one oracle, drawing from
-    `rng`.  Per iteration it prepares the trial state afresh, collapses it
-    with the two fixed ancilla measurements, then runs one ancilla
-    measurement with the schedule's (m, theta) (controlled-U for the plus
-    branch, controlled-U^dag for the minus branch), updating the phase belief
-    under the two-branch mixture likelihood until
-    sigma <= stop_sigma_factor * target_epsilon.  A first collapse bit of 0
-    is kept, not retried; the even superposition it leaves still pins the
-    phase magnitude through the mixture likelihood.  A converged phase whose
-    implied magnitude contradicts the stage-1 estimate beyond
-    stage1_tolerance is treated as an alias capture and rerun once from the
-    prior.  Each run may take the engine's 10**6 iterations; past that,
-    EstimationTimeout carries that run's partial trace.  Gate fails:
-    statistical sampling topped up to ceil(1 / target_epsilon^2) total
-    shots, stage 1 included.
+    `rng`.  Per iteration it prepares the trial state afresh and runs one
+    ancilla measurement at theta = 0 with m controlled applications of U,
+    m the whole count the schedule picks, and updates the phase belief under
+    the plain cosine until sigma <= stop_sigma_factor * target_epsilon.  Each
+    iteration is one measurement, and max_depth_used is the largest m run.
+    A converged phase whose implied magnitude contradicts the stage-1
+    estimate beyond stage1_tolerance is treated as an alias capture and
+    rerun once from the prior.  Each run may take the engine's 10**6
+    iterations; past that, EstimationTimeout carries that run's partial
+    trace.  Gate fails: statistical sampling topped up to
+    ceil(1 / target_epsilon^2) total shots, stage 1 included.
     """
     op = build_rotation_operator(ansatz, pauli)
     s1 = stage1_gate(ansatz, pauli, config, rng)
@@ -318,7 +314,7 @@ def two_stage_estimate(
     policy = AlphaQPE(
         config.alpha, scale=config.schedule_scale, depth_cap=float(np.floor(config.d_max))
     )
-    oracle = _CollapsedCircuit(op)
+    oracle = _TrialStateCircuit(op)
     epsilon = config.stop_sigma_factor * config.target_epsilon
     belief, trace = run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
     rows = trace.rows
@@ -334,9 +330,8 @@ def two_stage_estimate(
     return ExpectationResult(
         value=value,
         path="alpha_qpe",
-        # per row: two collapse bits and one readout
-        measurements_used=config.stage1_samples + 3 * len(rows),
-        max_depth_used=max(2.0, *(row.m for row in rows)) if rows else 0.0,
+        measurements_used=config.stage1_samples + len(rows),
+        max_depth_used=max(row.m for row in rows) if rows else 0.0,
         posterior_sigma=belief.sigma,
         stage1_estimate=s1.estimate,
         iterations=len(rows),

@@ -2,7 +2,7 @@
 
 A schedule maps the current belief N(mu, sigma^2) to the next circuit setting.
 All schedules here pick theta = mu - sigma and differ only in the repetition
-count m:
+count m, unless the oracle pins theta (see `next_setting`):
 
 * AlphaQPE           m = a (1/sigma)^alpha, alpha in [0, 1].  alpha = 0 is
                      statistical sampling, alpha = 1 full phase estimation.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ExperimentSetting, NormalBelief, variance_gain
+from .bayes import ExperimentSetting, NormalBelief, _gain, variance_gain
 
 __all__ = [
     "AlphaQPE",
@@ -84,12 +84,33 @@ class RFPE:
 SchedulePolicy = AlphaQPE | RFPE
 
 
-def next_setting(policy: SchedulePolicy, belief: NormalBelief) -> ExperimentSetting:
-    """Next circuit setting under the policy: its m rule plus theta = mu - sigma."""
+def next_setting(
+    policy: SchedulePolicy, belief: NormalBelief, pinned_theta: float | None = None
+) -> ExperimentSetting:
+    """Next circuit setting under the policy.
+
+    Unpinned: the policy's m rule (clamped to its depth cap) plus
+    theta = mu - sigma.  An oracle that can only read out at a fixed theta
+    pins it: theta = pinned_theta, and m is the whole count in
+    [m*/sqrt 2, sqrt 2 m*] (m* the clamped rule) with the least `bayes_risk`,
+    kept within [1, floor(depth_cap)].  The window lets m step off the
+    zeros of the Bayes gain, which at a fixed theta fall wherever
+    sin(m (mu - theta)) vanishes.
+    """
     m = policy.raw_m(belief.sigma)
     if policy.depth_cap is not None:
         m = min(m, float(policy.depth_cap))
-    return ExperimentSetting(m=m, theta=belief.mu - belief.sigma)
+    if pinned_theta is None:
+        return ExperimentSetting(m=m, theta=belief.mu - belief.sigma)
+    top = np.sqrt(2.0) * m
+    if policy.depth_cap is not None:
+        top = min(top, np.floor(policy.depth_cap))
+    hi = max(1, int(np.floor(top)))
+    lo = min(hi, max(1, int(np.ceil(m / np.sqrt(2.0)))))
+    # bayes_risk over the window at once: the least risk is the largest gain
+    ms = np.arange(lo, hi + 1, dtype=float)
+    gains = _gain((ms * belief.sigma) ** 2, np.sin(ms * (belief.mu - pinned_theta)) ** 2)
+    return ExperimentSetting(m=float(ms[np.argmax(gains)]), theta=pinned_theta)
 
 
 def predicted_iterations(epsilon: float, alpha: float) -> float:

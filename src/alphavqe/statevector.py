@@ -184,8 +184,8 @@ def pauli_expectation(state: np.ndarray, pauli: str) -> float:
 class RotationOperator:
     """The reflection product (R Pi R^dag)(P R Pi R^dag P) for one (R, P) pair.
 
-    apply/apply_adjoint run the full gate sequence on arbitrary states and are
-    the reference path; power_apply and plane_eigenvectors work with U's 2x2
+    apply runs the full gate sequence on arbitrary states and is the
+    reference path; power_apply and plane_eigenvectors work with U's 2x2
     restriction to its rotation plane, built on first use from two gate-level
     applications.
     """
@@ -223,12 +223,6 @@ class RotationOperator:
         v = apply_pauli(v, self.pauli)
         return self._reflect_trial(v)
 
-    def apply_adjoint(self, state: np.ndarray) -> np.ndarray:
-        v = self._reflect_trial(state)
-        v = apply_pauli(v, self.pauli)
-        v = self._reflect_trial(v)
-        return apply_pauli(v, self.pauli)
-
     def _plane_restriction(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, M): the orthonormal columns of B span {psi, P psi} and M = B^H U B.
 
@@ -243,11 +237,9 @@ class RotationOperator:
             self._restriction = (basis, basis.conj().T @ images)
         return self._restriction
 
-    def power_apply(self, state: np.ndarray, m: int, power_sign: int = 1) -> np.ndarray:
-        """U^(sign*m) x = x + B (M^m - I) B^H x, with M^H in place of M for sign -1."""
+    def power_apply(self, state: np.ndarray, m: int) -> np.ndarray:
+        """U^m x = x + B (M^m - I) B^H x."""
         basis, restricted = self._plane_restriction()
-        if power_sign < 0:
-            restricted = restricted.conj().T
         step = np.linalg.matrix_power(restricted, m) - np.eye(2)
         return state + basis @ (step @ (basis.conj().T @ state))
 
@@ -289,22 +281,18 @@ def phase_circuit_branches(
     system_state: np.ndarray,
     op: RotationOperator,
     setting: ExperimentSetting,
-    power_sign: int = 1,
 ) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
     """Exact outcome probabilities and post-measurement states of the ancilla circuit.
 
     Ancilla in |+>, phase gate diag(1, e^{-i m theta}), m controlled
-    applications of U (power_sign=+1) or U^dag (power_sign=-1), X-basis
-    readout.  Returns ((p0, state0), (p1, state1)); a zero-probability branch
-    carries a zero vector.
+    applications of U, X-basis readout.  Returns ((p0, state0), (p1, state1));
+    a zero-probability branch carries a zero vector.
     """
-    if power_sign not in (1, -1):
-        raise ValueError(f"power_sign must be +1 or -1, got {power_sign}")
     m = _circuit_m(setting)
     if system_state.size != 2**op.n_qubits:
         raise ValueError("system state dimension does not match the operator")
     branch0 = np.array(system_state, dtype=complex)
-    branch1 = op.power_apply(branch0 * np.exp(-1j * m * setting.theta), m, power_sign)
+    branch1 = op.power_apply(branch0 * np.exp(-1j * m * setting.theta), m)
     results = []
     for sign in (1.0, -1.0):
         post = 0.5 * (branch0 + sign * branch1)
@@ -319,15 +307,16 @@ def run_phase_circuit(
     system_state: np.ndarray,
     op: RotationOperator,
     setting: ExperimentSetting,
-    power_sign: int,
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray, float]:
     """Sample one ancilla measurement; returns (outcome, post state, exact p0).
 
     On an eigenstate of U the outcome follows the analytic likelihood
-    (1 + (-1)^E cos(m (phi - theta))) / 2 exactly.
+    (1 + (-1)^E cos(m (phi - theta))) / 2 exactly; on the trial state, an
+    even superposition of the two eigenvectors, p0 is
+    (1 + cos(m phi) cos(m theta)) / 2.
     """
-    (p0, state0), (_, state1) = phase_circuit_branches(system_state, op, setting, power_sign)
+    (p0, state0), (_, state1) = phase_circuit_branches(system_state, op, setting)
     outcome = 0 if rng.random() < p0 else 1
     return outcome, (state0 if outcome == 0 else state1), p0
 

@@ -186,7 +186,7 @@ def test_criterion_5_circuit_formula_equivalence():
         theta = float(rng.uniform(-np.pi, np.pi))
         for m in (1, 2, 4, 8, 16):
             setting = ExperimentSetting(float(m), theta)
-            (p0, _), _ = phase_circuit_branches(v_plus, op, setting, 1)
+            (p0, _), _ = phase_circuit_branches(v_plus, op, setting)
             formula = 0.5 * (1.0 + np.cos(m * (phi_dense - theta)))
             worst_p = max(worst_p, abs(p0 - formula))
     elapsed = time.time() - t0

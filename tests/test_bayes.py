@@ -14,7 +14,6 @@ from alphavqe.bayes import (
     exact_update,
     likelihood,
     max_variance_gain,
-    mixture_update,
     moment_update,
     rejection_filter_update,
     risk_envelope,
@@ -52,13 +51,6 @@ def test_likelihood_outcomes_sum_to_one():
 def test_likelihood_rejects_bad_outcome():
     with pytest.raises(ValueError):
         likelihood(2, 0.0, ExperimentSetting(1.0, 0.0))
-
-
-def test_experiment_setting_rounding():
-    assert ExperimentSetting(2.6, 0.0).m_int == 3
-    assert ExperimentSetting(0.2, 0.0).m_int == 1
-    rounded = ExperimentSetting(7.49, 1.0).rounded()
-    assert rounded.m == 7.0 and rounded.theta == 1.0
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
@@ -118,6 +110,9 @@ def test_moment_update_outcome_average_is_bayes_risk():
 def test_moment_update_rejects_bad_outcome():
     with pytest.raises(ValueError):
         moment_update(NormalBelief(0.0, 0.1), 2, ExperimentSetting(1.0, 0.0))
+    # a bad outcome is not a degenerate one: the updater must not route it to the grid
+    with pytest.raises(ValueError):
+        rejection_filter_update(NormalBelief(0.0, 0.1), 2, ExperimentSetting(1.0, 0.0))
 
 
 def test_moment_update_handles_near_zero_mass_outcome():
@@ -144,17 +139,20 @@ def test_rejection_filter_builtin_model_is_exact_and_rng_free():
 
 def test_rejection_filter_starvation_falls_back_to_grid():
     # at m sigma = 8e-9 the damping e^(-t/2) rounds to 1, so the closed form
-    # has no outcome-1 mass and the update falls back to the grid
+    # has no outcome-1 mass (~ t/4) and the update falls back to the grid,
+    # which still resolves the likelihood on its +-8 sigma support
     prior = NormalBelief(0.0, 8e-9)
-    setting = ExperimentSetting(1.0, 0.0)
-    with pytest.raises(DegenerateUpdateError):
-        moment_update(prior, 1, setting)
-    post, starved = rejection_filter_update(prior, 1, setting)
-    assert starved
-    want = exact_update(GridBelief.from_normal(prior), 1, setting)
-    assert post == NormalBelief(want.mean(), want.std())
-    # the outcome-1 posterior is weighted away from phi = 0, so it widens
-    assert np.isfinite(post.mu) and post.sigma > prior.sigma
+    grid = GridBelief.from_normal(prior)
+    for theta in (0.0, 3e-9):
+        setting = ExperimentSetting(1.0, theta)
+        with pytest.raises(DegenerateUpdateError):
+            moment_update(prior, 1, setting)
+        post, starved = rejection_filter_update(prior, 1, setting)
+        assert starved
+        want = exact_update(grid, 1, setting)
+        assert post == NormalBelief(want.mean(), want.std())
+        # the outcome-1 posterior is weighted away from the likelihood's zero, so it widens
+        assert np.isfinite(post.mu) and post.sigma > prior.sigma
 
 
 def test_rejection_filter_update_matches_brute_force():
@@ -167,89 +165,20 @@ def test_rejection_filter_update_matches_brute_force():
     assert post.sigma == pytest.approx(want_std, rel=2e-2)
 
 
-def _two_branch_likelihood(confidence):
-    # the collapsed two-stage model, written straight from the plain cosine
-    def lf(e, phi, setting):
-        mirrored = ExperimentSetting(setting.m, -setting.theta)
-        return confidence * likelihood(e, phi, setting) + (1.0 - confidence) * likelihood(e, phi, mirrored)
-
-    return lf
-
-
-def test_mixture_update_matches_grid_oracle():
+def test_moment_update_matches_grid_oracle():
     draw = np.random.default_rng(2024)
-    confidences = [0.5, 1.0] + [float(c) for c in draw.uniform(0.5, 1.0, 38)]
-    for i, confidence in enumerate(confidences):
+    for i in range(40):
         sigma = float(draw.uniform(0.05, 1.0))
         prior = NormalBelief(float(draw.uniform(-3.0, 3.0)), sigma)
         setting = ExperimentSetting(float(draw.uniform(0.1, 2.5)) / sigma, float(draw.uniform(-np.pi, np.pi)))
-        mixture = ((confidence, setting.theta), (1.0 - confidence, -setting.theta))
         grid = GridBelief.from_normal(prior)
         for e in (0, 1):
-            want = exact_update(grid, e, setting, likelihood_fn=_two_branch_likelihood(confidence))
-            post = mixture_update(prior, e, setting.m, mixture)
+            want = exact_update(grid, e, setting)
+            post = moment_update(prior, e, setting)
             assert post.mu == pytest.approx(want.mean(), abs=1e-11 * sigma), (i, e)
             assert post.sigma == pytest.approx(want.std(), rel=1e-10), (i, e)
-            # only the ratio of the weights matters
-            scaled = mixture_update(prior, e, setting.m, [(2.5 * w, theta) for w, theta in mixture])
-            assert scaled.mu == pytest.approx(post.mu, rel=1e-12, abs=1e-12 * sigma), (i, e)
-            assert scaled.sigma == pytest.approx(post.sigma, rel=1e-12), (i, e)
-            # the updater routes mixture data to the closed form
-            routed, starved = rejection_filter_update(prior, e, setting, mixture=mixture)
-            assert not starved
-            assert routed == post
-
-
-def test_mixture_update_at_full_confidence_is_moment_update():
-    draw = np.random.default_rng(99)
-    for _ in range(50):
-        sigma = float(draw.uniform(0.01, 1.0))
-        prior = NormalBelief(float(draw.uniform(-3.0, 3.0)), sigma)
-        setting = ExperimentSetting(float(draw.uniform(0.1, 3.0)) / sigma, float(draw.uniform(-np.pi, np.pi)))
-        for e in (0, 1):
-            want = moment_update(prior, e, setting)
-            # bit for bit, not approximately: the two-stage mixture toggle
-            # must stay inert at confidence 1
-            assert mixture_update(prior, e, setting.m, ((1.0, setting.theta), (0.0, -setting.theta))) == want
-            assert mixture_update(prior, e, setting.m, ((1.0, setting.theta),)) == want
-            assert rejection_filter_update(prior, e, setting) == (want, False)
-
-
-def test_mixture_update_rejects_bad_input():
-    prior = NormalBelief(0.0, 0.1)
-    with pytest.raises(ValueError):
-        mixture_update(prior, 2, 1.0, ((1.0, 0.0),))
-    with pytest.raises(ValueError):
-        mixture_update(prior, 0, 1.0, ((1.2, 0.0), (-0.2, 0.5)))
-    with pytest.raises(ValueError):
-        mixture_update(prior, 0, 1.0, ())
-
-
-def test_mixture_near_zero_mass_outcome_falls_back_to_grid():
-    # at m sigma = 8e-9 the damping e^(-t/2) rounds to 1, so outcome 1 (mass
-    # ~ t/4) leaves no closed-form mass; the grid still resolves the
-    # likelihood on its +-8 sigma support.  Checked for the plain cosine
-    # (mixture None, confidence 1) and for a two-branch mixture.
-    prior = NormalBelief(0.0, 8e-9)
-    setting = ExperimentSetting(1.0, 3e-9)
-    grid = GridBelief.from_normal(prior)
-    confidence = 0.8
-    cosine = ((1.0, setting.theta),)
-    two_branch = ((confidence, setting.theta), (1.0 - confidence, -setting.theta))
-    for mixture, components, lf in [
-        (None, cosine, likelihood),
-        (two_branch, two_branch, _two_branch_likelihood(confidence)),
-    ]:
-        with pytest.raises(DegenerateUpdateError):
-            mixture_update(prior, 1, setting.m, components)
-        post, starved = rejection_filter_update(prior, 1, setting, mixture=mixture)
-        assert starved
-        want = exact_update(grid, 1, setting, likelihood_fn=lf)
-        assert post.mu == pytest.approx(want.mean(), rel=1e-12, abs=1e-12 * prior.sigma)
-        assert post.sigma == pytest.approx(want.std(), rel=1e-12)
-        # the outcome-1 posterior is weighted away from the likelihood's
-        # zero, so it widens
-        assert np.isfinite(post.mu) and post.sigma > prior.sigma
+            # the updater routes every outcome to the closed form
+            assert rejection_filter_update(prior, e, setting) == (post, False)
 
 
 def test_closed_form_risk_matches_quadrature_spot():

@@ -119,3 +119,13 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["expectation", "--alpha", "", "--trials", "1"]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
+
+
+@pytest.mark.parametrize("subcommand", ["expectation", "vqe"])
+def test_help_says_single_valued_flags_take_one_value(subcommand, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([subcommand, "--help"])
+    assert done.value.code == 0
+    # --alpha, --epsilon and --dmax each say so; argparse wraps the lines
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.count("comma-separated; exactly one for expectation and vqe") == 3

@@ -27,7 +27,7 @@ def test_synthetic_oracle_outcome_frequency():
     setting = ExperimentSetting(3.0, 0.1)
     oracle = SyntheticOracle(0.7)
     rng = np.random.default_rng(5)
-    draws = np.array([oracle.sample(setting, rng)[0] for _ in range(20_000)])
+    draws = np.array([oracle.sample(setting, rng) for _ in range(20_000)])
     p0 = likelihood(0, 0.7, setting)
     assert (draws == 0).mean() == pytest.approx(p0, abs=3.0 * np.sqrt(p0 * (1 - p0) / 20_000))
 

@@ -1,16 +1,17 @@
-"""Two-stage expectation estimation: gate, collapse, and the full protocol."""
+"""Two-stage expectation estimation: gate, stage-2 oracle, collapse, and the full protocol."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import alphavqe.engine as engine
-from alphavqe.bayes import ExperimentSetting, likelihood
+import alphavqe.expectation as expectation
+from alphavqe.bayes import ExperimentSetting
 from alphavqe.engine import EstimationTimeout
 from alphavqe.expectation import (
     TARGET_INTERVAL,
     TwoStageConfig,
-    _CollapsedCircuit,
+    _TrialStateCircuit,
     collapse_distribution,
     collapse_state,
     hoeffding_bound,
@@ -19,6 +20,7 @@ from alphavqe.expectation import (
     statistical_estimate,
     two_stage_estimate,
 )
+from alphavqe.rand import rng_for
 from alphavqe.statevector import (
     Ansatz,
     build_rotation_operator,
@@ -158,8 +160,8 @@ def test_collapse_state_samples_the_two_circuits_it_replaces():
         for seed in range(50):
             rng_table, rng_circuit = np.random.default_rng(seed), np.random.default_rng(seed)
             col = collapse_state(op, rng_table)
-            b2, state, _ = run_phase_circuit(op.base_state, op, ExperimentSetting(2.0, 0.0), 1, rng_circuit)
-            b1, state, _ = run_phase_circuit(state, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), 1, rng_circuit)
+            b2, state, _ = run_phase_circuit(op.base_state, op, ExperimentSetting(2.0, 0.0), rng_circuit)
+            b1, state, _ = run_phase_circuit(state, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), rng_circuit)
             assert col.outcomes == (b2, b1)
             assert rng_table.random() == rng_circuit.random()
             assert states_close(col.state, state)
@@ -173,27 +175,65 @@ def test_collapse_state_samples_the_two_circuits_it_replaces():
         col.state[0] = 0.0
 
 
-def test_collapsed_circuit_reports_the_likelihood_it_sampled():
-    ops = [
-        build_rotation_operator(ansatz_with_z(0.6), "Z"),
-        build_rotation_operator(Ansatz(3, 2, np.random.default_rng(2).uniform(-np.pi, np.pi, 6)), "XZY"),
-    ]
-    settings = np.random.default_rng(8)
-    for op in ops:
-        oracle = _CollapsedCircuit(op)
-        assert oracle.integer_m
-        for seed in range(50):
-            setting = ExperimentSetting(float(settings.integers(1, 33)), settings.uniform(-np.pi, np.pi))
-            rng_oracle, rng_hand = np.random.default_rng(seed), np.random.default_rng(seed)
-            outcome, mixture = oracle.sample(setting, rng_oracle)
-            col = collapse_state(op, rng_hand)
-            hand_outcome, _, exact_p0 = run_phase_circuit(col.state, op, setting, col.branch, rng_hand)
+def test_trial_state_oracle_reads_the_plain_cosine():
+    # the fresh trial state is an even superposition of the two rotation
+    # eigenvectors, so at theta = 0 the readout is (1 + cos(m phi)) / 2
+    draw = np.random.default_rng(8)
+    for n_qubits in range(1, 9):
+        ansatz = Ansatz(n_qubits, 2, draw.uniform(-np.pi, np.pi, 2 * n_qubits))
+        op = build_rotation_operator(ansatz, "".join(draw.choice(list("IXYZ"), n_qubits)))
+        oracle = _TrialStateCircuit(op)
+        assert oracle.pinned_theta == 0.0
+        for m in range(1, 33):
+            setting = ExperimentSetting(float(m), oracle.pinned_theta)
+            rng_oracle, rng_hand = np.random.default_rng(m), np.random.default_rng(m)
+            outcome = oracle.sample(setting, rng_oracle)
+            hand_outcome, _, exact_p0 = run_phase_circuit(op.base_state, op, setting, rng_hand)
             assert outcome == hand_outcome
             assert rng_oracle.random() == rng_hand.random()
-            model_p0 = sum(
-                w * likelihood(0, op.rotation_angle, ExperimentSetting(setting.m, theta)) for w, theta in mixture
-            )
-            assert model_p0 == pytest.approx(exact_p0, abs=1e-12)
+            assert exact_p0 == pytest.approx(0.5 * (1.0 + np.cos(m * op.rotation_angle)), abs=1e-12)
+
+
+def test_stage2_ledger_counts_one_measurement_per_row(monkeypatch):
+    traces = []
+
+    def recording(*args, **kwargs):
+        belief, trace = engine.run_estimation(*args, **kwargs)
+        traces.append(trace)
+        return belief, trace
+
+    monkeypatch.setattr(expectation, "run_estimation", recording)
+    for seed, value in enumerate((0.6, -0.45, 0.8)):
+        traces.clear()
+        res = two_stage_estimate(ansatz_with_z(value), "Z", CONFIG, np.random.default_rng(seed))
+        assert res.path == "alpha_qpe"
+        rows = [row for trace in traces for row in trace.rows]
+        assert res.iterations == len(rows) > 0
+        assert res.measurements_used == CONFIG.stage1_samples + len(rows)
+        assert res.max_depth_used == max(row.m for row in rows)
+        assert all(row.theta == 0.0 and row.m == round(row.m) for row in rows)
+
+
+def test_stage2_measurements_scale_as_inverse_epsilon():
+    # the paper's law: O(1 / epsilon^(2 (1 - alpha))) measurements, so at
+    # alpha = 0.5 the median stage-2 count grows as 1 / epsilon.  Same draws
+    # as acceptance criterion 7.
+    epsilons = (0.02, 0.01, 0.005)
+    medians = []
+    for eps in epsilons:
+        cfg = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=eps)
+        draw = np.random.default_rng(707)
+        counts = []
+        for i in range(50):
+            magnitude = float(draw.uniform(*TARGET_INTERVAL))
+            sign = 1.0 if draw.random() < 0.5 else -1.0
+            ansatz = Ansatz(1, 1, np.array([np.arccos(sign * magnitude)]))
+            res = two_stage_estimate(ansatz, "Z", cfg, rng_for(707, "trial", i))
+            if res.path == "alpha_qpe":
+                counts.append(res.measurements_used - cfg.stage1_samples)
+        medians.append(float(np.median(counts)))
+    slope = np.polyfit(np.log(1.0 / np.array(epsilons)), np.log(medians), 1)[0]
+    assert 0.8 <= slope <= 1.2, (medians, slope)
 
 
 def test_two_stage_timeout_carries_the_partial_trace(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from alphavqe.bayes import NormalBelief, variance_gain
+from alphavqe.bayes import ExperimentSetting, NormalBelief, bayes_risk, variance_gain
 from alphavqe.schedules import (
     AlphaQPE,
     RFPE,
@@ -51,6 +51,49 @@ def test_depth_cap_clamps_every_policy():
 def test_statistical_sampling_never_repeats():
     for sigma in (1.0, 0.1, 1e-6):
         assert next_setting(AlphaQPE(0.0), NormalBelief(0.0, sigma)).m == 1.0
+
+
+def random_policies_and_beliefs(seed, n):
+    draw = np.random.default_rng(seed)
+    for _ in range(n):
+        cap = None if draw.random() < 0.3 else float(draw.uniform(1.0, 40.0))
+        if draw.random() < 0.5:
+            policy = AlphaQPE(float(draw.uniform(0.0, 1.0)), scale=float(draw.uniform(0.5, 2.0)), depth_cap=cap)
+        else:
+            policy = RFPE(scale=float(draw.uniform(0.5, 2.0)), depth_cap=cap)
+        sigma = float(np.exp(draw.uniform(np.log(1e-3), np.log(2.0))))
+        yield policy, NormalBelief(float(draw.uniform(-4.0, 4.0)), sigma)
+
+
+def test_unpinned_setting_is_the_policy_rule_bit_for_bit():
+    for policy, belief in random_policies_and_beliefs(61, 300):
+        m = policy.raw_m(belief.sigma)
+        if policy.depth_cap is not None:
+            m = min(m, float(policy.depth_cap))
+        want = ExperimentSetting(m, belief.mu - belief.sigma)
+        assert next_setting(policy, belief) == want
+        assert next_setting(policy, belief, None) == want
+
+
+def test_pinned_theta_picks_the_least_risk_whole_m_in_the_window():
+    for policy, belief in random_policies_and_beliefs(62, 300):
+        pinned = float(np.random.default_rng(int(1e6 * belief.sigma)).uniform(-np.pi, np.pi))
+        star = next_setting(policy, belief).m
+        setting = next_setting(policy, belief, pinned)
+        assert setting.theta == pinned
+        assert setting.m == round(setting.m) and setting.m >= 1.0
+        if policy.depth_cap is not None:
+            assert setting.m <= np.floor(policy.depth_cap)
+        # the window [m*/sqrt 2, sqrt 2 m*], cut to [1, floor(cap)]
+        top = np.sqrt(2.0) * star if policy.depth_cap is None else min(np.sqrt(2.0) * star, np.floor(policy.depth_cap))
+        window = [k for k in range(1, int(np.floor(top)) + 1) if k >= star / np.sqrt(2.0)]
+        if not window:
+            # the window holds no whole count inside the cap: the nearest one is used
+            assert setting.m == max(1.0, np.floor(top))
+            continue
+        assert setting.m in window
+        risks = [bayes_risk(ExperimentSetting(float(k), pinned), belief) for k in window]
+        assert bayes_risk(setting, belief) == min(risks)
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.1])

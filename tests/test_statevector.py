@@ -17,7 +17,6 @@ from alphavqe.statevector import (
     prepare,
     run_phase_circuit,
     sample_pauli_outcomes,
-    states_close,
     validate_pauli,
     zero_state,
 )
@@ -142,13 +141,12 @@ def test_plane_degenerates_on_pauli_eigenstate():
 
 
 def assert_power_matches_repeated_apply(op, state, ms):
-    """power_apply against gate-level apply/apply_adjoint repeated m times."""
-    for sign, step in ((1, op.apply), (-1, op.apply_adjoint)):
-        want, done = state, 0
-        for m in ms:
-            while done < m:
-                want, done = step(want), done + 1
-            assert_allclose(op.power_apply(state, m, sign), want, atol=1e-12)
+    """power_apply against gate-level apply repeated m times."""
+    want, done = state, 0
+    for m in ms:
+        while done < m:
+            want, done = op.apply(want), done + 1
+        assert_allclose(op.power_apply(state, m), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 11))
@@ -172,17 +170,9 @@ def test_power_apply_is_identity_on_an_exact_pauli_eigenstate():
     op = build_rotation_operator(Ansatz(2, 1, np.array([0.0, 0.7])), "ZI")
     state = random_state(2, np.random.default_rng(6))
     for m in (1, 3, 16, 64):
-        for sign in (1, -1):
-            assert_allclose(op.power_apply(state, m, sign), state, atol=1e-14)
+        assert_allclose(op.power_apply(state, m), state, atol=1e-14)
     with pytest.raises(ValueError):
         op.plane_eigenvectors()
-
-
-def test_adjoint_applies_inverse_rotation():
-    rng = np.random.default_rng(4)
-    op = build_rotation_operator(random_ansatz(2, 1, rng), "XY")
-    state = random_state(2, rng)
-    assert states_close(op.apply_adjoint(op.apply(state)), state)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
@@ -193,14 +183,11 @@ def test_circuit_probability_matches_likelihood_on_eigenstates(m):
         v_plus, v_minus, phi = op.plane_eigenvectors()
         theta = rng.uniform(-np.pi, np.pi)
         setting = ExperimentSetting(float(m), theta)
-        (p0, _), (p1, _) = phase_circuit_branches(v_plus, op, setting, 1)
+        (p0, _), (p1, _) = phase_circuit_branches(v_plus, op, setting)
         assert p0 == pytest.approx(likelihood(0, phi, setting), abs=1e-12)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
-        # the minus branch under controlled-U^dag sees the same likelihood
-        (q0, _), _ = phase_circuit_branches(v_minus, op, setting, -1)
-        assert q0 == pytest.approx(likelihood(0, phi, setting), abs=1e-12)
-        # and under controlled-U it sees the mirrored phase
-        (w0, _), _ = phase_circuit_branches(v_minus, op, setting, 1)
+        # the minus branch sees the mirrored phase
+        (w0, _), _ = phase_circuit_branches(v_minus, op, setting)
         assert w0 == pytest.approx(likelihood(0, -phi, setting), abs=1e-12)
 
 
@@ -210,7 +197,7 @@ def test_circuit_on_trial_state_averages_the_branches():
     phi = op.rotation_angle
     for m, theta in ((1, 0.3), (3, -0.9), (5, 1.7)):
         setting = ExperimentSetting(float(m), theta)
-        (p0, _), _ = phase_circuit_branches(op.base_state, op, setting, 1)
+        (p0, _), _ = phase_circuit_branches(op.base_state, op, setting)
         want = 0.5 * (1.0 + np.cos(m * phi) * np.cos(m * theta))
         assert p0 == pytest.approx(want, abs=1e-12)
 
@@ -219,15 +206,15 @@ def test_circuit_rejects_fractional_m():
     rng = np.random.default_rng(1)
     op = build_rotation_operator(random_ansatz(1, 1, rng), "Z")
     with pytest.raises(ValueError):
-        phase_circuit_branches(op.base_state, op, ExperimentSetting(2.5, 0.0), 1)
+        phase_circuit_branches(op.base_state, op, ExperimentSetting(2.5, 0.0))
 
 
 def test_run_phase_circuit_is_seed_deterministic():
     rng = np.random.default_rng(9)
     op = build_rotation_operator(random_ansatz(2, 1, rng), "ZY")
     setting = ExperimentSetting(3.0, 0.4)
-    a = run_phase_circuit(op.base_state, op, setting, 1, np.random.default_rng(123))
-    b = run_phase_circuit(op.base_state, op, setting, 1, np.random.default_rng(123))
+    a = run_phase_circuit(op.base_state, op, setting, np.random.default_rng(123))
+    b = run_phase_circuit(op.base_state, op, setting, np.random.default_rng(123))
     assert a[0] == b[0] and a[2] == b[2]
     assert_allclose(a[1], b[1])
 
