@@ -170,6 +170,14 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
 
     Averaging sigma'^2 over both outcomes (weighted by their probabilities
     (1 + s c) / 2) collapses to `bayes_risk`, which pins the algebra down.
+
+    At small m sigma both 1 + s c and s c + c^2 + q^2 are differences of
+    nearly equal numbers, so they are evaluated in cancellation-free form:
+    with g = -expm1(-t/2) and h = cos^2(delta/2) for outcome 0, sin^2(delta/2)
+    for outcome 1,
+
+        1 + s c          = g + 2 e^(-t/2) h
+        s c + c^2 + q^2  = e^(-t/2) (2 h - g)
     """
     if e not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {e!r}")
@@ -177,14 +185,14 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
     m = setting.m
     t = (m * prior.sigma) ** 2
     damp = np.exp(-0.5 * t)
+    g = -np.expm1(-0.5 * t)
     delta = m * (prior.mu - setting.theta)
-    c = damp * np.cos(delta)
-    q = damp * np.sin(delta)
-    z = 1.0 + s * c
+    h = (np.cos if e == 0 else np.sin)(0.5 * delta) ** 2
+    z = g + 2.0 * damp * h
     if not z > 0.0:
         raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}")
-    mu = prior.mu - s * m * prior.sigma**2 * q / z
-    var = prior.sigma**2 * (1.0 - t * (s * c + c * c + q * q) / (z * z))
+    mu = prior.mu - s * m * prior.sigma**2 * damp * np.sin(delta) / z
+    var = prior.sigma**2 * (1.0 - (t / z) * (damp * (2.0 * h - g) / z))
     if not (np.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
     return NormalBelief(float(mu), float(np.sqrt(var)))
@@ -263,13 +271,23 @@ def variance_gain(x):
 
 
 def max_variance_gain() -> tuple[float, float]:
-    """Location and value of the maximum of `variance_gain` on (0, 3]."""
-    from scipy.optimize import minimize_scalar
+    """Location and value of the maximum of `variance_gain` on (0, 3].
 
-    res = minimize_scalar(
-        lambda x: -variance_gain(x),
-        bounds=(1e-6, 3.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x), float(variance_gain(res.x))
+    Golden-section search on [1e-6, 3], where the gain is unimodal, down to
+    a bracket of 1e-12.
+    """
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = 1e-6, 3.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    gc, gd = variance_gain(c), variance_gain(d)
+    while b - a > 1e-12:
+        if gc > gd:
+            b, d, gd = d, c, gc
+            c = b - shrink * (b - a)
+            gc = variance_gain(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + shrink * (b - a)
+            gd = variance_gain(d)
+    x = 0.5 * (a + b)
+    return float(x), float(variance_gain(x))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: dense matrices built by kron, operator
 matrices recovered column by column, posterior moments by huge-sample
-rejection sampling.  Slow but independent of the library's own shortcuts.
+rejection sampling or by brute quadrature.  Slow but independent of the
+library's own shortcuts.
 """
 
 import numpy as np
@@ -41,3 +42,20 @@ def brute_posterior_moments(mu, sigma, e, m, theta, n=200_000, seed=0):
     lik = 0.5 * (1.0 + sign * np.cos(m * (cand - theta)))
     kept = cand[rng.random(n) < lik]
     return float(kept.mean()), float(kept.std(ddof=1))
+
+
+def quadrature_posterior_moments(sigma, e, m, delta, half_width=10.0, points=20_001):
+    """Posterior moments for prior N(0, sigma^2) and setting m, theta = -delta / m,
+    as (mean / sigma, std / sigma), by trapezoid quadrature in prior-standard units.
+
+    The likelihood is written with half angles, (1 - cos x) / 2 = 2 sin^2(x/2) / 2
+    and (1 + cos x) / 2 = 2 cos^2(x/2) / 2, so it keeps full relative precision
+    however small m sigma is.
+    """
+    x = np.linspace(-half_width, half_width, points)
+    half = 0.5 * (m * sigma * x + delta)
+    like = 2.0 * (np.cos(half) if e == 0 else np.sin(half)) ** 2 / 2.0
+    w = np.exp(-0.5 * x * x) * like
+    w /= w.sum()
+    mean = float(np.sum(w * x))
+    return mean, float(np.sqrt(np.sum(w * (x - mean) ** 2)))

@@ -1,9 +1,16 @@
 """Likelihood, exact grid updates, the closed-form update and its grid fallback, and the risk formulas."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import alphavqe.bayes as bayes
 from alphavqe.bayes import (
     DegenerateUpdateError,
     ExperimentSetting,
@@ -20,7 +27,7 @@ from alphavqe.bayes import (
     variance_gain,
 )
 
-from dense_oracles import brute_posterior_moments
+from dense_oracles import brute_posterior_moments, quadrature_posterior_moments
 
 # posterior moments for prior N(0.3, 0.25^2), setting (m=4, theta=0.1),
 # computed with scipy.integrate.quad over the real line
@@ -137,22 +144,44 @@ def test_rejection_filter_builtin_model_is_exact_and_rng_free():
     assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
 
 
-def test_rejection_filter_starvation_falls_back_to_grid():
-    # at m sigma = 8e-9 the damping e^(-t/2) rounds to 1, so the closed form
-    # has no outcome-1 mass (~ t/4) and the update falls back to the grid,
-    # which still resolves the likelihood on its +-8 sigma support
-    prior = NormalBelief(0.0, 8e-9)
-    grid = GridBelief.from_normal(prior)
-    for theta in (0.0, 3e-9):
-        setting = ExperimentSetting(1.0, theta)
-        with pytest.raises(DegenerateUpdateError):
-            moment_update(prior, 1, setting)
-        post, starved = rejection_filter_update(prior, 1, setting)
+def test_rejection_filter_starvation_falls_back_to_grid(monkeypatch):
+    # the stable closed form degenerates only when (m sigma)^2 underflows to
+    # 0 at delta = 0, where the grid has no mass either, so the degeneracy
+    # is injected to check the route: starved, and exactly the grid posterior
+    def degenerate(prior, e, setting):
+        raise DegenerateUpdateError("injected")
+
+    monkeypatch.setattr(bayes, "moment_update", degenerate)
+    prior = NormalBelief(0.3, 0.25)
+    setting = ExperimentSetting(4.0, 0.1)
+    for e in (0, 1):
+        post, starved = rejection_filter_update(prior, e, setting)
         assert starved
-        want = exact_update(grid, 1, setting)
+        want = exact_update(GridBelief.from_normal(prior), e, setting)
         assert post == NormalBelief(want.mean(), want.std())
-        # the outcome-1 posterior is weighted away from the likelihood's zero, so it widens
-        assert np.isfinite(post.mu) and post.sigma > prior.sigma
+        _, want_mean, want_std = QUAD_POSTERIOR[e]
+        assert post.mu == pytest.approx(want_mean, abs=1e-9)
+        assert post.sigma == pytest.approx(want_std, abs=1e-9)
+
+
+def test_closed_form_is_stable_down_to_tiny_m_sigma():
+    # below m sigma ~ 1e-8 the plain 1 + s c and s c + c^2 + q^2 cancel
+    # completely; against a half-angle quadrature oracle the update holds
+    # to rounding all the way down to m sigma = 1e-10, never starving
+    sigma = 0.5
+    prior = NormalBelief(0.0, sigma)
+    for m_sigma in 10.0 ** -np.arange(0, 11):
+        m = m_sigma / sigma
+        for delta in (0.0, 0.3 * m_sigma, -1.7 * m_sigma, 1.0, -2.0 + 2.5 * m_sigma):
+            for e in (0, 1):
+                post, starved = rejection_filter_update(prior, e, ExperimentSetting(m, -delta / m))
+                assert not starved
+                want_mean, want_std = quadrature_posterior_moments(sigma, e, m, delta)
+                assert post.mu / sigma == pytest.approx(want_mean, abs=1e-12), (m_sigma, delta, e)
+                assert post.sigma / sigma == pytest.approx(want_std, rel=1e-12), (m_sigma, delta, e)
+    # outcome 1 at theta = mu weights the prior by phi^2: sqrt(3) sigma
+    tiny = NormalBelief(0.0, 1e-8)
+    assert moment_update(tiny, 1, ExperimentSetting(1.0, 0.0)).sigma == pytest.approx(np.sqrt(3.0) * 1e-8, rel=1e-12)
 
 
 def test_rejection_filter_update_matches_brute_force():
@@ -238,6 +267,22 @@ def test_variance_gain_limits_and_max():
     # the contraction constants the schedules rely on
     assert 1.0 - variance_gain(1.0) == pytest.approx(0.708174052737, abs=1e-9)
     assert 1.0 - val == pytest.approx(0.692723493888, abs=1e-9)
+
+
+def test_package_runs_without_scipy():
+    # a None entry in sys.modules makes any scipy import raise ImportError
+    code = (
+        "import json, sys; sys.modules['scipy'] = None; "
+        "import alphavqe; print(json.dumps(alphavqe.max_variance_gain()))"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loc, val = json.loads(done.stdout)
+    assert loc == pytest.approx(GAIN_ARGMAX, abs=1e-6)
+    assert val == pytest.approx(GAIN_MAX, abs=1e-9)
 
 
 def test_variance_gain_large_argument_saturates():
