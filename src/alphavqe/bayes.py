@@ -26,6 +26,7 @@ m (mu - theta) is an odd multiple of pi/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,26 +185,28 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
     s = 1.0 if e == 0 else -1.0
     m = setting.m
     t = (m * prior.sigma) ** 2
-    damp = np.exp(-0.5 * t)
-    g = -np.expm1(-0.5 * t)
+    damp = math.exp(-0.5 * t)
+    g = -math.expm1(-0.5 * t)
     delta = m * (prior.mu - setting.theta)
-    h = (np.cos if e == 0 else np.sin)(0.5 * delta) ** 2
+    h = (math.cos if e == 0 else math.sin)(0.5 * delta) ** 2
     z = g + 2.0 * damp * h
     if not z > 0.0:
         raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}")
-    mu = prior.mu - s * m * prior.sigma**2 * damp * np.sin(delta) / z
+    mu = prior.mu - s * m * prior.sigma**2 * damp * math.sin(delta) / z
     var = prior.sigma**2 * (1.0 - (t / z) * (damp * (2.0 * h - g) / z))
-    if not (np.isfinite(mu) and var > 0.0):
+    if not (math.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
-    return NormalBelief(float(mu), float(np.sqrt(var)))
+    return NormalBelief(float(mu), math.sqrt(var))
 
 
 def rejection_filter_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> tuple[NormalBelief, bool]:
     """One normal-to-normal Bayesian update step.  Returns (posterior, starved).
 
-    `moment_update` gives the refit normal exactly; the rare outcome that
-    leaves it no mass falls back to the exact grid posterior and reports
-    starved=True.
+    `moment_update` gives the refit normal exactly; an outcome that leaves
+    it no mass falls back to the exact grid posterior and reports
+    starved=True.  Its cancellation-free form loses the mass only when
+    (m sigma)^2 underflows to 0 at delta = 0, where the grid has none either
+    and the error propagates.
 
     The name is kept from the rejection-filter sampler this update replaced,
     because it is public and instrumentation wraps it by name.

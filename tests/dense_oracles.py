@@ -48,13 +48,13 @@ def quadrature_posterior_moments(sigma, e, m, delta, half_width=10.0, points=20_
     """Posterior moments for prior N(0, sigma^2) and setting m, theta = -delta / m,
     as (mean / sigma, std / sigma), by trapezoid quadrature in prior-standard units.
 
-    The likelihood is written with half angles, (1 - cos x) / 2 = 2 sin^2(x/2) / 2
-    and (1 + cos x) / 2 = 2 cos^2(x/2) / 2, so it keeps full relative precision
-    however small m sigma is.
+    The likelihood is written with half angles, (1 - cos x) / 2 = sin^2(x/2)
+    and (1 + cos x) / 2 = cos^2(x/2), never as 1 - cos x, so it keeps full
+    relative precision however small m sigma is.
     """
     x = np.linspace(-half_width, half_width, points)
     half = 0.5 * (m * sigma * x + delta)
-    like = 2.0 * (np.cos(half) if e == 0 else np.sin(half)) ** 2 / 2.0
+    like = (np.cos(half) if e == 0 else np.sin(half)) ** 2
     w = np.exp(-0.5 * x * x) * like
     w /= w.sum()
     mean = float(np.sum(w * x))
