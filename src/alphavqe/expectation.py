@@ -284,7 +284,6 @@ def two_stage_estimate(
     trace.  Gate fails: statistical sampling topped up to
     ceil(1 / target_epsilon^2) total shots, stage 1 included.
     """
-    op = build_rotation_operator(ansatz, pauli)
     s1 = stage1_gate(ansatz, pauli, config, rng)
     if not s1.passed:
         total = max(config.stage1_samples, math.ceil(1.0 / config.target_epsilon**2))
@@ -314,7 +313,7 @@ def two_stage_estimate(
     policy = AlphaQPE(
         config.alpha, scale=config.schedule_scale, depth_cap=float(np.floor(config.d_max))
     )
-    oracle = _TrialStateCircuit(op)
+    oracle = _TrialStateCircuit(build_rotation_operator(ansatz, pauli))
     epsilon = config.stop_sigma_factor * config.target_epsilon
     belief, trace = run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
     rows = trace.rows

@@ -3,7 +3,9 @@ single-ancilla measurement circuit.
 
 Qubit 0 is the most significant bit of the amplitude index, matching a
 Kronecker product that lists qubit 0 first.  States are plain complex
-ndarrays of length 2**n; every operation returns a fresh array.
+ndarrays of length 2**n.  Every operation returns a fresh array, except
+`prepare`: it returns the trial state that the ansatz computes once and
+caches, read-only.
 
 The central construction: given a trial circuit R (|psi> = R|0...0>) and a
 Pauli string P, the unitary
@@ -17,6 +19,8 @@ identity elsewhere, so estimating the eigenphase of U recovers |<psi|P|psi>|.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,54 +82,77 @@ def _n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
-def _apply_one_qubit(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    psi = np.moveaxis(state.reshape([2] * n), qubit, 0)
-    psi = np.tensordot(mat, psi, axes=(1, 0))
-    return np.moveaxis(psi, 0, qubit).reshape(-1)
+def _apply_one_qubit(state: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
+    # qubit q is axis 1 of the (2**q, 2, rest) view; two broadcast products
+    # beat a stacked matmul, whose per-stack cost grows with 2**q
+    psi = state.reshape(2**qubit, 2, -1)
+    return (mat[:, 0, None] * psi[:, :1] + mat[:, 1, None] * psi[:, 1:]).reshape(-1)
 
 
-def _apply_cz(state: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    idx: list = [slice(None)] * n
-    idx[q1] = 1
-    idx[q2] = 1
-    psi[tuple(idx)] *= -1.0
-    return psi.reshape(-1)
+@functools.lru_cache(maxsize=64)
+def _pauli_action(pauli: str) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phase) with (P state)[c] = phase[c] * state[source[c]].
+
+    P = i^{n_Y} X^x Z^z with x marking the X and Y letters and z the Z and Y
+    letters, so P|b> = i^{n_Y} (-1)^{popcount(b & z)} |b ^ x>.
+    """
+    n = len(pauli)
+    x = z = 0
+    for letter in pauli:
+        x = (x << 1) | (letter in "XY")
+        z = (z << 1) | (letter in "YZ")
+    source = np.arange(2**n) ^ x
+    parity = np.zeros(2**n, dtype=np.int64)
+    for q in range(n):
+        if z >> q & 1:
+            parity ^= source >> q & 1
+    phase = (1, 1j, -1, -1j)[pauli.count("Y") % 4] * (1.0 - 2.0 * parity)
+    source.flags.writeable = False
+    phase.flags.writeable = False
+    return source, phase
 
 
 def apply_pauli(state: np.ndarray, pauli: str) -> np.ndarray:
-    """Apply a Pauli string; qubit q acts on axis q of the reshaped state."""
+    """Apply a Pauli string; qubit 0 is the most significant bit of the index."""
     validate_pauli(pauli)
     n = _n_qubits_of(state)
     if n != len(pauli):
         raise ValueError(f"state has {n} qubits but Pauli string has {len(pauli)}")
-    out = np.array(state, dtype=complex)
-    for q, letter in enumerate(pauli):
-        if letter != "I":
-            out = _apply_one_qubit(out, _PAULI_MATS[letter], q, n)
-    return out
+    source, phase = _pauli_action(pauli)
+    return phase * np.asarray(state, dtype=complex)[source]
 
 
 def _ry(angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _entangler_pairs(n: int) -> list[tuple[int, int]]:
-    # closed ring; for two qubits the ring would double (and cancel) the CZ
-    if n < 2:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    return [(i, (i + 1) % n) for i in range(n)]
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _cz_ring_signs(n: int) -> np.ndarray:
+    """Diagonal of one layer's controlled-Z ring on n qubits, as +-1 entries.
+
+    Closed ring; for two qubits the ring would double (and cancel) the CZ, so
+    it is a single CZ, and one qubit has no entangler.
+    """
+    pairs = [] if n < 2 else [(0, 1)] if n == 2 else [(i, (i + 1) % n) for i in range(n)]
+    index = np.arange(2**n)
+    parity = np.zeros(2**n, dtype=np.int64)
+    for a, b in pairs:
+        parity ^= (index >> (n - 1 - a)) & (index >> (n - 1 - b)) & 1
+    signs = 1.0 - 2.0 * parity
+    signs.flags.writeable = False
+    return signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ansatz:
     """Trial-state circuit: per layer, a Y rotation on every qubit followed by
     a ring of controlled-Z entanglers (no entangler for a single qubit).
 
     params is layer-major with length n_qubits * layers; amplitudes stay real.
+    The ansatz keeps a read-only copy of params, so the trial state it caches
+    for `prepare` cannot go stale.  Two ansatzes are equal when their shapes
+    and parameter values are.
     """
 
     n_qubits: int
@@ -137,42 +164,57 @@ class Ansatz:
             raise ValueError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.layers < 0:
             raise ValueError(f"layers must be non-negative, got {self.layers}")
-        params = np.asarray(self.params, dtype=float)
+        params = np.array(self.params, dtype=float)
         if params.shape != (self.n_qubits * self.layers,):
             raise ValueError(
                 f"params must have length n_qubits * layers = {self.n_qubits * self.layers}, "
                 f"got shape {params.shape}"
             )
+        params.flags.writeable = False
         object.__setattr__(self, "params", params)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ansatz):
+            return NotImplemented
+        return (
+            (self.n_qubits, self.layers) == (other.n_qubits, other.layers)
+            and np.array_equal(self.params, other.params)
+        )
+
+    def __hash__(self) -> int:
+        # float hashing agrees with ==, so 0.0 and -0.0 hash alike
+        return hash((self.n_qubits, self.layers, tuple(self.params.tolist())))
+
+    @functools.cached_property
+    def _state(self) -> np.ndarray:
+        state = apply_ansatz(zero_state(self.n_qubits), self)
+        state.flags.writeable = False
+        return state
 
 
 def apply_ansatz(state: np.ndarray, ansatz: Ansatz) -> np.ndarray:
     out = np.array(state, dtype=complex)
-    angles = ansatz.params.reshape(ansatz.layers, ansatz.n_qubits)
-    pairs = _entangler_pairs(ansatz.n_qubits)
-    for layer in range(ansatz.layers):
-        for q in range(ansatz.n_qubits):
-            out = _apply_one_qubit(out, _ry(angles[layer, q]), q, ansatz.n_qubits)
-        for a, b in pairs:
-            out = _apply_cz(out, a, b, ansatz.n_qubits)
+    signs = _cz_ring_signs(ansatz.n_qubits)
+    for angles in ansatz.params.reshape(ansatz.layers, ansatz.n_qubits):
+        for q, angle in enumerate(angles):
+            out = _apply_one_qubit(out, _ry(angle), q)
+        out *= signs
     return out
 
 
 def apply_ansatz_adjoint(state: np.ndarray, ansatz: Ansatz) -> np.ndarray:
     out = np.array(state, dtype=complex)
-    angles = ansatz.params.reshape(ansatz.layers, ansatz.n_qubits)
-    pairs = _entangler_pairs(ansatz.n_qubits)
-    for layer in reversed(range(ansatz.layers)):
-        for a, b in reversed(pairs):
-            out = _apply_cz(out, a, b, ansatz.n_qubits)
-        for q in range(ansatz.n_qubits):
-            out = _apply_one_qubit(out, _ry(-angles[layer, q]), q, ansatz.n_qubits)
+    signs = _cz_ring_signs(ansatz.n_qubits)
+    for angles in ansatz.params.reshape(ansatz.layers, ansatz.n_qubits)[::-1]:
+        out *= signs
+        for q, angle in enumerate(angles):
+            out = _apply_one_qubit(out, _ry(-angle), q)
     return out
 
 
 def prepare(ansatz: Ansatz) -> np.ndarray:
-    """Trial state R|0...0>."""
-    return apply_ansatz(zero_state(ansatz.n_qubits), ansatz)
+    """Trial state R|0...0>, computed once per ansatz and returned read-only."""
+    return ansatz._state
 
 
 def pauli_expectation(state: np.ndarray, pauli: str) -> float:
@@ -186,8 +228,8 @@ class RotationOperator:
 
     apply runs the full gate sequence on arbitrary states and is the
     reference path; power_apply and plane_eigenvectors work with U's 2x2
-    restriction to its rotation plane, built on first use from two gate-level
-    applications.
+    restriction to its rotation plane, built in closed form from psi and
+    P psi alone.
     """
 
     def __init__(self, ansatz: Ansatz, pauli: str):
@@ -201,7 +243,7 @@ class RotationOperator:
         self.n_qubits = ansatz.n_qubits
         self.base_state = prepare(ansatz)
         self.expectation = pauli_expectation(self.base_state, pauli)
-        self._restriction: tuple[np.ndarray, np.ndarray] | None = None
+        self._basis, self._restricted = self._plane_restriction()
         self._plane: tuple[np.ndarray, np.ndarray, float] | None = None
         # the collapse statistics of expectation._collapse_table, built on first use
         self._collapse = None
@@ -226,22 +268,22 @@ class RotationOperator:
     def _plane_restriction(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, M): the orthonormal columns of B span {psi, P psi} and M = B^H U B.
 
-        Householder QR keeps B orthonormal even when psi is a Pauli eigenstate
-        up to rounding, where Gram-Schmidt's second vector would be all
-        cancellation noise; U is then the identity and M = I to rounding.
+        With [psi, P psi] = B R, U = (I - 2 psi psi^H)(I - 2 P psi psi^H P)
+        restricts to M = (I - 2 r0 r0^H)(I - 2 r1 r1^H), r0 and r1 the columns
+        of R.  Householder QR keeps B orthonormal even when psi is a Pauli
+        eigenstate up to rounding, where Gram-Schmidt's second vector would be
+        all cancellation noise; r1 = +-r0 then, and M = I to rounding.
         """
-        if self._restriction is None:
-            psi = self.base_state
-            basis, _ = np.linalg.qr(np.stack([psi, apply_pauli(psi, self.pauli)], axis=1))
-            images = np.stack([self.apply(basis[:, 0]), self.apply(basis[:, 1])], axis=1)
-            self._restriction = (basis, basis.conj().T @ images)
-        return self._restriction
+        psi = self.base_state
+        basis, r = np.linalg.qr(np.stack([psi, apply_pauli(psi, self.pauli)], axis=1))
+        r0, r1 = r[:, :1], r[:, 1:]
+        eye = np.eye(2)
+        return basis, (eye - 2.0 * r0 @ r0.conj().T) @ (eye - 2.0 * r1 @ r1.conj().T)
 
     def power_apply(self, state: np.ndarray, m: int) -> np.ndarray:
         """U^m x = x + B (M^m - I) B^H x."""
-        basis, restricted = self._plane_restriction()
-        step = np.linalg.matrix_power(restricted, m) - np.eye(2)
-        return state + basis @ (step @ (basis.conj().T @ state))
+        step = np.linalg.matrix_power(self._restricted, m) - np.eye(2)
+        return state + self._basis @ (step @ (self._basis.conj().T @ state))
 
     def plane_eigenvectors(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(v_plus, v_minus, phi) with U v_plus = e^{+i phi} v_plus and
@@ -255,12 +297,11 @@ class RotationOperator:
         a = self.expectation
         if 1.0 - a * a < 1e-12:
             raise ValueError("trial state is a Pauli eigenstate; rotation plane is degenerate")
-        basis, restricted = self._plane_restriction()
-        vals, vecs = np.linalg.eig(restricted)
+        vals, vecs = np.linalg.eig(self._restricted)
         order = np.argsort(-np.angle(vals))
         vals, vecs = vals[order], vecs[:, order]
-        v_plus = basis @ vecs[:, 0]
-        v_minus = basis @ vecs[:, 1]
+        v_plus = self._basis @ vecs[:, 0]
+        v_minus = self._basis @ vecs[:, 1]
         v_plus /= np.linalg.norm(v_plus)
         v_minus /= np.linalg.norm(v_minus)
         self._plane = (v_plus, v_minus, float(np.angle(vals[0])))

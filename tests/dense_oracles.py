@@ -24,6 +24,38 @@ def kron_pauli(pauli: str) -> np.ndarray:
     return out
 
 
+def kron_ansatz(ansatz) -> np.ndarray:
+    """Dense unitary of the layered ansatz, built gate by gate from kron products.
+
+    Per layer: the kron of one Y rotation per qubit, then the controlled-Z
+    ring as an explicit product of diagonal matrices I - 2 |11><11| on each
+    pair (a ring for three or more qubits, one CZ for two, none for one).
+    """
+    n = ansatz.n_qubits
+    dim = 2**n
+    one = np.diag([0.0, 1.0]).astype(complex)
+    if n == 1:
+        pairs = []
+    elif n == 2:
+        pairs = [(0, 1)]
+    else:
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+    ring = np.eye(dim, dtype=complex)
+    for a, b in pairs:
+        both = np.array([[1.0 + 0.0j]])
+        for q in range(n):
+            both = np.kron(both, one if q in (a, b) else np.eye(2))
+        ring = (np.eye(dim) - 2.0 * both) @ ring
+    out = np.eye(dim, dtype=complex)
+    for layer in np.asarray(ansatz.params).reshape(ansatz.layers, n):
+        rot = np.array([[1.0 + 0.0j]])
+        for t in layer:
+            c, s = np.cos(t / 2.0), np.sin(t / 2.0)
+            rot = np.kron(rot, np.array([[c, -s], [s, c]]))
+        out = ring @ rot @ out
+    return out
+
+
 def dense_operator(apply_fn, dim: int) -> np.ndarray:
     """Recover the matrix of a linear map by applying it to every basis vector."""
     mat = np.zeros((dim, dim), dtype=complex)

@@ -263,6 +263,20 @@ def test_fallback_path_for_tiny_expectation():
     assert abs(res.value) <= 1.0
 
 
+def test_only_gated_terms_build_a_rotation_operator(monkeypatch):
+    built = []
+
+    def counting(ansatz, pauli):
+        built.append(pauli)
+        return build_rotation_operator(ansatz, pauli)
+
+    monkeypatch.setattr(expectation, "build_rotation_operator", counting)
+    fallback = two_stage_estimate(ansatz_with_z(0.05), "Z", CONFIG, np.random.default_rng(6))
+    assert fallback.path == "statistical_fallback" and built == []
+    gated = two_stage_estimate(ansatz_with_z(0.6), "Z", CONFIG, np.random.default_rng(4))
+    assert gated.path == "alpha_qpe" and built == ["Z"]
+
+
 def test_alpha_path_estimates_magnitude_and_sign():
     res = two_stage_estimate(ansatz_with_z(np.sqrt(0.5)), "Z", CONFIG, np.random.default_rng(3))
     assert res.path == "alpha_qpe"

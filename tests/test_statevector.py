@@ -1,5 +1,8 @@
 """Statevector kernels, the reflection-product rotation, and the ancilla circuit."""
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,7 +24,7 @@ from alphavqe.statevector import (
     zero_state,
 )
 
-from dense_oracles import dense_operator, kron_pauli
+from dense_oracles import dense_operator, kron_ansatz, kron_pauli
 
 
 def random_state(n_qubits, rng):
@@ -53,9 +56,18 @@ def test_validate_pauli_rejects_junk():
 
 @pytest.mark.parametrize("pauli", ["X", "ZY", "XIZ", "YYXI"])
 def test_apply_pauli_matches_kron_matrix(pauli):
-    rng = np.random.default_rng(hash(pauli) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(pauli.encode()))
     state = random_state(len(pauli), rng)
     assert_allclose(apply_pauli(state, pauli), kron_pauli(pauli) @ state, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+def test_apply_pauli_matches_kron_matrix_on_random_strings(n_qubits):
+    rng = np.random.default_rng(600 + n_qubits)
+    for _ in range(4):
+        pauli = "".join(rng.choice(list("IXYZ"), n_qubits))
+        state = random_state(n_qubits, rng)
+        assert_allclose(apply_pauli(state, pauli), kron_pauli(pauli) @ state, atol=1e-12)
 
 
 def test_qubit_zero_is_most_significant():
@@ -80,6 +92,55 @@ def test_zero_layers_prepares_the_computational_vacuum():
 def test_ansatz_param_length_checked():
     with pytest.raises(ValueError):
         Ansatz(2, 2, np.zeros(3))
+
+
+def test_ansatz_compares_and_hashes_by_value():
+    a = Ansatz(2, 1, np.zeros(2))
+    b = Ansatz(2, 1, np.zeros(2))
+    assert a == b and hash(a) == hash(b)
+    assert Ansatz(2, 1, np.array([0.0, -0.0])) == a
+    assert hash(Ansatz(2, 1, np.array([0.0, -0.0]))) == hash(a)
+    assert a != Ansatz(2, 1, np.array([0.0, 1e-300]))
+    assert a != Ansatz(1, 2, np.zeros(2))
+    assert a != "not an ansatz"
+    assert len({a, b, Ansatz(1, 2, np.zeros(2))}) == 2
+
+
+def test_ansatz_keeps_its_own_read_only_params():
+    params = np.array([0.3, -0.4])
+    ansatz = Ansatz(2, 1, params)
+    state = prepare(ansatz).copy()
+    params[0] = 2.0
+    assert_allclose(ansatz.params, [0.3, -0.4])
+    assert_allclose(prepare(ansatz), state)
+    with pytest.raises(ValueError):
+        ansatz.params[0] = 2.0
+
+
+def test_prepare_caches_one_read_only_state_per_ansatz():
+    rng = np.random.default_rng(12)
+    ansatz = random_ansatz(3, 2, rng)
+    state = prepare(ansatz)
+    assert prepare(ansatz) is state
+    assert not state.flags.writeable
+    with pytest.raises(ValueError):
+        state[0] = 0.0
+    assert_allclose(state, apply_ansatz(zero_state(3), ansatz), atol=0.0)
+    moved = dataclasses.replace(ansatz, params=ansatz.params + 0.5)
+    assert prepare(moved) is not state
+    assert_allclose(prepare(moved), kron_ansatz(moved)[:, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("layers", range(4))
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_ansatz_matches_kron_oracle(n_qubits, layers):
+    rng = np.random.default_rng(50 * n_qubits + layers)
+    ansatz = random_ansatz(n_qubits, layers, rng)
+    want = kron_ansatz(ansatz)
+    dim = 2**n_qubits
+    assert_allclose(dense_operator(lambda v: apply_ansatz(v, ansatz), dim), want, atol=1e-12)
+    assert_allclose(dense_operator(lambda v: apply_ansatz_adjoint(v, ansatz), dim), want.conj().T, atol=1e-12)
+    assert_allclose(prepare(ansatz), want[:, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("n_qubits,layers", [(1, 2), (2, 1), (2, 3), (3, 2), (4, 1)])
@@ -132,6 +193,35 @@ def test_plane_eigenvectors_are_orthonormal_eigenpairs():
     # the trial state splits evenly between the two branches
     assert abs(np.vdot(v_plus, op.base_state)) ** 2 == pytest.approx(0.5, abs=1e-10)
     assert abs(np.vdot(v_minus, op.base_state)) ** 2 == pytest.approx(0.5, abs=1e-10)
+
+
+def assert_closed_form_restriction_matches_gates(op):
+    """The closed-form 2x2 restriction against B^H U B from gate-level apply."""
+    basis, restricted = op._basis, op._restricted
+    images = np.stack([op.apply(basis[:, 0]), op.apply(basis[:, 1])], axis=1)
+    assert_allclose(restricted, basis.conj().T @ images, atol=1e-12)
+    return restricted
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 11))
+def test_closed_form_restriction_matches_gate_level_apply(n_qubits):
+    rng = np.random.default_rng(700 + n_qubits)
+    for _ in range(2):
+        op = build_rotation_operator(
+            random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits))
+        )
+        restricted = assert_closed_form_restriction_matches_gates(op)
+        assert_allclose(restricted.conj().T @ restricted, np.eye(2), atol=1e-12)
+
+
+def test_closed_form_restriction_at_the_plane_extremes():
+    # a Pauli eigenstate: U is the identity
+    op = build_rotation_operator(Ansatz(3, 1, np.array([0.0, 0.7, -1.2])), "ZII")
+    assert_allclose(assert_closed_form_restriction_matches_gates(op), np.eye(2), atol=1e-12)
+    # <psi|P|psi> = 0: P psi is orthogonal to psi, and U rotates by pi
+    op = build_rotation_operator(Ansatz(3, 0, np.array([])), "XZI")
+    assert op.expectation == 0.0
+    assert_allclose(assert_closed_form_restriction_matches_gates(op), -np.eye(2), atol=1e-12)
 
 
 def test_plane_degenerates_on_pauli_eigenstate():
