@@ -63,9 +63,9 @@ class NormalBelief:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.mu):
+        if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
@@ -81,9 +81,9 @@ class ExperimentSetting:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.m) and self.m > 0.0):
+        if not (math.isfinite(self.m) and self.m > 0.0):
             raise ValueError(f"m must be finite and positive, got {self.m}")
-        if not np.isfinite(self.theta):
+        if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 
 
@@ -223,8 +223,7 @@ def _gain(t, sin2):
     t = np.asarray(t, dtype=float)
     sin2 = np.asarray(sin2, dtype=float)
     denom = np.expm1(np.minimum(t, 700.0)) + sin2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0.0, t * sin2 / np.where(denom > 0.0, denom, 1.0), 0.0)
+    out = np.divide(t * sin2, denom, out=np.zeros_like(denom), where=denom > 0.0)
     return out if out.ndim else float(out)
 
 

@@ -7,13 +7,15 @@ a `pinned_theta` attribute and `sample(setting, rng) -> outcome`, a bit drawn
 from the cosine likelihood at the setting.  pinned_theta is None when any
 (m, theta) can be run, or the one theta the oracle can read out at, which
 `next_setting` then holds fixed while it picks a whole m.  `SyntheticOracle`
-draws from the cosine at a hidden true phase.  Identical seeds and
+draws from the cosine at a hidden true phase.  Each iteration appends one
+`TraceRow`, an immutable named tuple, to the trace.  Identical seeds and
 configuration reproduce traces bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +61,7 @@ class SyntheticOracle:
         return 0 if rng.random() < likelihood(0, self.true_phi, setting) else 1
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One iteration: the setting used, the outcome, and the updated belief."""
 
     k: int

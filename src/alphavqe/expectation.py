@@ -48,9 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# stage 2 calls engine.run_estimation through the module, so a wrapper
+# installed on the module attribute sees every run
+from . import engine
 # rejection_filter_update and next_setting go uncalled here: bench/tracing.py patches them by name
 from .bayes import ExperimentSetting, NormalBelief, rejection_filter_update
-from .engine import run_estimation
 from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
@@ -157,8 +159,10 @@ def statistical_estimate(
     """Sample mean and standard error of the Pauli over fresh preparations."""
     state = prepare(ansatz)
     draws = sample_pauli_outcomes(state, pauli, shots, rng)
-    stderr = float(draws.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
-    return float(draws.mean()), stderr
+    mean = float(draws.mean())
+    # for +-1 draws the ddof = 1 variance is n (1 - mean^2) / (n - 1)
+    stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / (shots - 1)) if shots > 1 else 0.0
+    return mean, stderr
 
 
 @dataclass(frozen=True)
@@ -271,8 +275,8 @@ def two_stage_estimate(
 ) -> ExpectationResult:
     """Estimate <psi|P|psi> with sign to precision ~target_epsilon.
 
-    Gate passes: stage 2 is `run_estimation` on one oracle, drawing from
-    `rng`.  Per iteration it prepares the trial state afresh and runs one
+    Gate passes: stage 2 is `engine.run_estimation` on one oracle, drawing
+    from `rng`.  Per iteration it prepares the trial state afresh and runs one
     ancilla measurement at theta = 0 with m controlled applications of U,
     m the whole count the schedule picks, and updates the phase belief under
     the plain cosine until sigma <= stop_sigma_factor * target_epsilon.  Each
@@ -315,7 +319,7 @@ def two_stage_estimate(
     )
     oracle = _TrialStateCircuit(build_rotation_operator(ansatz, pauli))
     epsilon = config.stop_sigma_factor * config.target_epsilon
-    belief, trace = run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
+    belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
     rows = trace.rows
     # a posterior parked on an alias lobe of the periodic likelihood is
     # confidently wrong, and more updates of the same kind cannot move it;
@@ -323,7 +327,7 @@ def two_stage_estimate(
     # converged phase that contradicts the bracket restarts once from the
     # prior instead of being returned
     if not abs(float(np.cos(principal_phase(belief.mu) / 2.0)) - abs(s1.estimate)) <= config.stage1_tolerance:
-        belief, trace = run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
+        belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
         rows += trace.rows
     value = s1.sign * float(np.cos(principal_phase(belief.mu) / 2.0))
     return ExpectationResult(

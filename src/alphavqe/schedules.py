@@ -22,6 +22,7 @@ alpha_max = min(log(D) / log(1/epsilon), 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,11 @@ def next_setting(
         m = min(m, float(policy.depth_cap))
     if pinned_theta is None:
         return ExperimentSetting(m=m, theta=belief.mu - belief.sigma)
-    top = np.sqrt(2.0) * m
+    top = math.sqrt(2.0) * m
     if policy.depth_cap is not None:
-        top = min(top, np.floor(policy.depth_cap))
-    hi = max(1, int(np.floor(top)))
-    lo = min(hi, max(1, int(np.ceil(m / np.sqrt(2.0)))))
+        top = min(top, policy.depth_cap)
+    hi = max(1, math.floor(top))
+    lo = min(hi, max(1, math.ceil(m / math.sqrt(2.0))))
     # bayes_risk over the window at once: the least risk is the largest gain
     ms = np.arange(lo, hi + 1, dtype=float)
     gains = _gain((ms * belief.sigma) ** 2, np.sin(ms * (belief.mu - pinned_theta)) ** 2)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,27 @@ def test_likelihood_rejects_bad_outcome():
 def test_normal_belief_rejects_bad_sigma(bad):
     with pytest.raises(ValueError):
         NormalBelief(0.0, bad)
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normal_belief_rejects_non_finite_mu(kind, bad):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        NormalBelief(kind(bad), kind(1.0))
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_experiment_setting_rejects_bad_m(kind, bad):
+    with pytest.raises(ValueError, match="m must be finite and positive"):
+        ExperimentSetting(kind(bad), kind(0.0))
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_experiment_setting_rejects_non_finite_theta(kind, bad):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        ExperimentSetting(kind(1.0), kind(bad))
 
 
 def test_grid_from_normal_reproduces_moments():
@@ -288,3 +310,22 @@ def test_package_runs_without_scipy():
 def test_variance_gain_large_argument_saturates():
     assert variance_gain(30.0) == pytest.approx(0.0, abs=1e-300)
     assert np.isfinite(variance_gain(1000.0))
+
+
+def test_gain_at_zero_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bayes._gain(0.0, 0.0) == 0.0
+        assert variance_gain(0.0) == 0.0
+        assert np.array_equal(bayes._gain(np.zeros(3), np.zeros(3)), np.zeros(3))
+
+
+def test_gain_matches_the_masked_quotient_exactly():
+    rng = np.random.default_rng(11)
+    t = np.concatenate([[0.0, 0.0, 1e-300, 700.0, 800.0], rng.exponential(2.0, 200)])
+    sin2 = np.concatenate([[0.0, 0.5, 0.0, 0.0, 1.0], np.sin(rng.uniform(-4.0, 4.0, 200)) ** 2])
+    denom = np.expm1(np.minimum(t, 700.0)) + sin2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = np.where(denom > 0.0, t * sin2 / np.where(denom > 0.0, denom, 1.0), 0.0)
+    assert np.array_equal(bayes._gain(t, sin2), want)
+    assert [bayes._gain(a, b) for a, b in zip(t, sin2)] == list(want)

@@ -1,5 +1,7 @@
 """The traced estimation loop and its measurement oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -9,11 +11,38 @@ from alphavqe.bayes import ExperimentSetting, NormalBelief, likelihood
 from alphavqe.engine import (
     EstimationTimeout,
     SyntheticOracle,
+    TraceRow,
     circular_distance,
     ensemble_run,
     run_estimation,
 )
 from alphavqe.schedules import RFPE, AlphaQPE
+
+# SHA-256 of repr(trace.rows) for run_estimation(SyntheticOracle(0.3),
+# AlphaQPE(alpha), NormalBelief(0, 1), epsilon=0.02, seed=5), recorded before
+# the rows became named tuples and the validation went scalar; they pin every
+# setting, outcome and belief bit and the Python type of every field
+ROW_DIGESTS = {
+    0.0: (4999, "f5576eb51ae703d132bb8bd06b5653df3edfb8f2ef336c7f017d3f2002654d64"),
+    0.5: (200, "589e3a1b6f926a360d852a71eda4007e8be735c24be335c9ee02224edbdd4469"),
+    1.0: (24, "dfe4c616045b49bca5614842c3dbbf598acf2ed13ba78caafb26da9f1c404d52"),
+}
+# the same for a theta-pinned oracle under AlphaQPE(0.5, scale=1.5,
+# depth_cap=32) from NormalBelief(0.25, 0.125), as stage 2 runs it
+PINNED_ROW_DIGEST = (31, "3b575f86d7ac85468b5212db34e372c445b20adeb862f97f892b6bec3f7610f4")
+
+
+class PinnedCosineOracle:
+    """Reads out only at theta = 0, from the same cosine as SyntheticOracle(0.3)."""
+
+    pinned_theta = 0.0
+
+    def sample(self, setting, rng):
+        return 0 if rng.random() < likelihood(0, 0.3, setting) else 1
+
+
+def rows_digest(rows) -> tuple[int, str]:
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def test_synthetic_oracle_validates_phase():
@@ -137,3 +166,35 @@ def test_ensemble_validates_arguments():
         ensemble_run(AlphaQPE(0.5), n_phases=0, iterations=5)
     with pytest.raises(ValueError):
         ensemble_run(AlphaQPE(0.5), n_phases=5, iterations=-1)
+
+
+@pytest.mark.parametrize("alpha", sorted(ROW_DIGESTS))
+def test_rows_are_pinned_bit_for_bit(alpha):
+    _, trace = run_estimation(
+        SyntheticOracle(0.3), AlphaQPE(alpha), NormalBelief(0.0, 1.0), epsilon=0.02, seed=5
+    )
+    assert rows_digest(trace.rows) == ROW_DIGESTS[alpha]
+
+
+def test_pinned_theta_rows_are_pinned_bit_for_bit():
+    policy = AlphaQPE(0.5, scale=1.5, depth_cap=32.0)
+    _, trace = run_estimation(
+        PinnedCosineOracle(), policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5
+    )
+    assert rows_digest(trace.rows) == PINNED_ROW_DIGEST
+    assert len({row.m for row in trace.rows}) > 1
+
+
+def test_trace_rows_are_immutable_and_compare_by_value():
+    args = (SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0))
+    _, t1 = run_estimation(*args, max_iterations=10, seed=3)
+    _, t2 = run_estimation(*args, max_iterations=10, seed=3)
+    row = t1.rows[0]
+    assert isinstance(row, TraceRow)
+    assert TraceRow._fields == ("k", "m", "theta", "outcome", "mu", "sigma", "starved")
+    with pytest.raises(AttributeError):
+        row.sigma = 0.0
+    with pytest.raises(AttributeError):
+        row.extra = 1
+    assert t1.rows == t2.rows
+    assert t1.rows[-1] is not t2.rows[-1]

@@ -27,6 +27,7 @@ from alphavqe.statevector import (
     pauli_expectation,
     prepare,
     run_phase_circuit,
+    sample_pauli_outcomes,
     states_close,
 )
 
@@ -85,6 +86,18 @@ def test_statistical_estimate_on_definite_state():
     mean, stderr = statistical_estimate(ansatz_with_z(1.0), "Z", 50, np.random.default_rng(0))
     assert mean == 1.0
     assert stderr == 0.0
+
+
+@pytest.mark.parametrize("value", [1.0, 0.37, -0.8, 0.0])
+@pytest.mark.parametrize("shots", [2, 10, 1000])
+def test_statistical_estimate_stderr_is_the_sample_std(value, shots):
+    ansatz = ansatz_with_z(value)
+    mean, stderr = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(shots))
+    draws = sample_pauli_outcomes(prepare(ansatz), "Z", shots, np.random.default_rng(shots))
+    assert mean == draws.mean()
+    assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(shots), rel=1e-12, abs=0.0)
+    if value == 1.0:
+        assert np.all(draws == 1.0) and stderr == 0.0
 
 
 def test_statistical_estimate_concentrates():
@@ -196,13 +209,14 @@ def test_trial_state_oracle_reads_the_plain_cosine():
 
 def test_stage2_ledger_counts_one_measurement_per_row(monkeypatch):
     traces = []
+    run = engine.run_estimation
 
     def recording(*args, **kwargs):
-        belief, trace = engine.run_estimation(*args, **kwargs)
+        belief, trace = run(*args, **kwargs)
         traces.append(trace)
         return belief, trace
 
-    monkeypatch.setattr(expectation, "run_estimation", recording)
+    monkeypatch.setattr(engine, "run_estimation", recording)
     for seed, value in enumerate((0.6, -0.45, 0.8)):
         traces.clear()
         res = two_stage_estimate(ansatz_with_z(value), "Z", CONFIG, np.random.default_rng(seed))
