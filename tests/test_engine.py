@@ -18,9 +18,8 @@ from alphavqe.engine import (
 )
 from alphavqe.schedules import RFPE, AlphaQPE
 
-# SHA-256 of repr(trace.rows) for run_estimation(SyntheticOracle(0.3),
-# AlphaQPE(alpha), NormalBelief(0, 1), epsilon=0.02, seed=5), recorded before
-# the rows became named tuples and the validation went scalar; they pin every
+# (rows, SHA-256 of repr(trace.rows)) for run_estimation(SyntheticOracle(0.3),
+# AlphaQPE(alpha), NormalBelief(0, 1), epsilon=0.02, seed=5): they pin every
 # setting, outcome and belief bit and the Python type of every field
 ROW_DIGESTS = {
     0.0: (4999, "f5576eb51ae703d132bb8bd06b5653df3edfb8f2ef336c7f017d3f2002654d64"),
