@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,36 +56,66 @@ class DegenerateUpdateError(ValueError):
     """Raised when a Bayesian update leaves no posterior mass on the grid."""
 
 
-@dataclass(frozen=True)
-class NormalBelief:
-    """Normal state of knowledge N(mu, sigma^2) about an eigenphase."""
+class _Validated:
+    """Routes every way of building a validated named tuple through its __new__.
 
+    A named tuple's `_make` (which `_replace` calls) is `tuple.__new__`, and
+    pickle and `copy` would rebuild one without a call; here all of them
+    call the class.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _NormalBeliefFields(NamedTuple):
     mu: float
     sigma: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
+class NormalBelief(_Validated, _NormalBeliefFields):
+    """Normal state of knowledge N(mu, sigma^2) about an eigenphase.
 
-@dataclass(frozen=True)
-class ExperimentSetting:
-    """Controls for one measurement: repetition count m and phase offset theta.
-
-    m is kept real; schedules may produce fractional values.  A circuit-backed
-    oracle gets whole counts from `schedules.next_setting`.
+    An immutable named tuple (mu, sigma), validated however it is built.
     """
 
+    __slots__ = ()
+
+    def __new__(cls, mu: float, sigma: float):
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
+        return tuple.__new__(cls, (mu, sigma))
+
+
+class _ExperimentSettingFields(NamedTuple):
     m: float
     theta: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and self.m > 0.0):
-            raise ValueError(f"m must be finite and positive, got {self.m}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+
+class ExperimentSetting(_Validated, _ExperimentSettingFields):
+    """Controls for one measurement: repetition count m and phase offset theta.
+
+    An immutable named tuple (m, theta), validated however it is built.  m is
+    kept real; schedules may produce fractional values.  A circuit-backed
+    oracle gets whole counts from `schedules.next_setting`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: float, theta: float):
+        if not (math.isfinite(m) and m > 0.0):
+            raise ValueError(f"m must be finite and positive, got {m}")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        return tuple.__new__(cls, (m, theta))
 
 
 def likelihood(e: int, phi, setting: ExperimentSetting):
@@ -183,20 +214,21 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
     if e not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {e!r}")
     s = 1.0 if e == 0 else -1.0
-    m = setting.m
-    t = (m * prior.sigma) ** 2
+    mu, sigma = prior
+    m, theta = setting
+    t = (m * sigma) ** 2
     damp = math.exp(-0.5 * t)
     g = -math.expm1(-0.5 * t)
-    delta = m * (prior.mu - setting.theta)
+    delta = m * (mu - theta)
     h = (math.cos if e == 0 else math.sin)(0.5 * delta) ** 2
     z = g + 2.0 * damp * h
     if not z > 0.0:
         raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}")
-    mu = prior.mu - s * m * prior.sigma**2 * damp * math.sin(delta) / z
-    var = prior.sigma**2 * (1.0 - (t / z) * (damp * (2.0 * h - g) / z))
+    mu = mu - s * m * sigma**2 * damp * math.sin(delta) / z
+    var = sigma**2 * (1.0 - (t / z) * (damp * (2.0 * h - g) / z))
     if not (math.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
-    return NormalBelief(float(mu), math.sqrt(var))
+    return NormalBelief(mu, math.sqrt(var))
 
 
 def rejection_filter_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> tuple[NormalBelief, bool]:

@@ -2,24 +2,32 @@
 
 A run threads a normal belief through repeated single-bit measurements.
 `run_estimation` is the one estimation loop: plain phase estimation and stage
-2 of the two-stage expectation estimator both run through it.  An oracle has
-a `pinned_theta` attribute and `sample(setting, rng) -> outcome`, a bit drawn
-from the cosine likelihood at the setting.  pinned_theta is None when any
+2 of the two-stage expectation estimator both run through it.
+
+An oracle has a `pinned_theta` attribute and `sample(setting, u) -> outcome`.
+The loop draws u, one uniform in [0, 1), from its Generator, and the oracle
+returns 0 when u falls below P(0) at that setting and 1 otherwise, so the
+outcome is a bit from the cosine likelihood.  pinned_theta is None when any
 (m, theta) can be run, or the one theta the oracle can read out at, which
 `next_setting` then holds fixed while it picks a whole m.  `SyntheticOracle`
-draws from the cosine at a hidden true phase.  Each iteration appends one
-`TraceRow`, an immutable named tuple, to the trace.  Identical seeds and
-configuration reproduce traces bit for bit.
+compares u with the cosine at a hidden true phase.
+
+Each iteration takes one uniform and appends one `TraceRow`, an immutable
+named tuple, to the trace.  The loop draws its uniforms in blocks, and on
+every exit it leaves the Generator exactly where one scalar `random()` call
+per completed iteration would.  Identical seeds and configuration reproduce
+traces bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import NormalBelief, likelihood, rejection_filter_update
+from .bayes import NormalBelief, rejection_filter_update
 from .rand import child_seed, rng_for
 from .schedules import SchedulePolicy, next_setting
 
@@ -36,6 +44,8 @@ __all__ = [
 ]
 
 HARD_ITERATION_CAP = 1_000_000
+# uniforms drawn from a run's Generator at a time
+_UNIFORM_BLOCK = 256
 
 
 class EstimationTimeout(RuntimeError):
@@ -57,8 +67,9 @@ class SyntheticOracle:
         if not -np.pi <= self.true_phi < np.pi:
             raise ValueError(f"true_phi must lie in [-pi, pi), got {self.true_phi}")
 
-    def sample(self, setting, rng: np.random.Generator) -> int:
-        return 0 if rng.random() < likelihood(0, self.true_phi, setting) else 1
+    def sample(self, setting, u: float) -> int:
+        m, theta = setting
+        return 0 if u < 0.5 * (1.0 + math.cos(m * (self.true_phi - theta))) else 1
 
 
 class TraceRow(NamedTuple):
@@ -99,10 +110,11 @@ def run_estimation(
 ) -> tuple[NormalBelief, EstimationTrace]:
     """Estimate a phase until sigma <= epsilon or max_iterations, whichever first.
 
-    `seed` is an integer or a Generator, which is drawn from in place.  At
-    least one stopping rule is required.  If only epsilon is given and the
-    hard cap of 10**6 iterations is reached, EstimationTimeout is raised with
-    the partial trace attached.
+    `seed` is an integer or a Generator, which is drawn from in place: one
+    uniform per completed iteration, whatever way the run ends.  At least one
+    stopping rule is required.  If only epsilon is given and the hard cap of
+    10**6 iterations is reached, EstimationTimeout is raised with the partial
+    trace attached.
     """
     if epsilon is None and max_iterations is None:
         raise ValueError("provide a stopping rule: epsilon and/or max_iterations")
@@ -111,24 +123,44 @@ def run_estimation(
     if max_iterations is not None and max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     rng = np.random.default_rng(seed)
+    bit_generator = rng.bit_generator
+    # looked up per call, not at import, so that wrappers installed on these
+    # names see every iteration
+    pinned_theta, sample = oracle.pinned_theta, oracle.sample
+    choose, update = next_setting, rejection_filter_update
+    cap, new_row = HARD_ITERATION_CAP, TraceRow._make
     belief = prior
     rows: list[TraceRow] = []
     k = 0
-    while True:
-        if max_iterations is not None and k >= max_iterations:
-            break
-        if epsilon is not None and belief.sigma <= epsilon:
-            break
-        if k >= HARD_ITERATION_CAP:
-            raise EstimationTimeout(
-                f"sigma={belief.sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
-                EstimationTrace(tuple(rows), prior.mu, prior.sigma),
-            )
-        setting = next_setting(policy, belief, oracle.pinned_theta)
-        outcome = oracle.sample(setting, rng)
-        belief, starved = rejection_filter_update(belief, outcome, setting)
-        k += 1
-        rows.append(TraceRow(k, setting.m, setting.theta, outcome, belief.mu, belief.sigma, starved))
+    # iteration k takes block[k - base]; `saved` is the Generator's state
+    # before the block was drawn
+    saved, block, base = None, [], 0
+    try:
+        while True:
+            if max_iterations is not None and k >= max_iterations:
+                break
+            if epsilon is not None and belief.sigma <= epsilon:
+                break
+            if k >= cap:
+                raise EstimationTimeout(
+                    f"sigma={belief.sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
+                    EstimationTrace(tuple(rows), prior.mu, prior.sigma),
+                )
+            if k - base == len(block):
+                saved, base = bit_generator.state, k
+                block = rng.random(_UNIFORM_BLOCK).tolist()
+            setting = choose(policy, belief, pinned_theta)
+            outcome = sample(setting, block[k - base])
+            belief, starved = update(belief, outcome, setting)
+            k += 1
+            rows.append(new_row((k, setting.m, setting.theta, outcome, belief.mu, belief.sigma, starved)))
+    finally:
+        # Generator.random(n) gives the same values as n scalar calls, so
+        # rewinding and redrawing the used part of the block leaves the
+        # Generator where scalar draws would have
+        if saved is not None:
+            bit_generator.state = saved
+            rng.random(k - base)
     return belief, EstimationTrace(tuple(rows), prior.mu, prior.sigma)
 
 

@@ -51,7 +51,9 @@ import numpy as np
 # stage 2 calls engine.run_estimation through the module, so a wrapper
 # installed on the module attribute sees every run
 from . import engine
-# rejection_filter_update and next_setting go uncalled here: bench/tracing.py patches them by name
+# rejection_filter_update, next_setting and run_phase_circuit go uncalled
+# here (stage 2 reads its p0 from RotationOperator.readout_p0): bench/tracing.py
+# patches them by name
 from .bayes import ExperimentSetting, NormalBelief, rejection_filter_update
 from .schedules import AlphaQPE, next_setting
 from .statevector import (
@@ -242,14 +244,14 @@ def collapse_distribution(op: RotationOperator) -> dict[tuple[int, int], tuple[f
 @dataclass(frozen=True)
 class _TrialStateCircuit:
     """Stage-2 oracle: one ancilla circuit on the freshly prepared trial
-    state, read out at theta = 0, where it follows the plain cosine."""
+    state, read out at theta = 0, where it follows the plain cosine.  Its
+    P(0) comes from `RotationOperator.readout_p0` in plane coordinates."""
 
     op: RotationOperator
     pinned_theta = 0.0
 
-    def sample(self, setting: ExperimentSetting, rng: np.random.Generator) -> int:
-        outcome, _, _ = run_phase_circuit(self.op.base_state, self.op, setting, rng)
-        return outcome
+    def sample(self, setting: ExperimentSetting, u: float) -> int:
+        return 0 if u < self.op.readout_p0(setting) else 1
 
 
 @dataclass(frozen=True)

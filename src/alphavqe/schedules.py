@@ -98,20 +98,22 @@ def next_setting(
     zeros of the Bayes gain, which at a fixed theta fall wherever
     sin(m (mu - theta)) vanishes.
     """
-    m = policy.raw_m(belief.sigma)
-    if policy.depth_cap is not None:
-        m = min(m, float(policy.depth_cap))
+    mu, sigma = belief
+    depth_cap = policy.depth_cap
+    m = policy.raw_m(sigma)
+    if depth_cap is not None and m > depth_cap:
+        m = float(depth_cap)
     if pinned_theta is None:
-        return ExperimentSetting(m=m, theta=belief.mu - belief.sigma)
+        return ExperimentSetting(m, mu - sigma)
     top = math.sqrt(2.0) * m
-    if policy.depth_cap is not None:
-        top = min(top, policy.depth_cap)
+    if depth_cap is not None:
+        top = min(top, depth_cap)
     hi = max(1, math.floor(top))
     lo = min(hi, max(1, math.ceil(m / math.sqrt(2.0))))
     # bayes_risk over the window at once: the least risk is the largest gain
     ms = np.arange(lo, hi + 1, dtype=float)
-    gains = _gain((ms * belief.sigma) ** 2, np.sin(ms * (belief.mu - pinned_theta)) ** 2)
-    return ExperimentSetting(m=float(ms[np.argmax(gains)]), theta=pinned_theta)
+    gains = _gain((ms * sigma) ** 2, np.sin(ms * (mu - pinned_theta)) ** 2)
+    return ExperimentSetting(float(ms[np.argmax(gains)]), pinned_theta)
 
 
 def predicted_iterations(epsilon: float, alpha: float) -> float:

@@ -19,6 +19,7 @@ identity elsewhere, so estimating the eigenphase of U recovers |<psi|P|psi>|.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -284,6 +285,41 @@ class RotationOperator:
         """U^m x = x + B (M^m - I) B^H x."""
         step = np.linalg.matrix_power(self._restricted, m) - np.eye(2)
         return state + self._basis @ (step @ (self._basis.conj().T @ state))
+
+    @functools.cached_property
+    def _readout_terms(self) -> tuple[float, float, float, complex]:
+        """(phi, sin phi, <b|b>, <b|M|b> - cos(phi) <b|b>) for b = B^H psi.
+
+        M is unitary with det 1, so its eigenvalues are e^{+-i phi} with
+        cos phi = Re tr(M) / 2 and sin phi = ||M - M^H||_F / (2 sqrt 2).
+        Taking phi from both keeps it accurate near 0 and pi, where either
+        one alone loses it to cancellation.
+        """
+        restricted = self._restricted
+        b = self._basis.conj().T @ self.base_state
+        cos_phi = 0.5 * float(np.trace(restricted).real)
+        sin_phi = float(np.linalg.norm(restricted - restricted.conj().T)) / (2.0 * math.sqrt(2.0))
+        phi = math.atan2(sin_phi, cos_phi)
+        norm2 = float(np.vdot(b, b).real)
+        return phi, math.sin(phi), norm2, complex(np.vdot(b, restricted @ b)) - cos_phi * norm2
+
+    def readout_p0(self, setting: ExperimentSetting) -> float:
+        """Exact P(0) of the ancilla circuit on base_state, at O(1) cost in the qubit count.
+
+        In plane coordinates P(0) = (1 + Re(e^{-i m theta} <b|M^m|b>)) / 2
+        with b = B^H psi, and since det M = 1, Cayley-Hamilton gives
+
+            M^m = cos(m phi) I + (sin(m phi) / sin(phi)) (M - cos(phi) I),
+
+        whose ratio tends to m at phi = 0, a Pauli eigenstate's plane.
+        `phase_circuit_branches` on base_state is the reference path.
+        """
+        m = _circuit_m(setting)
+        phi, sin_phi, norm2, offset = self._readout_terms
+        ratio = math.sin(m * phi) / sin_phi if sin_phi else float(m)
+        amplitude = math.cos(m * phi) * norm2 + ratio * offset
+        p0 = 0.5 * (1.0 + (cmath.exp(-1j * m * setting.theta) * amplitude).real)
+        return min(max(p0, 0.0), 1.0)
 
     def plane_eigenvectors(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(v_plus, v_minus, phi) with U v_plus = e^{+i phi} v_plus and

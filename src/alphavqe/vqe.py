@@ -182,9 +182,11 @@ def estimate_energy(
             measurements += shots
         return float(energy), measurements
     if two_stage is None:
-        two_stage = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=eps_term)
+        config = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=eps_term)
+    else:
+        config = replace(two_stage, target_epsilon=eps_term)
     for (coeff, pauli), stream in zip(h.terms, streams):
-        result = two_stage_estimate(ansatz, pauli, replace(two_stage, target_epsilon=eps_term), stream)
+        result = two_stage_estimate(ansatz, pauli, config, stream)
         energy += coeff * result.value
         measurements += result.measurements_used
     return float(energy), measurements

@@ -1,7 +1,9 @@
 """Likelihood, exact grid updates, the closed-form update and its grid fallback, and the risk formulas."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -86,6 +88,62 @@ def test_experiment_setting_rejects_bad_m(kind, bad):
 def test_experiment_setting_rejects_non_finite_theta(kind, bad):
     with pytest.raises(ValueError, match="theta must be finite"):
         ExperimentSetting(kind(1.0), kind(bad))
+
+
+# (type, valid fields, bad fields, the message the bad fields raise)
+VALUE_TYPE_CASES = [
+    (NormalBelief, (0.25, 0.5), (np.nan, 0.5), "mu must be finite"),
+    (NormalBelief, (0.25, 0.5), (0.25, 0.0), "sigma must be finite and positive"),
+    (ExperimentSetting, (3.0, -0.5), (-1.0, -0.5), "m must be finite and positive"),
+    (ExperimentSetting, (3.0, -0.5), (3.0, np.inf), "theta must be finite"),
+]
+
+
+@pytest.mark.parametrize("cls, good, bad, message", VALUE_TYPE_CASES)
+def test_value_types_validate_on_every_construction_path(cls, good, bad, message):
+    valid = cls(*good)
+    # tuple.__new__ skips the check, as a raw tuple or a foreign pickle would;
+    # every public way of rebuilding it must run the check again
+    unchecked = tuple.__new__(cls, bad)
+    builds = {
+        "call": lambda: cls(*bad),
+        "keywords": lambda: cls(**dict(zip(cls._fields, bad))),
+        "_make": lambda: cls._make(bad),
+        "_replace": lambda: valid._replace(**dict(zip(cls._fields, bad))),
+        "copy": lambda: copy.copy(unchecked),
+        "deepcopy": lambda: copy.deepcopy(unchecked),
+    }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        builds[f"pickle{protocol}"] = lambda p=protocol: pickle.loads(pickle.dumps(unchecked, p))
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=message):
+            build()
+    # and each path rebuilds a valid value unchanged
+    for same in (
+        cls._make(good),
+        valid._replace(),
+        copy.copy(valid),
+        copy.deepcopy(valid),
+        *(pickle.loads(pickle.dumps(valid, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ):
+        assert type(same) is cls and same == valid
+
+
+def test_value_types_are_immutable_with_the_old_repr():
+    belief, setting = NormalBelief(0.25, 0.5), ExperimentSetting(3.0, -0.5)
+    assert repr(belief) == "NormalBelief(mu=0.25, sigma=0.5)"
+    assert repr(setting) == "ExperimentSetting(m=3.0, theta=-0.5)"
+    assert NormalBelief._fields == ("mu", "sigma")
+    assert ExperimentSetting._fields == ("m", "theta")
+    for value, field in ((belief, "mu"), (belief, "sigma"), (setting, "m"), (setting, "theta")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+        assert not hasattr(value, "__dict__")
+    mu, sigma = belief
+    assert (mu, sigma) == (belief.mu, belief.sigma) == (0.25, 0.5)
+    assert hash(belief) == hash(NormalBelief(0.25, 0.5))
 
 
 def test_grid_from_normal_reproduces_moments():

@@ -1,9 +1,21 @@
 """Command-line interface: argument handling, config files, CSV determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from alphavqe import __version__
 from alphavqe.cli import main
+
+# SHA-256 of each default-seed CSV after its first line, "# alphavqe
+# <version>", which is the one line that may change without the output
+# changing
+DEFAULT_CSV_DIGESTS = {
+    "phase-sim": "b0c361ca7eb102fd318d29399ab0c9baefe8271b56c969db8efb3b292e9abb68",
+    "expectation": "0b0f9d1c964d5676f086190049d0493c86345d2bd8411598adfb2451d8fb808a",
+    "vqe": "3278b95a92ac14978a1747c5f083fe6fef40c87ddbaef8c57a5bdd27970cfb0d",
+}
 
 
 def run_to_file(tmp_path, name, args):
@@ -129,3 +141,12 @@ def test_help_says_single_valued_flags_take_one_value(subcommand, capsys):
     # --alpha, --epsilon and --dmax each say so; argparse wraps the lines
     text = " ".join(capsys.readouterr().out.split())
     assert text.count("comma-separated; exactly one for expectation and vqe") == 3
+
+
+@pytest.mark.parametrize("subcommand", sorted(DEFAULT_CSV_DIGESTS))
+def test_default_seed_csv_bytes_are_pinned(tmp_path, subcommand):
+    code, body = run_to_file(tmp_path, f"{subcommand}.csv", [subcommand])
+    assert code == 0
+    version_line, rest = body.split(b"\n", 1)
+    assert version_line.decode() == f"# alphavqe {__version__}"
+    assert hashlib.sha256(rest).hexdigest() == DEFAULT_CSV_DIGESTS[subcommand]

@@ -36,12 +36,35 @@ class PinnedCosineOracle:
 
     pinned_theta = 0.0
 
-    def sample(self, setting, rng):
-        return 0 if rng.random() < likelihood(0, 0.3, setting) else 1
+    def sample(self, setting, u):
+        return 0 if u < likelihood(0, 0.3, setting) else 1
+
+
+class FailingOracle:
+    """SyntheticOracle(0.3) whose readout fails after `calls` successful ones."""
+
+    pinned_theta = None
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def sample(self, setting, u):
+        if self.calls == 0:
+            raise RuntimeError("readout failed")
+        self.calls -= 1
+        return SyntheticOracle(0.3).sample(setting, u)
 
 
 def rows_digest(rows) -> tuple[int, str]:
     return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def next_uniform_after(seed, draws):
+    """The uniform a fresh Generator gives after `draws` scalar random() calls."""
+    twin = np.random.default_rng(seed)
+    for _ in range(draws):
+        twin.random()
+    return twin.random()
 
 
 def test_synthetic_oracle_validates_phase():
@@ -55,7 +78,7 @@ def test_synthetic_oracle_outcome_frequency():
     setting = ExperimentSetting(3.0, 0.1)
     oracle = SyntheticOracle(0.7)
     rng = np.random.default_rng(5)
-    draws = np.array([oracle.sample(setting, rng) for _ in range(20_000)])
+    draws = np.array([oracle.sample(setting, rng.random()) for _ in range(20_000)])
     p0 = likelihood(0, 0.7, setting)
     assert (draws == 0).mean() == pytest.approx(p0, abs=3.0 * np.sqrt(p0 * (1 - p0) / 20_000))
 
@@ -197,3 +220,66 @@ def test_trace_rows_are_immutable_and_compare_by_value():
         row.extra = 1
     assert t1.rows == t2.rows
     assert t1.rows[-1] is not t2.rows[-1]
+
+
+@pytest.mark.parametrize(
+    "alpha, stop",
+    [
+        (1.0, dict(epsilon=0.02)),
+        (0.0, dict(epsilon=0.02)),
+        (0.5, dict(max_iterations=0)),
+        (0.5, dict(max_iterations=256)),
+        (0.5, dict(max_iterations=257)),
+    ],
+)
+def test_generator_ends_one_scalar_draw_per_row_on_return(alpha, stop):
+    gen = np.random.default_rng(17)
+    _, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(alpha), NormalBelief(0.0, 1.0), seed=gen, **stop)
+    assert gen.random() == next_uniform_after(17, len(trace.rows))
+
+
+@pytest.mark.parametrize("cap", [6, 300])
+def test_generator_ends_one_scalar_draw_per_row_on_timeout(monkeypatch, cap):
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", cap)
+    gen = np.random.default_rng(17)
+    with pytest.raises(EstimationTimeout) as err:
+        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
+    assert len(err.value.trace.rows) == cap
+    assert gen.random() == next_uniform_after(17, cap)
+
+
+@pytest.mark.parametrize("rows", [0, 5, 300])
+def test_generator_ends_one_scalar_draw_per_row_when_the_oracle_raises(rows):
+    gen = np.random.default_rng(17)
+    with pytest.raises(RuntimeError, match="readout failed"):
+        run_estimation(FailingOracle(rows), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
+    assert gen.random() == next_uniform_after(17, rows)
+
+
+def test_generator_ends_one_scalar_draw_per_row_when_the_update_raises(monkeypatch):
+    calls = []
+    update = engine.rejection_filter_update
+
+    def failing(*args):
+        if len(calls) == 300:
+            raise FloatingPointError("update failed")
+        calls.append(args)
+        return update(*args)
+
+    monkeypatch.setattr(engine, "rejection_filter_update", failing)
+    gen = np.random.default_rng(17)
+    with pytest.raises(FloatingPointError):
+        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
+    assert gen.random() == next_uniform_after(17, 300)
+
+
+def test_a_shared_generator_reproduces_scalar_draws_across_runs():
+    # two runs on one Generator read the same uniforms as one scalar stream
+    gen = np.random.default_rng(23)
+    args = (SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0))
+    _, first = run_estimation(*args, max_iterations=300, seed=gen)
+    _, second = run_estimation(*args, max_iterations=40, seed=gen)
+    stream = np.random.default_rng(23)
+    for row in first.rows + second.rows:
+        u = stream.random()
+        assert row.outcome == (0 if u < likelihood(0, 0.3, ExperimentSetting(row.m, row.theta)) else 1)

@@ -200,7 +200,7 @@ def test_trial_state_oracle_reads_the_plain_cosine():
         for m in range(1, 33):
             setting = ExperimentSetting(float(m), oracle.pinned_theta)
             rng_oracle, rng_hand = np.random.default_rng(m), np.random.default_rng(m)
-            outcome = oracle.sample(setting, rng_oracle)
+            outcome = oracle.sample(setting, rng_oracle.random())
             hand_outcome, _, exact_p0 = run_phase_circuit(op.base_state, op, setting, rng_hand)
             assert outcome == hand_outcome
             assert rng_oracle.random() == rng_hand.random()

@@ -292,6 +292,36 @@ def test_circuit_on_trial_state_averages_the_branches():
         assert p0 == pytest.approx(want, abs=1e-12)
 
 
+def test_scalar_readout_matches_the_circuit():
+    # readout_p0 works on the 2x2 plane alone; the circuit's exact p0 is the
+    # reference, on random terms and where its sin(m phi) / sin(phi) ratio
+    # is 0 / 0: Pauli eigenstates (phi = 0, one of them under YY) and
+    # <P> = 0 (phi = pi)
+    rng = np.random.default_rng(31)
+    ops = [
+        build_rotation_operator(
+            random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits))
+        )
+        for n_qubits in range(1, MAX_QUBITS + 1)
+    ]
+    ops.append(build_rotation_operator(random_ansatz(3, 1, rng), "YXY"))
+    ops.append(build_rotation_operator(Ansatz(3, 1, np.zeros(3)), "ZIZ"))
+    ops.append(build_rotation_operator(Ansatz(2, 2, np.array([0.0, 0.0, np.pi / 2.0, np.pi / 2.0])), "YY"))
+    ops.append(build_rotation_operator(Ansatz(1, 1, np.array([np.pi / 2.0])), "Z"))
+    assert ops[-3].rotation_angle == 0.0
+    assert abs(ops[-2].expectation) == pytest.approx(1.0, abs=1e-12)
+    assert ops[-1].rotation_angle == pytest.approx(np.pi)
+    assert any("Y" in op.pauli for op in ops[:MAX_QUBITS])
+    for op in ops:
+        for m in range(1, 33):
+            for theta in (0.0, rng.uniform(-np.pi, np.pi)):
+                setting = ExperimentSetting(float(m), theta)
+                _, _, exact_p0 = run_phase_circuit(op.base_state, op, setting, rng)
+                assert abs(op.readout_p0(setting) - exact_p0) <= 1e-12
+    with pytest.raises(ValueError):
+        ops[0].readout_p0(ExperimentSetting(2.5, 0.0))
+
+
 def test_circuit_rejects_fractional_m():
     rng = np.random.default_rng(1)
     op = build_rotation_operator(random_ansatz(1, 1, rng), "Z")
