@@ -61,15 +61,12 @@ from .statevector import (
     Ansatz,
     RotationOperator,
     apply_ansatz,
-    apply_ansatz_adjoint,
     apply_pauli,
     build_rotation_operator,
     pauli_expectation,
-    phase_circuit_branches,
     prepare,
     run_phase_circuit,
     sample_pauli_outcomes,
-    states_close,
     validate_pauli,
     zero_state,
 )

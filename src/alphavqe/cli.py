@@ -291,8 +291,6 @@ def cmd_vqe(cfg: dict) -> int:
     else:
         hamiltonian = load_hamiltonian(name)
     mode = cfg["mode"]
-    if mode not in ("exact", "statistical", "alpha"):
-        raise CliError(f"mode must be exact, statistical, or alpha, got {mode!r}")
     epsilon = _single(cfg, "epsilon")
     template = Ansatz(hamiltonian.n_qubits, cfg["layers"], np.zeros(hamiltonian.n_qubits * cfg["layers"]))
     two_stage = TwoStageConfig(alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=epsilon)

@@ -90,13 +90,11 @@ class EstimationTrace:
     prior_mu: float
     prior_sigma: float
 
-    def sigmas(self, include_prior: bool = True) -> np.ndarray:
-        tail = [row.sigma for row in self.rows]
-        return np.array(([self.prior_sigma] + tail) if include_prior else tail)
+    def sigmas(self) -> np.ndarray:
+        return np.array([self.prior_sigma] + [row.sigma for row in self.rows])
 
-    def mus(self, include_prior: bool = True) -> np.ndarray:
-        tail = [row.mu for row in self.rows]
-        return np.array(([self.prior_mu] + tail) if include_prior else tail)
+    def mus(self) -> np.ndarray:
+        return np.array([self.prior_mu] + [row.mu for row in self.rows])
 
 
 def run_estimation(

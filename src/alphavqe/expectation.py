@@ -5,7 +5,7 @@ magnitude of the sample mean: estimates landing inside the fixed
 `gate_interval` are routed to phase estimation on the rotation operator (the
 sign rides along from the stage-1 mean for free); everything else falls back
 to plain statistical sampling at the target precision.  The gate sits
-`stage1_tolerance` inside `target_interval` on both sides, and
+`stage1_tolerance` inside `TARGET_INTERVAL` on both sides, and
 `hoeffding_bound(stage1_samples, stage1_tolerance)` = 2 e^-5 ~ 0.013 at the
 defaults bounds the chance that a stage-1 mean misses the true magnitude by
 more than that tolerance, so a gated term's true magnitude lies inside the
@@ -38,7 +38,9 @@ Writing phi for the positive eigenphase, the joint outcome distribution is
     (b2, b1) = (1, 1): sin^2(phi) / 2              plus-branch prob (1 - sin phi)/2
 
 The four branches, their probabilities and confidences are computed once per
-operator and then sampled.
+operator, in the 2x2 coordinates of the rotation plane, and then sampled.
+The table needs 0 < |<P>| < 1: at either end the two eigenphases coincide
+and the branch confidences are undefined.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
     RotationOperator,
+    _ancilla_branches,
     build_rotation_operator,
-    phase_circuit_branches,
     prepare,
     run_phase_circuit,
     sample_pauli_outcomes,
@@ -111,7 +113,6 @@ class TwoStageConfig:
     stage1_samples: int = 1000
     stage1_tolerance: float = 0.1
     gate_interval: tuple[float, float] = (0.36, 0.85)
-    target_interval: tuple[float, float] = TARGET_INTERVAL
     stop_sigma_factor: float = 1.0
     schedule_scale: float = 1.5
 
@@ -197,18 +198,31 @@ def _collapse_table(op: RotationOperator):
     branches[(b2, b1)] = (p(b1 | b2), read-only post-measurement state, exact
     probability that the state is the plus-branch eigenvector).  A zero
     state, which stands for a zero-probability branch, gets confidence 1/2.
+    Both measurements stay in the rotation plane, so they run on b = B^H psi
+    and the 2x2 restriction M, and the post states are lifted by B at the end.
     """
     if op._collapse is None:
-        v_plus, v_minus, _ = op.plane_eigenvectors()
-        first = phase_circuit_branches(op.base_state, op, ExperimentSetting(2.0, 0.0))
+        a2 = op.expectation * op.expectation
+        if min(a2, 1.0 - a2) < 1e-12:
+            raise ValueError(f"collapse needs 0 < |<P>| < 1, got {op.expectation}: M = +-I has no eigenbasis")
+        restricted = op._restricted
+        b = op._basis.conj().T @ op.base_state
+        first = _ancilla_branches(b, restricted @ restricted @ b)
+        posts = {}
+        for b2, (_, c2) in enumerate(first):
+            turned = restricted @ (c2 * np.exp(-1j * b2 * np.pi / 2.0))
+            for b1, branch in enumerate(_ancilla_branches(c2, turned)):
+                posts[(b2, b1)] = branch
+        # plus branch first: eigenvalue e^{+i phi}
+        vals, vecs = np.linalg.eig(restricted)
+        w_plus, w_minus = vecs[:, np.argsort(-np.angle(vals))].T
+        states = np.array([c1 for _, c1 in posts.values()]) @ op._basis.T
+        states.flags.writeable = False
         branches = {}
-        for b2, (_, state2) in enumerate(first):
-            second = phase_circuit_branches(state2, op, ExperimentSetting(1.0, b2 * np.pi / 2.0))
-            for b1, (p1, state1) in enumerate(second):
-                state1.flags.writeable = False
-                p_plus = abs(np.vdot(v_plus, state1)) ** 2
-                total = p_plus + abs(np.vdot(v_minus, state1)) ** 2
-                branches[(b2, b1)] = (p1, state1, 0.5 if total <= 0.0 else float(p_plus / total))
+        for (key, (p1, c1)), state in zip(posts.items(), states):
+            p_plus = abs(np.vdot(w_plus, c1)) ** 2
+            total = p_plus + abs(np.vdot(w_minus, c1)) ** 2
+            branches[key] = (p1, state, 0.5 if total <= 0.0 else float(p_plus / total))
         op._collapse = (tuple(p2 for p2, _ in first), branches)
     return op._collapse
 

@@ -15,6 +15,8 @@ Pauli string P, the unitary
 is a product of reflections about |psi> and P|psi>.  It rotates the plane
 spanned by those two states by phi = 2 arccos |<psi|P|psi>| and acts as the
 identity elsewhere, so estimating the eigenphase of U recovers |<psi|P|psi>|.
+U is never built or applied gate by gate: the simulator works through its
+2x2 restriction to that plane, and the test oracles hold the dense reference.
 """
 
 from __future__ import annotations
@@ -36,14 +38,11 @@ __all__ = [
     "Ansatz",
     "prepare",
     "apply_ansatz",
-    "apply_ansatz_adjoint",
     "pauli_expectation",
     "RotationOperator",
     "build_rotation_operator",
-    "phase_circuit_branches",
     "run_phase_circuit",
     "sample_pauli_outcomes",
-    "states_close",
 ]
 
 MAX_QUBITS = 12
@@ -203,16 +202,6 @@ def apply_ansatz(state: np.ndarray, ansatz: Ansatz) -> np.ndarray:
     return out
 
 
-def apply_ansatz_adjoint(state: np.ndarray, ansatz: Ansatz) -> np.ndarray:
-    out = np.array(state, dtype=complex)
-    signs = _cz_ring_signs(ansatz.n_qubits)
-    for angles in ansatz.params.reshape(ansatz.layers, ansatz.n_qubits)[::-1]:
-        out *= signs
-        for q, angle in enumerate(angles):
-            out = _apply_one_qubit(out, _ry(-angle), q)
-    return out
-
-
 def prepare(ansatz: Ansatz) -> np.ndarray:
     """Trial state R|0...0>, computed once per ansatz and returned read-only."""
     return ansatz._state
@@ -225,12 +214,10 @@ def pauli_expectation(state: np.ndarray, pauli: str) -> float:
 
 
 class RotationOperator:
-    """The reflection product (R Pi R^dag)(P R Pi R^dag P) for one (R, P) pair.
-
-    apply runs the full gate sequence on arbitrary states and is the
-    reference path; power_apply and plane_eigenvectors work with U's 2x2
-    restriction to its rotation plane, built in closed form from psi and
-    P psi alone.
+    """The reflection product (R Pi R^dag)(P R Pi R^dag P) for one (R, P) pair,
+    held as its 2x2 restriction M = B^H U B to the rotation plane, with B an
+    orthonormal basis of span{psi, P psi} built in closed form from psi and
+    P psi alone.  U is the identity off that plane.
     """
 
     def __init__(self, ansatz: Ansatz, pauli: str):
@@ -239,13 +226,11 @@ class RotationOperator:
             raise ValueError(
                 f"Pauli string length {len(pauli)} does not match ansatz on {ansatz.n_qubits} qubits"
             )
-        self.ansatz = ansatz
         self.pauli = pauli
         self.n_qubits = ansatz.n_qubits
         self.base_state = prepare(ansatz)
         self.expectation = pauli_expectation(self.base_state, pauli)
         self._basis, self._restricted = self._plane_restriction()
-        self._plane: tuple[np.ndarray, np.ndarray, float] | None = None
         # the collapse statistics of expectation._collapse_table, built on first use
         self._collapse = None
 
@@ -253,18 +238,6 @@ class RotationOperator:
     def rotation_angle(self) -> float:
         """Exact eigenphase 2 arccos |<psi|P|psi>|."""
         return float(2.0 * np.arccos(np.clip(abs(self.expectation), 0.0, 1.0)))
-
-    def _reflect_trial(self, state: np.ndarray) -> np.ndarray:
-        # R Pi R^dag: flip the sign of the |0...0> amplitude in the R frame
-        v = apply_ansatz_adjoint(state, self.ansatz)
-        v[0] = -v[0]
-        return apply_ansatz(v, self.ansatz)
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        v = apply_pauli(state, self.pauli)
-        v = self._reflect_trial(v)
-        v = apply_pauli(v, self.pauli)
-        return self._reflect_trial(v)
 
     def _plane_restriction(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, M): the orthonormal columns of B span {psi, P psi} and M = B^H U B.
@@ -312,7 +285,6 @@ class RotationOperator:
             M^m = cos(m phi) I + (sin(m phi) / sin(phi)) (M - cos(phi) I),
 
         whose ratio tends to m at phi = 0, a Pauli eigenstate's plane.
-        `phase_circuit_branches` on base_state is the reference path.
         """
         m = _circuit_m(setting)
         phi, sin_phi, norm2, offset = self._readout_terms
@@ -320,28 +292,6 @@ class RotationOperator:
         amplitude = math.cos(m * phi) * norm2 + ratio * offset
         p0 = 0.5 * (1.0 + (cmath.exp(-1j * m * setting.theta) * amplitude).real)
         return min(max(p0, 0.0), 1.0)
-
-    def plane_eigenvectors(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(v_plus, v_minus, phi) with U v_plus = e^{+i phi} v_plus and
-        U v_minus = e^{-i phi} v_minus, both unit vectors in the rotation plane.
-
-        Undefined when the trial state is already a Pauli eigenstate (the
-        plane degenerates); that case raises.
-        """
-        if self._plane is not None:
-            return self._plane
-        a = self.expectation
-        if 1.0 - a * a < 1e-12:
-            raise ValueError("trial state is a Pauli eigenstate; rotation plane is degenerate")
-        vals, vecs = np.linalg.eig(self._restricted)
-        order = np.argsort(-np.angle(vals))
-        vals, vecs = vals[order], vecs[:, order]
-        v_plus = self._basis @ vecs[:, 0]
-        v_minus = self._basis @ vecs[:, 1]
-        v_plus /= np.linalg.norm(v_plus)
-        v_minus /= np.linalg.norm(v_minus)
-        self._plane = (v_plus, v_minus, float(np.angle(vals[0])))
-        return self._plane
 
 
 def build_rotation_operator(ansatz: Ansatz, pauli: str) -> RotationOperator:
@@ -354,25 +304,16 @@ def _circuit_m(setting: ExperimentSetting) -> int:
     return int(round(setting.m))
 
 
-def phase_circuit_branches(
-    system_state: np.ndarray,
-    op: RotationOperator,
-    setting: ExperimentSetting,
+def _ancilla_branches(
+    state: np.ndarray, turned: np.ndarray
 ) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-    """Exact outcome probabilities and post-measurement states of the ancilla circuit.
-
-    Ancilla in |+>, phase gate diag(1, e^{-i m theta}), m controlled
-    applications of U, X-basis readout.  Returns ((p0, state0), (p1, state1));
-    a zero-probability branch carries a zero vector.
-    """
-    m = _circuit_m(setting)
-    if system_state.size != 2**op.n_qubits:
-        raise ValueError("system state dimension does not match the operator")
-    branch0 = np.array(system_state, dtype=complex)
-    branch1 = op.power_apply(branch0 * np.exp(-1j * m * setting.theta), m)
+    """((p0, state0), (p1, state1)) of the X-basis ancilla readout whose |1>
+    branch holds turned = e^{-i m theta} U^m state, in any basis: the branch
+    states are (state +- turned) / 2, normalised; a zero-probability branch
+    carries a zero vector."""
     results = []
     for sign in (1.0, -1.0):
-        post = 0.5 * (branch0 + sign * branch1)
+        post = 0.5 * (state + sign * turned)
         p = float(np.real(np.vdot(post, post)))
         p = min(max(p, 0.0), 1.0)
         norm = np.linalg.norm(post)
@@ -388,12 +329,18 @@ def run_phase_circuit(
 ) -> tuple[int, np.ndarray, float]:
     """Sample one ancilla measurement; returns (outcome, post state, exact p0).
 
-    On an eigenstate of U the outcome follows the analytic likelihood
-    (1 + (-1)^E cos(m (phi - theta))) / 2 exactly; on the trial state, an
-    even superposition of the two eigenvectors, p0 is
-    (1 + cos(m phi) cos(m theta)) / 2.
+    Ancilla in |+>, phase gate diag(1, e^{-i m theta}), m controlled
+    applications of U, X-basis readout.  On an eigenstate of U the outcome
+    follows the analytic likelihood (1 + (-1)^E cos(m (phi - theta))) / 2
+    exactly; on the trial state, an even superposition of the two
+    eigenvectors, p0 is (1 + cos(m phi) cos(m theta)) / 2.
     """
-    (p0, state0), (_, state1) = phase_circuit_branches(system_state, op, setting)
+    m = _circuit_m(setting)
+    if system_state.size != 2**op.n_qubits:
+        raise ValueError("system state dimension does not match the operator")
+    state = np.array(system_state, dtype=complex)
+    turned = op.power_apply(state * np.exp(-1j * m * setting.theta), m)
+    (p0, state0), (_, state1) = _ancilla_branches(state, turned)
     outcome = 0 if rng.random() < p0 else 1
     return outcome, (state0 if outcome == 0 else state1), p0
 
@@ -406,8 +353,3 @@ def sample_pauli_outcomes(
         raise ValueError(f"shots must be positive, got {shots}")
     p_plus = 0.5 * (1.0 + np.clip(pauli_expectation(state, pauli), -1.0, 1.0))
     return np.where(rng.random(shots) < p_plus, 1.0, -1.0)
-
-
-def states_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Equality of unit states up to global phase: | |<a|b>| - 1 | <= tol."""
-    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= tol)

@@ -1,9 +1,11 @@
 """Shared brute-force oracles for the test suite.
 
 Everything here is deliberately naive: dense matrices built by kron, operator
-matrices recovered column by column, posterior moments by huge-sample
-rejection sampling or by brute quadrature.  Slow but independent of the
-library's own shortcuts.
+matrices recovered column by column, the rotation operator as its two
+defining reflections and its ancilla circuit as m repeated applications,
+posterior moments by huge-sample rejection sampling or by brute quadrature.
+Slow but independent of the library's own shortcuts: nothing here calls the
+library's kernels or its plane restriction.
 """
 
 import numpy as np
@@ -24,6 +26,29 @@ def kron_pauli(pauli: str) -> np.ndarray:
     return out
 
 
+def kron_apply(factors, state) -> np.ndarray:
+    """kron(factors[0], ..., factors[-1]) @ state without forming the product:
+    factor q contracts axis q of the state viewed as a (2, ..., 2) tensor."""
+    n = len(factors)
+    out = np.asarray(state, dtype=complex).reshape((2,) * n)
+    for q, factor in enumerate(factors):
+        out = np.moveaxis(np.tensordot(factor, out, axes=(1, q)), 0, q)
+    return out.reshape(-1)
+
+
+def _ring_pairs(n: int) -> list:
+    if n == 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _ry(t: float) -> np.ndarray:
+    c, s = np.cos(t / 2.0), np.sin(t / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
 def kron_ansatz(ansatz) -> np.ndarray:
     """Dense unitary of the layered ansatz, built gate by gate from kron products.
 
@@ -34,14 +59,8 @@ def kron_ansatz(ansatz) -> np.ndarray:
     n = ansatz.n_qubits
     dim = 2**n
     one = np.diag([0.0, 1.0]).astype(complex)
-    if n == 1:
-        pairs = []
-    elif n == 2:
-        pairs = [(0, 1)]
-    else:
-        pairs = [(i, (i + 1) % n) for i in range(n)]
     ring = np.eye(dim, dtype=complex)
-    for a, b in pairs:
+    for a, b in _ring_pairs(n):
         both = np.array([[1.0 + 0.0j]])
         for q in range(n):
             both = np.kron(both, one if q in (a, b) else np.eye(2))
@@ -50,10 +69,73 @@ def kron_ansatz(ansatz) -> np.ndarray:
     for layer in np.asarray(ansatz.params).reshape(ansatz.layers, n):
         rot = np.array([[1.0 + 0.0j]])
         for t in layer:
-            c, s = np.cos(t / 2.0), np.sin(t / 2.0)
-            rot = np.kron(rot, np.array([[c, -s], [s, c]]))
+            rot = np.kron(rot, _ry(t))
         out = ring @ rot @ out
     return out
+
+
+def kron_trial_state(ansatz) -> np.ndarray:
+    """R|0...0> by the same gates as kron_ansatz, applied to a vector: each
+    layer's Y rotations through kron_apply, and each controlled-Z as the kron
+    of per-qubit diagonals (1, 1) and (0, 1).  It never forms a 2**n x 2**n
+    matrix, so it reaches every qubit count the library supports."""
+    n = ansatz.n_qubits
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for layer in np.asarray(ansatz.params).reshape(ansatz.layers, n):
+        state = kron_apply([_ry(t) for t in layer], state)
+        for a, b in _ring_pairs(n):
+            both = np.array([1.0])
+            for q in range(n):
+                both = np.kron(both, [0.0, 1.0] if q in (a, b) else [1.0, 1.0])
+            state = (1.0 - 2.0 * both) * state
+    return state
+
+
+def kron_rotation(ansatz, pauli: str):
+    """(psi, apply_u): the trial state and U = (I - 2 psi psi^H)(I - 2 P psi psi^H P)
+    as a map on vectors, the two reflections applied as written.  psi comes
+    from kron_trial_state and P psi from kron_apply of the Pauli letters, the
+    factors of kron_pauli."""
+    psi = kron_trial_state(ansatz)
+    p_psi = kron_apply([_P1[ch] for ch in pauli], psi)
+
+    def apply_u(v):
+        v = v - 2.0 * p_psi * np.vdot(p_psi, v)
+        return v - 2.0 * psi * np.vdot(psi, v)
+
+    return psi, apply_u
+
+
+def circuit_branches(apply_u, state, m: int, theta: float):
+    """((p0, state0), (p1, state1)) of the ancilla circuit, run as written:
+    ancilla in |+>, phase gate diag(1, e^{-i m theta}), m controlled
+    applications of U one at a time, X-basis readout.  Branch states are
+    normalised; a zero-probability branch carries a zero vector."""
+    turned = np.array(state, dtype=complex)
+    for _ in range(m):
+        turned = apply_u(turned)
+    turned = np.exp(-1j * m * theta) * turned
+    branches = []
+    for sign in (1.0, -1.0):
+        post = 0.5 * (state + sign * turned)
+        norm = np.linalg.norm(post)
+        branches.append((norm**2, post / norm if norm > 1e-15 else np.zeros_like(post)))
+    return tuple(branches)
+
+
+def dense_eigenvectors(u: np.ndarray):
+    """(v_plus, v_minus, phi) of a dense rotation: the unit eigenvectors whose
+    eigenvalues e^{+i phi} and e^{-i phi} have the largest and the smallest
+    angle, by plain diagonalisation."""
+    vals, vecs = np.linalg.eig(u)
+    order = np.argsort(np.angle(vals))
+    return vecs[:, order[-1]], vecs[:, order[0]], float(np.angle(vals[order[-1]]))
+
+
+def states_close(a, b, tol: float = 1e-10) -> bool:
+    """Equality of unit states up to global phase: | |<a|b>| - 1 | <= tol."""
+    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= tol)
 
 
 def dense_operator(apply_fn, dim: int) -> np.ndarray:

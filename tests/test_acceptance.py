@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from alphavqe.bayes import ExperimentSetting, NormalBelief, bayes_risk
+from alphavqe.bayes import ExperimentSetting, NormalBelief, bayes_risk, likelihood
 from alphavqe.engine import SyntheticOracle, ensemble_run, run_estimation
 from alphavqe.expectation import TARGET_INTERVAL, TwoStageConfig, collapse_distribution, collapse_state, two_stage_estimate
 from alphavqe.rand import child_seed, rng_for
@@ -21,17 +21,11 @@ from alphavqe.schedules import (
     n_min_restarts,
     predicted_iterations,
 )
-from alphavqe.statevector import (
-    Ansatz,
-    build_rotation_operator,
-    pauli_expectation,
-    phase_circuit_branches,
-    prepare,
-)
+from alphavqe.statevector import Ansatz, build_rotation_operator, pauli_expectation, prepare
 from alphavqe.vqe import bundled_hamiltonian, estimate_energy, exact_ground_energy, optimize
 from alphavqe.vqe import OptimizerConfig
 
-from dense_oracles import dense_operator
+from dense_oracles import circuit_branches, dense_eigenvectors, dense_operator, kron_rotation
 
 
 def report(number: int, label: str, passed: bool, detail: str) -> None:
@@ -178,16 +172,14 @@ def test_criterion_5_circuit_formula_equivalence():
         if 1.0 - a * a < 1e-9:
             continue
         instances += 1
-        op = build_rotation_operator(ansatz, pauli)
-        mat = dense_operator(op.apply, 4)
-        phi_dense = float(np.max(np.angle(np.linalg.eigvals(mat))))
-        worst_phase = max(worst_phase, abs(phi_dense - 2.0 * np.arccos(abs(a))))
-        v_plus, _, _ = op.plane_eigenvectors()
+        # the Kronecker reference: U as its two reflections, diagonalised densely
+        _, apply_u = kron_rotation(ansatz, pauli)
+        v_plus, _, phi_dense = dense_eigenvectors(dense_operator(apply_u, 4))
+        worst_phase = max(worst_phase, abs(phi_dense - build_rotation_operator(ansatz, pauli).rotation_angle))
         theta = float(rng.uniform(-np.pi, np.pi))
         for m in (1, 2, 4, 8, 16):
-            setting = ExperimentSetting(float(m), theta)
-            (p0, _), _ = phase_circuit_branches(v_plus, op, setting)
-            formula = 0.5 * (1.0 + np.cos(m * (phi_dense - theta)))
+            (p0, _), _ = circuit_branches(apply_u, v_plus, m, theta)
+            formula = likelihood(0, phi_dense, ExperimentSetting(float(m), theta))
             worst_p = max(worst_p, abs(p0 - formula))
     elapsed = time.time() - t0
     passed = worst_p <= 1e-10 and worst_phase <= 1e-10 and elapsed < 60.0

@@ -111,7 +111,6 @@ def test_trace_layout_and_reproducibility():
     assert t1 == t2
     assert [row.k for row in t1.rows] == list(range(1, 26))
     assert t1.sigmas().shape == (26,)
-    assert t1.sigmas(include_prior=False).shape == (25,)
     assert t1.sigmas()[0] == 1.0
     assert all(row.outcome in (0, 1) for row in t1.rows)
     _, t3 = run_estimation(SyntheticOracle(-0.9), AlphaQPE(0.75), prior, max_iterations=25, seed=43)

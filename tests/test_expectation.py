@@ -26,10 +26,10 @@ from alphavqe.statevector import (
     build_rotation_operator,
     pauli_expectation,
     prepare,
-    run_phase_circuit,
     sample_pauli_outcomes,
-    states_close,
 )
+
+from dense_oracles import circuit_branches, dense_eigenvectors, dense_operator, kron_rotation, states_close
 
 CONFIG = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
 
@@ -54,7 +54,7 @@ def test_gate_with_tolerance_sits_inside_target_interval():
     cfg = CONFIG
     lo, hi = cfg.gate_interval
     t = cfg.stage1_tolerance
-    tlo, thi = cfg.target_interval
+    tlo, thi = TARGET_INTERVAL
     assert tlo < lo - t and hi + t < thi
 
 
@@ -163,18 +163,43 @@ def test_collapse_state_contract():
         collapse_state(op, None)
 
 
+def sample_circuit(apply_u, state, m, theta, rng):
+    """One shot of the Kronecker reference circuit: (outcome, post state)."""
+    (p0, state0), (_, state1) = circuit_branches(apply_u, state, m, theta)
+    return (0, state0) if rng.random() < p0 else (1, state1)
+
+
+def dense_collapse_table(ansatz, pauli):
+    """{(b2, b1): (probability, plus-branch confidence, post state)} of the two
+    collapse measurements, run on the Kronecker reference circuit."""
+    psi, apply_u = kron_rotation(ansatz, pauli)
+    v_plus, v_minus, _ = dense_eigenvectors(dense_operator(apply_u, psi.size))
+    table = {}
+    for b2, (p2, state2) in enumerate(circuit_branches(apply_u, psi, 2, 0.0)):
+        for b1, (p1, state1) in enumerate(circuit_branches(apply_u, state2, 1, b2 * np.pi / 2.0)):
+            plus = abs(np.vdot(v_plus, state1)) ** 2
+            total = plus + abs(np.vdot(v_minus, state1)) ** 2
+            table[(b2, b1)] = (p2 * p1, 0.5 if total <= 0.0 else plus / total, state1)
+    return table
+
+
 def test_collapse_state_samples_the_two_circuits_it_replaces():
-    ops = [
-        build_rotation_operator(ansatz_with_z(0.6), "Z"),
-        build_rotation_operator(Ansatz(3, 2, np.random.default_rng(2).uniform(-np.pi, np.pi, 6)), "XZY"),
+    # YZY, not XZY: one Y letter on this real ansatz gives <P> = 0, whose
+    # degenerate spectrum the collapse table refuses
+    terms = [
+        (ansatz_with_z(0.6), "Z"),
+        (Ansatz(3, 2, np.random.default_rng(2).uniform(-np.pi, np.pi, 6)), "YZY"),
     ]
-    for op in ops:
-        v_plus, v_minus, _ = op.plane_eigenvectors()
+    for ansatz, pauli in terms:
+        op = build_rotation_operator(ansatz, pauli)
+        assert 0.01 < abs(op.expectation) < 0.99
+        psi, apply_u = kron_rotation(ansatz, pauli)
+        v_plus, v_minus, _ = dense_eigenvectors(dense_operator(apply_u, psi.size))
         for seed in range(50):
             rng_table, rng_circuit = np.random.default_rng(seed), np.random.default_rng(seed)
             col = collapse_state(op, rng_table)
-            b2, state, _ = run_phase_circuit(op.base_state, op, ExperimentSetting(2.0, 0.0), rng_circuit)
-            b1, state, _ = run_phase_circuit(state, op, ExperimentSetting(1.0, b2 * np.pi / 2.0), rng_circuit)
+            b2, state = sample_circuit(apply_u, psi, 2, 0.0, rng_circuit)
+            b1, state = sample_circuit(apply_u, state, 1, b2 * np.pi / 2.0, rng_circuit)
             assert col.outcomes == (b2, b1)
             assert rng_table.random() == rng_circuit.random()
             assert states_close(col.state, state)
@@ -188,20 +213,68 @@ def test_collapse_state_samples_the_two_circuits_it_replaces():
         col.state[0] = 0.0
 
 
+def test_plane_collapse_table_matches_the_dense_circuit():
+    # the 2x2 plane table against both measurements run in the full space
+    # with the Kronecker reference U, on random terms whose spectrum is not
+    # degenerate (0 < |<P>| < 1)
+    draw = np.random.default_rng(66)
+    for n_qubits in range(1, 9):
+        checked = 0
+        while checked < 2:
+            ansatz = Ansatz(n_qubits, 2, draw.uniform(-np.pi, np.pi, 2 * n_qubits))
+            pauli = "".join(draw.choice(list("IXYZ"), n_qubits))
+            op = build_rotation_operator(ansatz, pauli)
+            if not 1e-6 < op.expectation**2 < 1.0 - 1e-6:
+                continue
+            checked += 1
+            dist = collapse_distribution(op)
+            _, branches = expectation._collapse_table(op)
+            for key, (p_want, conf_want, state_want) in dense_collapse_table(ansatz, pauli).items():
+                p_got, conf_got = dist[key]
+                assert abs(p_got - p_want) <= 1e-12
+                assert abs(conf_got - conf_want) <= 1e-12
+                if p_want > 1e-12:
+                    assert states_close(branches[key][1], state_want, tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "ansatz,pauli",
+    [
+        (Ansatz(1, 1, np.array([np.pi / 2.0])), "Z"),  # <P> = 0, M = -I
+        (Ansatz(3, 1, np.array([0.4, -1.1, 0.9])), "IYI"),  # real state, odd Y count: <P> = 0
+        (Ansatz(3, 2, np.random.default_rng(2).uniform(-np.pi, np.pi, 6)), "XZY"),
+        (Ansatz(1, 1, np.array([0.0])), "Z"),  # Pauli eigenstate, M = I
+        (Ansatz(2, 1, np.array([np.pi, 0.3])), "ZI"),  # <P> = -1
+    ],
+)
+def test_collapse_table_refuses_a_degenerate_spectrum(ansatz, pauli):
+    # at either end M = +-I, so any basis is an eigenbasis and the branch
+    # confidences would be arbitrary
+    op = build_rotation_operator(ansatz, pauli)
+    assert min(op.expectation**2, 1.0 - op.expectation**2) < 1e-12
+    with pytest.raises(ValueError, match="collapse needs"):
+        collapse_distribution(op)
+    with pytest.raises(ValueError, match="collapse needs"):
+        collapse_state(op, np.random.default_rng(0))
+
+
 def test_trial_state_oracle_reads_the_plain_cosine():
     # the fresh trial state is an even superposition of the two rotation
     # eigenvectors, so at theta = 0 the readout is (1 + cos(m phi)) / 2
     draw = np.random.default_rng(8)
     for n_qubits in range(1, 9):
         ansatz = Ansatz(n_qubits, 2, draw.uniform(-np.pi, np.pi, 2 * n_qubits))
-        op = build_rotation_operator(ansatz, "".join(draw.choice(list("IXYZ"), n_qubits)))
+        pauli = "".join(draw.choice(list("IXYZ"), n_qubits))
+        op = build_rotation_operator(ansatz, pauli)
+        psi, apply_u = kron_rotation(ansatz, pauli)
         oracle = _TrialStateCircuit(op)
         assert oracle.pinned_theta == 0.0
         for m in range(1, 33):
             setting = ExperimentSetting(float(m), oracle.pinned_theta)
             rng_oracle, rng_hand = np.random.default_rng(m), np.random.default_rng(m)
             outcome = oracle.sample(setting, rng_oracle.random())
-            hand_outcome, _, exact_p0 = run_phase_circuit(op.base_state, op, setting, rng_hand)
+            (exact_p0, _), _ = circuit_branches(apply_u, psi, m, 0.0)
+            hand_outcome = 0 if rng_hand.random() < exact_p0 else 1
             assert outcome == hand_outcome
             assert rng_oracle.random() == rng_hand.random()
             assert exact_p0 == pytest.approx(0.5 * (1.0 + np.cos(m * op.rotation_angle)), abs=1e-12)

@@ -1,4 +1,7 @@
-"""Statevector kernels, the reflection-product rotation, and the ancilla circuit."""
+"""Statevector kernels, the reflection-product rotation, and the ancilla circuit.
+
+The rotation and its circuit are checked against the Kronecker references in
+dense_oracles, which apply U as its two reflections in the full space."""
 
 import dataclasses
 import zlib
@@ -8,15 +11,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphavqe.bayes import ExperimentSetting, likelihood
+from alphavqe.expectation import collapse_distribution
 from alphavqe.statevector import (
     Ansatz,
     MAX_QUBITS,
     apply_ansatz,
-    apply_ansatz_adjoint,
     apply_pauli,
     build_rotation_operator,
     pauli_expectation,
-    phase_circuit_branches,
     prepare,
     run_phase_circuit,
     sample_pauli_outcomes,
@@ -24,7 +26,16 @@ from alphavqe.statevector import (
     zero_state,
 )
 
-from dense_oracles import dense_operator, kron_ansatz, kron_pauli
+from dense_oracles import (
+    circuit_branches,
+    dense_eigenvectors,
+    dense_operator,
+    kron_ansatz,
+    kron_apply,
+    kron_pauli,
+    kron_rotation,
+    kron_trial_state,
+)
 
 
 def random_state(n_qubits, rng):
@@ -34,6 +45,11 @@ def random_state(n_qubits, rng):
 
 def random_ansatz(n_qubits, layers, rng):
     return Ansatz(n_qubits, layers, rng.uniform(-np.pi, np.pi, n_qubits * layers))
+
+
+def operator_and_reference(ansatz, pauli):
+    """The library's operator, with the Kronecker reference (psi, apply_u) beside it."""
+    return build_rotation_operator(ansatz, pauli), kron_rotation(ansatz, pauli)
 
 
 def test_zero_state_and_bounds():
@@ -67,7 +83,10 @@ def test_apply_pauli_matches_kron_matrix_on_random_strings(n_qubits):
     for _ in range(4):
         pauli = "".join(rng.choice(list("IXYZ"), n_qubits))
         state = random_state(n_qubits, rng)
-        assert_allclose(apply_pauli(state, pauli), kron_pauli(pauli) @ state, atol=1e-12)
+        want = kron_pauli(pauli) @ state
+        assert_allclose(apply_pauli(state, pauli), want, atol=1e-12)
+        # the factor-by-factor reference agrees with the formed product
+        assert_allclose(kron_apply([kron_pauli(ch) for ch in pauli], state), want, atol=1e-12)
 
 
 def test_qubit_zero_is_most_significant():
@@ -139,8 +158,8 @@ def test_ansatz_matches_kron_oracle(n_qubits, layers):
     want = kron_ansatz(ansatz)
     dim = 2**n_qubits
     assert_allclose(dense_operator(lambda v: apply_ansatz(v, ansatz), dim), want, atol=1e-12)
-    assert_allclose(dense_operator(lambda v: apply_ansatz_adjoint(v, ansatz), dim), want.conj().T, atol=1e-12)
     assert_allclose(prepare(ansatz), want[:, 0], atol=1e-12)
+    assert_allclose(kron_trial_state(ansatz), want[:, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("n_qubits,layers", [(1, 2), (2, 1), (2, 3), (3, 2), (4, 1)])
@@ -150,7 +169,7 @@ def test_ansatz_is_unitary_and_adjoint_inverts(n_qubits, layers):
     mat = dense_operator(lambda v: apply_ansatz(v, ansatz), 2**n_qubits)
     assert_allclose(mat.conj().T @ mat, np.eye(2**n_qubits), atol=1e-12)
     state = random_state(n_qubits, rng)
-    assert_allclose(apply_ansatz_adjoint(apply_ansatz(state, ansatz), ansatz), state, atol=1e-12)
+    assert_allclose(kron_ansatz(ansatz).conj().T @ apply_ansatz(state, ansatz), state, atol=1e-12)
 
 
 def test_entangler_creates_entanglement_from_two_qubits_up():
@@ -173,8 +192,8 @@ def test_rotation_operator_expectation_and_angle():
 def test_rotation_operator_spectrum_matches_dense_diagonalization():
     rng = np.random.default_rng(21)
     for pauli in ("ZI", "XZ", "YY"):
-        op = build_rotation_operator(random_ansatz(2, 2, rng), pauli)
-        mat = dense_operator(op.apply, 4)
+        op, (_, apply_u) = operator_and_reference(random_ansatz(2, 2, rng), pauli)
+        mat = dense_operator(apply_u, 4)
         assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-11)
         angles = np.sort(np.angle(np.linalg.eigvals(mat)))
         phi = op.rotation_angle
@@ -183,22 +202,27 @@ def test_rotation_operator_spectrum_matches_dense_diagonalization():
 
 
 def test_plane_eigenvectors_are_orthonormal_eigenpairs():
+    # the eigenvectors of the 2x2 restriction, lifted by the plane basis, are
+    # eigenpairs of the dense reference U
     rng = np.random.default_rng(33)
-    op = build_rotation_operator(random_ansatz(2, 2, rng), "ZX")
-    v_plus, v_minus, phi = op.plane_eigenvectors()
+    op, (_, apply_u) = operator_and_reference(random_ansatz(2, 2, rng), "ZX")
+    vals, vecs = np.linalg.eig(op._restricted)
+    order = np.argsort(-np.angle(vals))
+    v_plus, v_minus = (op._basis @ vecs[:, order]).T
+    phi = float(np.angle(vals[order[0]]))
     assert phi == pytest.approx(op.rotation_angle, abs=1e-10)
     assert abs(np.vdot(v_plus, v_minus)) < 1e-10
-    assert_allclose(op.apply(v_plus), np.exp(1j * phi) * v_plus, atol=1e-10)
-    assert_allclose(op.apply(v_minus), np.exp(-1j * phi) * v_minus, atol=1e-10)
+    assert_allclose(apply_u(v_plus), np.exp(1j * phi) * v_plus, atol=1e-10)
+    assert_allclose(apply_u(v_minus), np.exp(-1j * phi) * v_minus, atol=1e-10)
     # the trial state splits evenly between the two branches
     assert abs(np.vdot(v_plus, op.base_state)) ** 2 == pytest.approx(0.5, abs=1e-10)
     assert abs(np.vdot(v_minus, op.base_state)) ** 2 == pytest.approx(0.5, abs=1e-10)
 
 
-def assert_closed_form_restriction_matches_gates(op):
-    """The closed-form 2x2 restriction against B^H U B from gate-level apply."""
+def assert_closed_form_restriction_matches_reference(op, apply_u):
+    """The closed-form 2x2 restriction against B^H U B from the Kronecker reference U."""
     basis, restricted = op._basis, op._restricted
-    images = np.stack([op.apply(basis[:, 0]), op.apply(basis[:, 1])], axis=1)
+    images = np.stack([apply_u(basis[:, 0]), apply_u(basis[:, 1])], axis=1)
     assert_allclose(restricted, basis.conj().T @ images, atol=1e-12)
     return restricted
 
@@ -207,35 +231,36 @@ def assert_closed_form_restriction_matches_gates(op):
 def test_closed_form_restriction_matches_gate_level_apply(n_qubits):
     rng = np.random.default_rng(700 + n_qubits)
     for _ in range(2):
-        op = build_rotation_operator(
+        op, (_, apply_u) = operator_and_reference(
             random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits))
         )
-        restricted = assert_closed_form_restriction_matches_gates(op)
+        restricted = assert_closed_form_restriction_matches_reference(op, apply_u)
         assert_allclose(restricted.conj().T @ restricted, np.eye(2), atol=1e-12)
 
 
 def test_closed_form_restriction_at_the_plane_extremes():
     # a Pauli eigenstate: U is the identity
-    op = build_rotation_operator(Ansatz(3, 1, np.array([0.0, 0.7, -1.2])), "ZII")
-    assert_allclose(assert_closed_form_restriction_matches_gates(op), np.eye(2), atol=1e-12)
+    op, (_, apply_u) = operator_and_reference(Ansatz(3, 1, np.array([0.0, 0.7, -1.2])), "ZII")
+    assert_allclose(assert_closed_form_restriction_matches_reference(op, apply_u), np.eye(2), atol=1e-12)
     # <psi|P|psi> = 0: P psi is orthogonal to psi, and U rotates by pi
-    op = build_rotation_operator(Ansatz(3, 0, np.array([])), "XZI")
+    op, (_, apply_u) = operator_and_reference(Ansatz(3, 0, np.array([])), "XZI")
     assert op.expectation == 0.0
-    assert_allclose(assert_closed_form_restriction_matches_gates(op), -np.eye(2), atol=1e-12)
+    assert_allclose(assert_closed_form_restriction_matches_reference(op, apply_u), -np.eye(2), atol=1e-12)
 
 
 def test_plane_degenerates_on_pauli_eigenstate():
+    # U = I has no eigenbasis to collapse onto
     op = build_rotation_operator(Ansatz(1, 1, np.array([0.0])), "Z")
     with pytest.raises(ValueError):
-        op.plane_eigenvectors()
+        collapse_distribution(op)
 
 
-def assert_power_matches_repeated_apply(op, state, ms):
-    """power_apply against gate-level apply repeated m times."""
+def assert_power_matches_repeated_apply(op, apply_u, state, ms):
+    """power_apply against the Kronecker reference U applied m times."""
     want, done = state, 0
     for m in ms:
         while done < m:
-            want, done = op.apply(want), done + 1
+            want, done = apply_u(want), done + 1
         assert_allclose(op.power_apply(state, m), want, atol=1e-12)
 
 
@@ -243,17 +268,17 @@ def assert_power_matches_repeated_apply(op, state, ms):
 def test_power_apply_matches_repeated_gate_application(n_qubits):
     rng = np.random.default_rng(400 + n_qubits)
     for _ in range(2):
-        op = build_rotation_operator(
+        op, (_, apply_u) = operator_and_reference(
             random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits))
         )
-        assert_power_matches_repeated_apply(op, random_state(n_qubits, rng), (1, 3, 16))
+        assert_power_matches_repeated_apply(op, apply_u, random_state(n_qubits, rng), (1, 3, 16))
 
 
 @pytest.mark.parametrize("angle", [1e-3, 1e-6, 1e-9, 0.0])
 def test_power_apply_near_a_pauli_eigenstate(angle):
     # <ZI> = cos(angle): the rotation plane shrinks to nothing as angle -> 0
-    op = build_rotation_operator(Ansatz(2, 1, np.array([angle, 0.7])), "ZI")
-    assert_power_matches_repeated_apply(op, random_state(2, np.random.default_rng(5)), (1, 3, 16, 64))
+    op, (_, apply_u) = operator_and_reference(Ansatz(2, 1, np.array([angle, 0.7])), "ZI")
+    assert_power_matches_repeated_apply(op, apply_u, random_state(2, np.random.default_rng(5)), (1, 3, 16, 64))
 
 
 def test_power_apply_is_identity_on_an_exact_pauli_eigenstate():
@@ -262,62 +287,65 @@ def test_power_apply_is_identity_on_an_exact_pauli_eigenstate():
     for m in (1, 3, 16, 64):
         assert_allclose(op.power_apply(state, m), state, atol=1e-14)
     with pytest.raises(ValueError):
-        op.plane_eigenvectors()
+        collapse_distribution(op)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
 def test_circuit_probability_matches_likelihood_on_eigenstates(m):
+    # the reference circuit on the reference eigenvectors, against the
+    # library's likelihood at the library's eigenphase
     rng = np.random.default_rng(100 + m)
     for _ in range(10):
-        op = build_rotation_operator(random_ansatz(2, 2, rng), "ZZ")
-        v_plus, v_minus, phi = op.plane_eigenvectors()
+        op, (_, apply_u) = operator_and_reference(random_ansatz(2, 2, rng), "ZZ")
+        v_plus, v_minus, _ = dense_eigenvectors(dense_operator(apply_u, 4))
+        phi = op.rotation_angle
         theta = rng.uniform(-np.pi, np.pi)
         setting = ExperimentSetting(float(m), theta)
-        (p0, _), (p1, _) = phase_circuit_branches(v_plus, op, setting)
+        (p0, _), (p1, _) = circuit_branches(apply_u, v_plus, m, theta)
         assert p0 == pytest.approx(likelihood(0, phi, setting), abs=1e-12)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
         # the minus branch sees the mirrored phase
-        (w0, _), _ = phase_circuit_branches(v_minus, op, setting)
+        (w0, _), _ = circuit_branches(apply_u, v_minus, m, theta)
         assert w0 == pytest.approx(likelihood(0, -phi, setting), abs=1e-12)
 
 
 def test_circuit_on_trial_state_averages_the_branches():
     rng = np.random.default_rng(77)
-    op = build_rotation_operator(random_ansatz(2, 1, rng), "XI")
+    op, (psi, apply_u) = operator_and_reference(random_ansatz(2, 1, rng), "XI")
     phi = op.rotation_angle
     for m, theta in ((1, 0.3), (3, -0.9), (5, 1.7)):
         setting = ExperimentSetting(float(m), theta)
-        (p0, _), _ = phase_circuit_branches(op.base_state, op, setting)
+        (p0, _), _ = circuit_branches(apply_u, psi, m, theta)
         want = 0.5 * (1.0 + np.cos(m * phi) * np.cos(m * theta))
         assert p0 == pytest.approx(want, abs=1e-12)
+        assert op.readout_p0(setting) == pytest.approx(want, abs=1e-12)
 
 
 def test_scalar_readout_matches_the_circuit():
-    # readout_p0 works on the 2x2 plane alone; the circuit's exact p0 is the
-    # reference, on random terms and where its sin(m phi) / sin(phi) ratio
-    # is 0 / 0: Pauli eigenstates (phi = 0, one of them under YY) and
-    # <P> = 0 (phi = pi)
+    # readout_p0 works on the 2x2 plane alone; the Kronecker reference
+    # circuit's exact p0 is the reference, on random terms and where its
+    # sin(m phi) / sin(phi) ratio is 0 / 0: Pauli eigenstates (phi = 0, one
+    # of them under YY) and <P> = 0 (phi = pi)
     rng = np.random.default_rng(31)
-    ops = [
-        build_rotation_operator(
-            random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits))
-        )
+    terms = [
+        (random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits)))
         for n_qubits in range(1, MAX_QUBITS + 1)
     ]
-    ops.append(build_rotation_operator(random_ansatz(3, 1, rng), "YXY"))
-    ops.append(build_rotation_operator(Ansatz(3, 1, np.zeros(3)), "ZIZ"))
-    ops.append(build_rotation_operator(Ansatz(2, 2, np.array([0.0, 0.0, np.pi / 2.0, np.pi / 2.0])), "YY"))
-    ops.append(build_rotation_operator(Ansatz(1, 1, np.array([np.pi / 2.0])), "Z"))
+    terms.append((random_ansatz(3, 1, rng), "YXY"))
+    terms.append((Ansatz(3, 1, np.zeros(3)), "ZIZ"))
+    terms.append((Ansatz(2, 2, np.array([0.0, 0.0, np.pi / 2.0, np.pi / 2.0])), "YY"))
+    terms.append((Ansatz(1, 1, np.array([np.pi / 2.0])), "Z"))
+    pairs = [operator_and_reference(ansatz, pauli) for ansatz, pauli in terms]
+    ops = [op for op, _ in pairs]
     assert ops[-3].rotation_angle == 0.0
     assert abs(ops[-2].expectation) == pytest.approx(1.0, abs=1e-12)
     assert ops[-1].rotation_angle == pytest.approx(np.pi)
     assert any("Y" in op.pauli for op in ops[:MAX_QUBITS])
-    for op in ops:
+    for op, (psi, apply_u) in pairs:
         for m in range(1, 33):
             for theta in (0.0, rng.uniform(-np.pi, np.pi)):
-                setting = ExperimentSetting(float(m), theta)
-                _, _, exact_p0 = run_phase_circuit(op.base_state, op, setting, rng)
-                assert abs(op.readout_p0(setting) - exact_p0) <= 1e-12
+                (exact_p0, _), _ = circuit_branches(apply_u, psi, m, theta)
+                assert abs(op.readout_p0(ExperimentSetting(float(m), theta)) - exact_p0) <= 1e-12
     with pytest.raises(ValueError):
         ops[0].readout_p0(ExperimentSetting(2.5, 0.0))
 
@@ -326,7 +354,7 @@ def test_circuit_rejects_fractional_m():
     rng = np.random.default_rng(1)
     op = build_rotation_operator(random_ansatz(1, 1, rng), "Z")
     with pytest.raises(ValueError):
-        phase_circuit_branches(op.base_state, op, ExperimentSetting(2.5, 0.0))
+        run_phase_circuit(op.base_state, op, ExperimentSetting(2.5, 0.0), rng)
 
 
 def test_run_phase_circuit_is_seed_deterministic():
