@@ -159,10 +159,15 @@ def principal_phase(x: float) -> float:
 def statistical_estimate(
     ansatz: Ansatz, pauli: str, shots: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Sample mean and standard error of the Pauli over fresh preparations."""
+    """Sample mean and standard error of the Pauli over fresh preparations.
+
+    The mean of the +-1 outcomes is (2 c - n) / n for c counted +1s out of n
+    shots: their sum is an exact integer, so this is the mean of the +-1
+    vector bit for bit.
+    """
     state = prepare(ansatz)
-    draws = sample_pauli_outcomes(state, pauli, shots, rng)
-    mean = float(draws.mean())
+    plus = sample_pauli_outcomes(state, pauli, shots, rng)
+    mean = (2 * plus - shots) / shots
     # for +-1 draws the ddof = 1 variance is n (1 - mean^2) / (n - 1)
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / (shots - 1)) if shots > 1 else 0.0
     return mean, stderr
@@ -317,7 +322,7 @@ def two_stage_estimate(
             path="statistical_fallback",
             measurements_used=total,
             max_depth_used=0.0,
-            posterior_sigma=float(np.sqrt(max(0.0, 1.0 - value * value) / total)),
+            posterior_sigma=math.sqrt(max(0.0, 1.0 - value * value) / total),
             stage1_estimate=s1.estimate,
             iterations=0,
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ExperimentSetting, NormalBelief, _gain, variance_gain
+from .bayes import ExperimentSetting, NormalBelief, variance_gain
 
 __all__ = [
     "AlphaQPE",
@@ -94,9 +94,10 @@ def next_setting(
     theta = mu - sigma.  An oracle that can only read out at a fixed theta
     pins it: theta = pinned_theta, and m is the whole count in
     [m*/sqrt 2, sqrt 2 m*] (m* the clamped rule) with the least `bayes_risk`,
-    kept within [1, floor(depth_cap)].  The window lets m step off the
-    zeros of the Bayes gain, which at a fixed theta fall wherever
-    sin(m (mu - theta)) vanishes.
+    kept within [1, floor(depth_cap)]; the first such count wins a tie.  The
+    window lets m step off the zeros of the Bayes gain, which at a fixed
+    theta fall wherever sin(m (mu - theta)) vanishes.  The window is scanned
+    in scalar `math`, with no numpy call.
     """
     mu, sigma = belief
     depth_cap = policy.depth_cap
@@ -110,10 +111,21 @@ def next_setting(
         top = min(top, depth_cap)
     hi = max(1, math.floor(top))
     lo = min(hi, max(1, math.ceil(m / math.sqrt(2.0))))
-    # bayes_risk over the window at once: the least risk is the largest gain
-    ms = np.arange(lo, hi + 1, dtype=float)
-    gains = _gain((ms * sigma) ** 2, np.sin(ms * (mu - pinned_theta)) ** 2)
-    return ExperimentSetting(float(ms[np.argmax(gains)]), pinned_theta)
+    # the least bayes_risk is the largest `bayes._gain`, written out in scalar
+    # math over the whole counts: the first maximum wins a tie, and a zero
+    # denominator (t = sin2 = 0) gives a zero gain
+    delta = mu - pinned_theta
+    best_m, best_gain = lo, -1.0
+    for k in range(lo, hi + 1):
+        x = k * sigma
+        t = x * x
+        s = math.sin(k * delta)
+        sin2 = s * s
+        denom = math.expm1(min(t, 700.0)) + sin2
+        gain = t * sin2 / denom if denom > 0.0 else 0.0
+        if gain > best_gain:
+            best_m, best_gain = k, gain
+    return ExperimentSetting(float(best_m), pinned_theta)
 
 
 def predicted_iterations(epsilon: float, alpha: float) -> float:

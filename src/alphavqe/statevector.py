@@ -47,6 +47,9 @@ __all__ = [
 
 MAX_QUBITS = 12
 
+# uniforms per block in `sample_pauli_outcomes`: 512 KiB of doubles
+_SHOT_BLOCK = 1 << 16
+
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -76,10 +79,10 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def _n_qubits_of(state: np.ndarray) -> int:
-    n = int(np.log2(state.size))
-    if 2**n != state.size:
-        raise ValueError(f"state length {state.size} is not a power of two")
-    return n
+    size = state.size
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"state length {size} is not a power of two")
+    return size.bit_length() - 1
 
 
 def _apply_one_qubit(state: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
@@ -345,11 +348,20 @@ def run_phase_circuit(
     return outcome, (state0 if outcome == 0 else state1), p0
 
 
-def sample_pauli_outcomes(
-    state: np.ndarray, pauli: str, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vector of `shots` independent +-1 measurements on fresh preparations."""
+def sample_pauli_outcomes(state: np.ndarray, pauli: str, shots: int, rng: np.random.Generator) -> int:
+    """Number of +1 outcomes among `shots` independent Pauli measurements on
+    fresh preparations.
+
+    Shot k reads +1 when the k-th uniform of `rng` falls below
+    P(+1) = (1 + <P>) / 2.  The uniforms are drawn in blocks of at most
+    `_SHOT_BLOCK`; `Generator.random(n)` equals the same n uniforms drawn in
+    consecutive smaller pieces, so the count does not depend on the block and
+    memory stays bounded at any shot count.
+    """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    p_plus = 0.5 * (1.0 + np.clip(pauli_expectation(state, pauli), -1.0, 1.0))
-    return np.where(rng.random(shots) < p_plus, 1.0, -1.0)
+    p_plus = 0.5 * (1.0 + min(1.0, max(-1.0, pauli_expectation(state, pauli))))
+    count = 0
+    for start in range(0, shots, _SHOT_BLOCK):
+        count += int(np.count_nonzero(rng.random(min(_SHOT_BLOCK, shots - start)) < p_plus))
+    return count

@@ -148,6 +148,40 @@ def dense_operator(apply_fn, dim: int) -> np.ndarray:
     return mat
 
 
+def pm_one_draws(expectation: float, shots: int, seed: int) -> np.ndarray:
+    """The +-1 outcome vector of `shots` Pauli measurements with mean
+    `expectation`, from one unblocked draw of the seeded uniforms: shot k reads
+    +1 where u_k < (1 + <P>) / 2."""
+    p_plus = 0.5 * (1.0 + np.clip(expectation, -1.0, 1.0))
+    return np.where(np.random.default_rng(seed).random(shots) < p_plus, 1.0, -1.0)
+
+
+def window_bounds(policy, belief) -> tuple[int, int]:
+    """The pinned-theta window [lo, hi] of whole counts around the clamped m*."""
+    m = policy.raw_m(belief.sigma)
+    if policy.depth_cap is not None:
+        m = min(m, float(policy.depth_cap))
+    top = np.sqrt(2.0) * m
+    if policy.depth_cap is not None:
+        top = min(top, policy.depth_cap)
+    hi = max(1, int(np.floor(top)))
+    return min(hi, max(1, int(np.ceil(m / np.sqrt(2.0))))), hi
+
+
+def vectorised_window_m(policy, belief, pinned_theta: float) -> float:
+    """The pinned-theta count as one numpy pass: the Bayes gain
+    t sin2 / (e^t - 1 + sin2), t = (m sigma)^2 and sin2 = sin^2(m (mu - theta)),
+    over every whole m in the window at once, zero where the denominator is
+    not positive; the first maximum wins."""
+    lo, hi = window_bounds(policy, belief)
+    ms = np.arange(lo, hi + 1, dtype=float)
+    t = (ms * belief.sigma) ** 2
+    sin2 = np.sin(ms * (belief.mu - pinned_theta)) ** 2
+    denom = np.expm1(np.minimum(t, 700.0)) + sin2
+    gains = np.divide(t * sin2, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    return float(ms[np.argmax(gains)])
+
+
 def brute_posterior_moments(mu, sigma, e, m, theta, n=200_000, seed=0):
     """Posterior mean/std by massive rejection sampling straight from the model."""
     rng = np.random.default_rng(seed)

@@ -29,7 +29,14 @@ from alphavqe.statevector import (
     sample_pauli_outcomes,
 )
 
-from dense_oracles import circuit_branches, dense_eigenvectors, dense_operator, kron_rotation, states_close
+from dense_oracles import (
+    circuit_branches,
+    dense_eigenvectors,
+    dense_operator,
+    kron_rotation,
+    pm_one_draws,
+    states_close,
+)
 
 CONFIG = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
 
@@ -93,11 +100,25 @@ def test_statistical_estimate_on_definite_state():
 def test_statistical_estimate_stderr_is_the_sample_std(value, shots):
     ansatz = ansatz_with_z(value)
     mean, stderr = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(shots))
-    draws = sample_pauli_outcomes(prepare(ansatz), "Z", shots, np.random.default_rng(shots))
+    draws = pm_one_draws(pauli_expectation(prepare(ansatz), "Z"), shots, shots)
     assert mean == draws.mean()
     assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(shots), rel=1e-12, abs=0.0)
     if value == 1.0:
         assert np.all(draws == 1.0) and stderr == 0.0
+
+
+@pytest.mark.parametrize("value", [-1.0, -0.37, 0.0, 0.6, 1.0])
+@pytest.mark.parametrize("shots", [1, 2, 7, 1000, 1500, 2500])
+def test_stage1_count_gives_the_mean_of_the_pm_one_vector_bit_for_bit(value, shots):
+    ansatz = ansatz_with_z(value)
+    state = prepare(ansatz)
+    seed = 1000 * shots + int(100 * value)
+    plus = sample_pauli_outcomes(state, "Z", shots, np.random.default_rng(seed))
+    draws = pm_one_draws(pauli_expectation(state, "Z"), shots, seed)
+    assert plus == np.count_nonzero(draws == 1.0)
+    assert (2 * plus - shots) / shots == draws.mean()
+    mean, _ = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(seed))
+    assert mean == draws.mean()
 
 
 def test_statistical_estimate_concentrates():

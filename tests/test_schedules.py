@@ -16,6 +16,8 @@ from alphavqe.schedules import (
     predicted_iterations,
 )
 
+from dense_oracles import vectorised_window_m, window_bounds
+
 
 def test_theta_is_mu_minus_sigma_for_every_policy():
     belief = NormalBelief(0.7, 0.2)
@@ -94,6 +96,60 @@ def test_pinned_theta_picks_the_least_risk_whole_m_in_the_window():
         assert setting.m in window
         risks = [bayes_risk(ExperimentSetting(float(k), pinned), belief) for k in window]
         assert bayes_risk(setting, belief) == min(risks)
+
+
+def test_pinned_window_matches_the_vectorised_reference():
+    draw = np.random.default_rng(63)
+    lengths = set()
+    # 3 x 2 x 400 = 2400 beliefs
+    for alpha in (0.0, 0.5, 1.0):
+        for capped in (False, True):
+            for _ in range(400):
+                sigma = float(np.exp(draw.uniform(np.log(1e-4), np.log(40.0))))
+                # aim m* anywhere in [0.5, 34], so the window holds 1 to 23 counts
+                scale = float(np.exp(draw.uniform(np.log(0.5), np.log(34.0)))) * sigma**alpha
+                cap = float(draw.uniform(1.0, 40.0)) if capped else None
+                policy = AlphaQPE(alpha, scale=scale, depth_cap=cap)
+                belief = NormalBelief(float(draw.uniform(-4.0, 4.0)), sigma)
+                pinned = float(draw.uniform(-np.pi, np.pi))
+                lo, hi = window_bounds(policy, belief)
+                lengths.add(hi - lo + 1)
+                assert next_setting(policy, belief, pinned) == ExperimentSetting(
+                    vectorised_window_m(policy, belief, pinned), pinned
+                )
+    assert set(range(1, 24)) <= lengths
+
+
+def test_pinned_window_ties_go_to_the_first_count():
+    # mu = theta: sin(m (mu - theta)) = 0, so every gain in the window is 0
+    policy, belief = AlphaQPE(1.0, scale=1.5), NormalBelief(0.3, 0.05)
+    lo, hi = window_bounds(policy, belief)
+    assert (lo, hi) == (22, 42)
+    assert next_setting(policy, belief, 0.3) == ExperimentSetting(22.0, 0.3)
+    assert vectorised_window_m(policy, belief, 0.3) == 22.0
+    # t underflows to 0 as well: the zero denominator gives a zero gain, not a NaN
+    policy, belief = AlphaQPE(0.0, scale=3.0), NormalBelief(0.3, 1e-200)
+    assert next_setting(policy, belief, 0.3) == ExperimentSetting(float(window_bounds(policy, belief)[0]), 0.3)
+
+
+@pytest.mark.parametrize(
+    "alpha, scale, cap, window",
+    [
+        (0.0, 0.3, None, (1, 1)),  # m* = 0.3: the window is cut up to m = 1
+        (1.0, 1.5, 1.0, (1, 1)),  # a cap of 1 leaves m = 1 only
+        (1.0, 1.5, 2.9, (2, 2)),  # m* = 2.9 has no whole count in [2.05, 2.9]: floor(cap)
+        (1.0, 1.5, 5.5, (4, 5)),  # the top of the window is floor(cap), not sqrt 2 m*
+        (0.5, 4.0, None, (29, 56)),  # m* = 40 uncapped
+    ],
+)
+def test_pinned_window_stays_in_one_to_floor_cap(alpha, scale, cap, window):
+    belief = NormalBelief(1.1, 0.01)
+    policy = AlphaQPE(alpha, scale=scale, depth_cap=cap)
+    assert window_bounds(policy, belief) == window
+    for pinned in np.linspace(-np.pi, np.pi, 25):
+        setting = next_setting(policy, belief, float(pinned))
+        assert window[0] <= setting.m <= window[1]
+        assert setting.m == vectorised_window_m(policy, belief, float(pinned))
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.1])

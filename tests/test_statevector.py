@@ -4,6 +4,7 @@ The rotation and its circuit are checked against the Kronecker references in
 dense_oracles, which apply U as its two reflections in the full space."""
 
 import dataclasses
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphavqe.bayes import ExperimentSetting, likelihood
-from alphavqe.expectation import collapse_distribution
+from alphavqe.expectation import collapse_distribution, statistical_estimate
 from alphavqe.statevector import (
+    _SHOT_BLOCK,
     Ansatz,
     MAX_QUBITS,
+    _n_qubits_of,
     apply_ansatz,
     apply_pauli,
     build_rotation_operator,
@@ -35,6 +38,7 @@ from dense_oracles import (
     kron_pauli,
     kron_rotation,
     kron_trial_state,
+    pm_one_draws,
 )
 
 
@@ -369,8 +373,44 @@ def test_run_phase_circuit_is_seed_deterministic():
 
 def test_pauli_sampling_statistics():
     state = prepare(Ansatz(1, 1, np.array([0.9])))
-    draws = sample_pauli_outcomes(state, "Z", 40_000, np.random.default_rng(17))
+    plus = sample_pauli_outcomes(state, "Z", 40_000, np.random.default_rng(17))
+    draws = pm_one_draws(pauli_expectation(state, "Z"), 40_000, 17)
+    assert type(plus) is int and plus == np.count_nonzero(draws == 1.0)
     assert set(np.unique(draws)) <= {-1.0, 1.0}
     assert draws.mean() == pytest.approx(np.cos(0.9), abs=0.02)
     with pytest.raises(ValueError):
         sample_pauli_outcomes(state, "Z", 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shots", [1, _SHOT_BLOCK - 1, _SHOT_BLOCK, _SHOT_BLOCK + 1, 3 * _SHOT_BLOCK + 5])
+def test_pauli_count_does_not_depend_on_the_block(shots):
+    state = prepare(Ansatz(1, 1, np.array([1.3])))
+    plus = sample_pauli_outcomes(state, "Z", shots, np.random.default_rng(shots))
+    assert plus == np.count_nonzero(pm_one_draws(pauli_expectation(state, "Z"), shots, shots) == 1.0)
+
+
+def test_ten_million_shots_count_in_bounded_memory():
+    ansatz = Ansatz(1, 1, np.array([1.1]))
+    shots = 10**7
+    tracemalloc.start()
+    try:
+        plus = sample_pauli_outcomes(prepare(ansatz), "Z", shots, np.random.default_rng(5))
+        mean, _ = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    p_plus = 0.5 * (1.0 + pauli_expectation(prepare(ansatz), "Z"))
+    assert plus == np.count_nonzero(np.random.default_rng(5).random(shots) < p_plus)
+    assert mean == (2 * plus - shots) / shots
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 13))
+def test_qubit_count_of_a_power_of_two_length(n_qubits):
+    assert _n_qubits_of(np.zeros(2**n_qubits, dtype=complex)) == n_qubits
+
+
+@pytest.mark.parametrize("size", [3, 6, 2**12 + 1])
+def test_qubit_count_rejects_other_lengths(size):
+    with pytest.raises(ValueError, match=f"^state length {size} is not a power of two$"):
+        _n_qubits_of(np.zeros(size, dtype=complex))
