@@ -228,7 +228,12 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
     var = sigma**2 * (1.0 - (t / z) * (damp * (2.0 * h - g) / z))
     if not (math.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
-    return NormalBelief(mu, math.sqrt(var))
+    sigma = math.sqrt(var)
+    # mu is finite and sigma positive here, so a finite sigma passes every
+    # check of NormalBelief; anything else goes through it for its message
+    if math.isfinite(sigma):
+        return tuple.__new__(NormalBelief, (mu, sigma))
+    return NormalBelief(mu, sigma)
 
 
 def rejection_filter_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> tuple[NormalBelief, bool]:

@@ -105,7 +105,12 @@ def next_setting(
     if depth_cap is not None and m > depth_cap:
         m = float(depth_cap)
     if pinned_theta is None:
-        return ExperimentSetting(m, mu - sigma)
+        theta = mu - sigma
+        # the checks of ExperimentSetting, inline; a setting that fails them
+        # goes through it for its message
+        if math.isfinite(m) and m > 0.0 and math.isfinite(theta):
+            return tuple.__new__(ExperimentSetting, (m, theta))
+        return ExperimentSetting(m, theta)
     top = math.sqrt(2.0) * m
     if depth_cap is not None:
         top = min(top, depth_cap)

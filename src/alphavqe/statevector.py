@@ -127,7 +127,7 @@ def apply_pauli(state: np.ndarray, pauli: str) -> np.ndarray:
 
 def _ry(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array([[c, -s], [s, c]])
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -190,19 +190,38 @@ class Ansatz:
 
     @functools.cached_property
     def _state(self) -> np.ndarray:
-        state = apply_ansatz(zero_state(self.n_qubits), self)
+        # every gate is real, so the state is built in float64 and converted
+        # once; its real parts equal apply_ansatz's bit for bit, whose
+        # imaginary parts are all exact zeros
+        if not self.layers:
+            state = zero_state(self.n_qubits)
+        else:
+            rows = self.params.reshape(self.layers, self.n_qubits)
+            signs = _cz_ring_signs(self.n_qubits)
+            # the first layer acts on |0...0>: a product state, folded from
+            # the (cos, sin) pairs with qubit 0 most significant
+            pairs = np.array([(math.cos(angle / 2.0), math.sin(angle / 2.0)) for angle in rows[0]])
+            real = pairs[0]
+            for pair in pairs[1:]:
+                real = (real[:, None] * pair).ravel()
+            state = _apply_layers(real * signs, rows[1:], signs).astype(complex)
         state.flags.writeable = False
         return state
 
 
-def apply_ansatz(state: np.ndarray, ansatz: Ansatz) -> np.ndarray:
-    out = np.array(state, dtype=complex)
-    signs = _cz_ring_signs(ansatz.n_qubits)
-    for angles in ansatz.params.reshape(ansatz.layers, ansatz.n_qubits):
+def _apply_layers(state: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Each row of angles as Y rotations on qubits 0, 1, ... and then the
+    controlled-Z ring; the gates are real, so the state keeps its dtype."""
+    for angles in rows:
         for q, angle in enumerate(angles):
-            out = _apply_one_qubit(out, _ry(angle), q)
-        out *= signs
-    return out
+            state = _apply_one_qubit(state, _ry(angle), q)
+        state *= signs
+    return state
+
+
+def apply_ansatz(state: np.ndarray, ansatz: Ansatz) -> np.ndarray:
+    rows = ansatz.params.reshape(ansatz.layers, ansatz.n_qubits)
+    return _apply_layers(np.array(state, dtype=complex), rows, _cz_ring_signs(ansatz.n_qubits))
 
 
 def prepare(ansatz: Ansatz) -> np.ndarray:

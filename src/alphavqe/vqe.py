@@ -10,9 +10,11 @@ Energy estimation splits a total precision budget uniformly over terms
 (epsilon_i = epsilon_total / sum_j |a_j|, so sum_i |a_i| epsilon_i =
 epsilon_total) and supports three modes: exact statevector expectations,
 statistical sampling at ceil(1/epsilon_i^2) shots per term, and the gated
-two-stage estimator.  The outer loop is a derivative-free Nelder-Mead simplex
-that re-evaluates the incumbent on every shrink, which keeps a lucky noisy
-estimate from freezing the search.
+two-stage estimator.  The sampled modes estimate the terms in order from the
+caller's one Generator, each term drawing where the previous one stopped.
+The outer loop is a derivative-free Nelder-Mead simplex that re-evaluates the
+incumbent on every shrink, which keeps a lucky noisy estimate from freezing
+the search.
 """
 
 from __future__ import annotations
@@ -155,8 +157,13 @@ def estimate_energy(
     mode 'exact' evaluates expectations analytically (0 measurements);
     'statistical' and 'alpha' estimate each term to epsilon_i =
     epsilon_total / sum_j |a_j|, the latter through the gated two-stage
-    estimator configured by `two_stage`.  Terms consume independent
-    substreams spawned from rng, so their order cannot leak randomness.
+    estimator configured by `two_stage`.
+
+    Both sampled modes draw every term from `rng` itself, in term order:
+    term i's draws follow term i-1's, so the same seed gives the same bytes
+    and `rng` is left after the last term's draws.  Each draw is a fresh
+    uniform, so the term estimates stay independent.  Any Generator works,
+    whatever its bit generator and however it was seeded.
     """
     if h.n_qubits != ansatz.n_qubits:
         raise ValueError(f"ansatz has {ansatz.n_qubits} qubits, Hamiltonian {h.n_qubits}")
@@ -171,13 +178,12 @@ def estimate_energy(
     if rng is None:
         raise ValueError(f"{mode} mode needs a random generator")
     eps_term = epsilon_total / h.coeff_norm
-    streams = rng.spawn(len(h.terms))
     energy = 0.0
     measurements = 0
     if mode == "statistical":
         shots = math.ceil(1.0 / eps_term**2)
-        for (coeff, pauli), stream in zip(h.terms, streams):
-            mean, _ = statistical_estimate(ansatz, pauli, shots, stream)
+        for coeff, pauli in h.terms:
+            mean, _ = statistical_estimate(ansatz, pauli, shots, rng)
             energy += coeff * mean
             measurements += shots
         return float(energy), measurements
@@ -185,8 +191,8 @@ def estimate_energy(
         config = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=eps_term)
     else:
         config = replace(two_stage, target_epsilon=eps_term)
-    for (coeff, pauli), stream in zip(h.terms, streams):
-        result = two_stage_estimate(ansatz, pauli, config, stream)
+    for coeff, pauli in h.terms:
+        result = two_stage_estimate(ansatz, pauli, config, rng)
         energy += coeff * result.value
         measurements += result.measurements_used
     return float(energy), measurements

@@ -210,6 +210,21 @@ def test_moment_update_handles_near_zero_mass_outcome():
     assert post.sigma == pytest.approx(np.sqrt(3.0) * 1e-4, rel=1e-9)
 
 
+def test_moment_update_returns_a_checked_belief():
+    post = moment_update(NormalBelief(0.3, 0.25), 1, ExperimentSetting(4.0, 0.1))
+    assert type(post) is NormalBelief and post == NormalBelief(*post)
+    # t = (m sigma)^2 = 1 at delta = pi, outcome 0: the width grows about
+    # 1.6-fold and its square overflows, which the constructor refuses as
+    # before, with a plain ValueError that the updater does not route to the grid
+    sigma = 1.3e154
+    prior, setting = NormalBelief(np.pi * sigma, sigma), ExperimentSetting(1.0 / sigma, 0.0)
+    for update in (moment_update, lambda *args: rejection_filter_update(*args)[0]):
+        with pytest.raises(ValueError) as info:
+            update(prior, 0, setting)
+        assert info.type is ValueError
+        assert str(info.value) == "sigma must be finite and positive, got inf"
+
+
 def test_rejection_filter_builtin_model_is_exact_and_rng_free():
     prior = NormalBelief(0.3, 0.25)
     setting = ExperimentSetting(4.0, 0.1)

@@ -14,7 +14,7 @@ from alphavqe.cli import main
 DEFAULT_CSV_DIGESTS = {
     "phase-sim": "b0c361ca7eb102fd318d29399ab0c9baefe8271b56c969db8efb3b292e9abb68",
     "expectation": "0b0f9d1c964d5676f086190049d0493c86345d2bd8411598adfb2451d8fb808a",
-    "vqe": "3278b95a92ac14978a1747c5f083fe6fef40c87ddbaef8c57a5bdd27970cfb0d",
+    "vqe": "2e5a4304a6b50b8b86fd54653b8d2e75305ba20429f6b0c89cb4f5f26f123df6",
 }
 
 

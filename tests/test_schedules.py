@@ -1,5 +1,7 @@
 """Schedule policies, the measurement/depth laws, and the analytic risk curve."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -75,6 +77,40 @@ def test_unpinned_setting_is_the_policy_rule_bit_for_bit():
         want = ExperimentSetting(m, belief.mu - belief.sigma)
         assert next_setting(policy, belief) == want
         assert next_setting(policy, belief, None) == want
+
+
+class FixedM:
+    """A policy stand-in whose rule returns one m, uncapped."""
+
+    depth_cap = None
+
+    def __init__(self, m):
+        self.m = m
+
+    def raw_m(self, sigma):
+        return self.m
+
+
+def test_unpinned_setting_is_a_checked_setting():
+    for policy, belief in random_policies_and_beliefs(62, 50):
+        assert type(next_setting(policy, belief)) is ExperimentSetting
+
+
+@pytest.mark.parametrize(
+    "policy, belief, message",
+    [
+        # the rule's m underflows to 0, overflows to inf, or is nan
+        (AlphaQPE(1.0, scale=5e-324), NormalBelief(0.0, 4.0), "m must be finite and positive, got 0.0"),
+        (RFPE(), NormalBelief(0.0, 1e-320), "m must be finite and positive, got inf"),
+        (FixedM(math.nan), NormalBelief(0.0, 1.0), "m must be finite and positive, got nan"),
+        # theta = mu - sigma overflows
+        (AlphaQPE(0.0), NormalBelief(-1e308, 1e308), "theta must be finite, got -inf"),
+    ],
+)
+def test_unpinned_setting_refuses_what_the_constructor_refuses(policy, belief, message):
+    with pytest.raises(ValueError) as info:
+        next_setting(policy, belief)
+    assert info.type is ValueError and str(info.value) == message
 
 
 def test_pinned_theta_picks_the_least_risk_whole_m_in_the_window():

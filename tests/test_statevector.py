@@ -166,6 +166,21 @@ def test_ansatz_matches_kron_oracle(n_qubits, layers):
     assert_allclose(kron_trial_state(ansatz), want[:, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("layers", range(4))
+@pytest.mark.parametrize("n_qubits", range(1, MAX_QUBITS + 1))
+def test_prepared_state_is_the_gate_level_path_bit_for_bit(n_qubits, layers):
+    # prepare builds the state in float64; the complex gate-level path has
+    # exact zeros for imaginary parts, so the real parts must agree exactly
+    rng = np.random.default_rng(100 * n_qubits + layers)
+    ansatz = random_ansatz(n_qubits, layers, rng)
+    state = prepare(ansatz)
+    gates = apply_ansatz(zero_state(n_qubits), ansatz)
+    assert state.dtype == gates.dtype == complex
+    assert np.array_equal(state.real, gates.real)
+    assert not state.imag.any() and not gates.imag.any()
+    assert_allclose(state, kron_trial_state(ansatz), atol=1e-12)
+
+
 @pytest.mark.parametrize("n_qubits,layers", [(1, 2), (2, 1), (2, 3), (3, 2), (4, 1)])
 def test_ansatz_is_unitary_and_adjoint_inverts(n_qubits, layers):
     rng = np.random.default_rng(10 * n_qubits + layers)

@@ -1,10 +1,12 @@
 """Hamiltonian ingestion, energy estimation, and the variational loop."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from alphavqe.expectation import TwoStageConfig
+from alphavqe.expectation import TwoStageConfig, statistical_estimate, two_stage_estimate
 from alphavqe.statevector import Ansatz, pauli_expectation, prepare
 from alphavqe.vqe import (
     Hamiltonian,
@@ -155,6 +157,59 @@ def test_estimate_energy_statistical_is_seed_deterministic():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+# a 3-qubit transverse-field Ising ring and angles that send one term down
+# the phase-estimation path and the others to the statistical fallback
+TFIM3 = Hamiltonian(
+    ((1.0, "ZZI"), (1.0, "IZZ"), (1.0, "ZIZ"), (0.7, "XII"), (0.7, "IXI"), (0.7, "IIX")), 3
+)
+TFIM3_ANSATZ = Ansatz(3, 1, np.array([1.0, 0.3, 0.2]))
+
+
+def term_by_term(h, ansatz, mode, epsilon_total, rng):
+    """estimate_energy written out as a loop that estimates each term from rng
+    in turn; returns (energy, measurements, paths taken)."""
+    eps_term = epsilon_total / h.coeff_norm
+    energy, used, paths = 0.0, 0, []
+    for coeff, pauli in h.terms:
+        if mode == "statistical":
+            shots = math.ceil(1.0 / eps_term**2)
+            value, _ = statistical_estimate(ansatz, pauli, shots, rng)
+            paths.append("statistical")
+        else:
+            config = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=eps_term)
+            result = two_stage_estimate(ansatz, pauli, config, rng)
+            value, shots = result.value, result.measurements_used
+            paths.append(result.path)
+        energy += coeff * value
+        used += shots
+    return float(energy), used, paths
+
+
+def legacy_generator(seed):
+    # seeded as RandomState seeds itself: with no SeedSequence behind it,
+    # Generator.spawn raises TypeError
+    bit_generator = np.random.MT19937(0)
+    bit_generator._legacy_seeding(seed)
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize(
+    "make_rng",
+    [lambda: np.random.default_rng(21), lambda: legacy_generator(4)],
+    ids=["pcg64", "legacy-mt19937"],
+)
+@pytest.mark.parametrize("mode", ["statistical", "alpha"])
+def test_estimate_energy_draws_every_term_from_the_one_generator(mode, make_rng):
+    rng, loop_rng = make_rng(), make_rng()
+    got = estimate_energy(TFIM3, TFIM3_ANSATZ, mode, epsilon_total=0.5, rng=rng)
+    energy, used, paths = term_by_term(TFIM3, TFIM3_ANSATZ, mode, 0.5, loop_rng)
+    assert got == (energy, used)
+    # both leave the Generator at the same place
+    assert rng.random() == loop_rng.random()
+    if mode == "alpha":
+        assert "alpha_qpe" in paths and "statistical_fallback" in paths
 
 
 def test_optimizer_config_validation():
