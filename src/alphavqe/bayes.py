@@ -118,12 +118,15 @@ class ExperimentSetting(_Validated, _ExperimentSettingFields):
         return tuple.__new__(cls, (m, theta))
 
 
-def likelihood(e: int, phi, setting: ExperimentSetting):
-    """Probability of outcome e in {0, 1} at phase phi (scalar or array)."""
+def likelihood(e: int, phi, setting: tuple[float, float]):
+    """Probability of outcome e in {0, 1} at phase phi (scalar or array).
+
+    setting is an `ExperimentSetting` or a plain (m, theta) pair."""
     if e not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {e!r}")
     sign = 1.0 if e == 0 else -1.0
-    return 0.5 * (1.0 + sign * np.cos(setting.m * (phi - setting.theta)))
+    m, theta = setting
+    return 0.5 * (1.0 + sign * np.cos(m * (phi - theta)))
 
 
 @dataclass
@@ -153,17 +156,15 @@ class GridBelief:
     @classmethod
     def from_normal(
         cls,
-        belief: NormalBelief,
+        belief: tuple[float, float],
         half_width: float = GRID_HALF_WIDTH,
         points: int = GRID_POINTS,
     ) -> "GridBelief":
-        """Discretize a normal on [mu - W sigma, mu + W sigma]."""
-        support = np.linspace(
-            belief.mu - half_width * belief.sigma,
-            belief.mu + half_width * belief.sigma,
-            points,
-        )
-        z = (support - belief.mu) / belief.sigma
+        """Discretize a normal, a `NormalBelief` or a plain (mu, sigma) pair,
+        on [mu - W sigma, mu + W sigma]."""
+        mu, sigma = belief
+        support = np.linspace(mu - half_width * sigma, mu + half_width * sigma, points)
+        z = (support - mu) / sigma
         w = np.exp(-0.5 * z * z)
         return cls(support, w / w.sum())
 
@@ -178,14 +179,13 @@ class GridBelief:
         return float(np.sqrt(self.variance()))
 
 
-def exact_update(prior: GridBelief, e: int, setting: ExperimentSetting) -> GridBelief:
+def exact_update(prior: GridBelief, e: int, setting: tuple[float, float]) -> GridBelief:
     """Exact Bayesian update on the grid: the oracle and fallback for the closed-form update."""
     w = prior.weights * likelihood(e, prior.support, setting)
     total = w.sum()
     if not (np.isfinite(total) and total > 0.0):
-        raise DegenerateUpdateError(
-            f"posterior mass vanished for outcome {e} at m={setting.m}, theta={setting.theta}"
-        )
+        m, theta = setting
+        raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}, theta={theta}")
     return GridBelief(prior.support, w / total)
 
 
@@ -211,6 +211,12 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
         1 + s c          = g + 2 e^(-t/2) h
         s c + c^2 + q^2  = e^(-t/2) (2 h - g)
     """
+    return tuple.__new__(NormalBelief, _moment_pair(prior, e, setting))
+
+
+def _moment_pair(prior: tuple[float, float], e: int, setting: tuple[float, float]) -> tuple[float, float]:
+    """`moment_update`'s closed form on plain pairs: (mu, sigma) and (m, theta)
+    in, a (mu, sigma) pair that passes every check of `NormalBelief` out."""
     if e not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {e!r}")
     s = 1.0 if e == 0 else -1.0
@@ -229,30 +235,35 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
     if not (math.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
     sigma = math.sqrt(var)
-    # mu is finite and sigma positive here, so a finite sigma passes every
-    # check of NormalBelief; anything else goes through it for its message
-    if math.isfinite(sigma):
-        return tuple.__new__(NormalBelief, (mu, sigma))
-    return NormalBelief(mu, sigma)
+    # mu is finite and sigma positive here, so only an infinite sigma fails
+    # the checks of NormalBelief, which then raises its own error
+    if not math.isfinite(sigma):
+        NormalBelief(mu, sigma)
+    return mu, sigma
 
 
-def rejection_filter_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> tuple[NormalBelief, bool]:
-    """One normal-to-normal Bayesian update step.  Returns (posterior, starved).
+def rejection_filter_update(
+    prior: tuple[float, float], e: int, setting: tuple[float, float]
+) -> tuple[tuple[float, float], bool]:
+    """One normal-to-normal Bayesian update step.  Returns ((mu, sigma), starved).
 
-    `moment_update` gives the refit normal exactly; an outcome that leaves
-    it no mass falls back to the exact grid posterior and reports
-    starved=True.  Its cancellation-free form loses the mass only when
-    (m sigma)^2 underflows to 0 at delta = 0, where the grid has none either
-    and the error propagates.
+    The prior and setting may be value types or plain pairs, and the
+    posterior comes back as a plain pair that passes every check of
+    `NormalBelief`: the estimation loop carries its belief as such pairs.
+    The closed form of `moment_update` gives the refit normal exactly; an
+    outcome that leaves it no mass falls back to the exact grid posterior
+    and reports starved=True.  Its cancellation-free form loses the mass
+    only when (m sigma)^2 underflows to 0 at delta = 0, where the grid has
+    none either and the error propagates.
 
     The name is kept from the rejection-filter sampler this update replaced,
     because it is public and instrumentation wraps it by name.
     """
     try:
-        return moment_update(prior, e, setting), False
+        return _moment_pair(prior, e, setting), False
     except DegenerateUpdateError:
         post = exact_update(GridBelief.from_normal(prior), e, setting)
-        return NormalBelief(post.mean(), post.std()), True
+        return tuple(NormalBelief(post.mean(), post.std())), True
 
 
 def _gain(t, sin2):

@@ -4,19 +4,27 @@ A run threads a normal belief through repeated single-bit measurements.
 `run_estimation` is the one estimation loop: plain phase estimation and stage
 2 of the two-stage expectation estimator both run through it.
 
-An oracle has a `pinned_theta` attribute and `sample(setting, u) -> outcome`.
-The loop draws u, one uniform in [0, 1), from its Generator, and the oracle
-returns 0 when u falls below P(0) at that setting and 1 otherwise, so the
-outcome is a bit from the cosine likelihood.  pinned_theta is None when any
-(m, theta) can be run, or the one theta the oracle can read out at, which
-`next_setting` then holds fixed while it picks a whole m.  `SyntheticOracle`
-compares u with the cosine at a hidden true phase.
+An oracle has a `pinned_theta` attribute and `sample(setting, u) -> outcome`,
+where setting is a plain (m, theta) tuple.  The loop draws u, one uniform in
+[0, 1), from its Generator, and the oracle returns 0 when u falls below P(0)
+at that setting and 1 otherwise, so the outcome is a bit from the cosine
+likelihood.  pinned_theta is None when any (m, theta) can be run, or the one
+theta the oracle can read out at, which `next_setting` then holds fixed while
+it picks a whole m.  `SyntheticOracle` compares u with the cosine at a hidden
+true phase.
 
-Each iteration takes one uniform and appends one `TraceRow`, an immutable
-named tuple, to the trace.  The loop draws its uniforms in blocks, and on
-every exit it leaves the Generator exactly where one scalar `random()` call
-per completed iteration would.  Identical seeds and configuration reproduce
-traces bit for bit.
+Inside the loop the belief and the setting are plain (mu, sigma) and
+(m, theta) tuples: `next_setting` returns the setting as a pair, the oracle
+receives it, and `rejection_filter_update` takes and returns pairs, each
+checked as its value type would check it.  The validated value types sit at
+the loop's edges: the prior comes in as a `NormalBelief`, the run returns a
+`NormalBelief`, and each iteration appends one `TraceRow`, an immutable named
+tuple, to the trace.
+
+Each iteration takes one uniform.  The loop draws its uniforms in blocks, and
+on every exit it leaves the Generator exactly where one scalar `random()`
+call per completed iteration would.  Identical seeds and configuration
+reproduce traces bit for bit.
 """
 
 from __future__ import annotations
@@ -112,7 +120,7 @@ def run_estimation(
     uniform per completed iteration, whatever way the run ends.  At least one
     stopping rule is required.  If only epsilon is given and the hard cap of
     10**6 iterations is reached, EstimationTimeout is raised with the partial
-    trace attached.
+    trace attached.  Every return gives the belief as a `NormalBelief`.
     """
     if epsilon is None and max_iterations is None:
         raise ValueError("provide a stopping rule: epsilon and/or max_iterations")
@@ -126,8 +134,9 @@ def run_estimation(
     # names see every iteration
     pinned_theta, sample = oracle.pinned_theta, oracle.sample
     choose, update = next_setting, rejection_filter_update
-    cap, new_row = HARD_ITERATION_CAP, TraceRow._make
-    belief = prior
+    cap, new_row = HARD_ITERATION_CAP, tuple.__new__
+    # the belief and the setting are checked plain pairs inside the loop
+    belief, sigma = prior, prior.sigma
     rows: list[TraceRow] = []
     k = 0
     # iteration k takes block[k - base]; `saved` is the Generator's state
@@ -137,11 +146,11 @@ def run_estimation(
         while True:
             if max_iterations is not None and k >= max_iterations:
                 break
-            if epsilon is not None and belief.sigma <= epsilon:
+            if epsilon is not None and sigma <= epsilon:
                 break
             if k >= cap:
                 raise EstimationTimeout(
-                    f"sigma={belief.sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
+                    f"sigma={sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
                     EstimationTrace(tuple(rows), prior.mu, prior.sigma),
                 )
             if k - base == len(block):
@@ -150,8 +159,10 @@ def run_estimation(
             setting = choose(policy, belief, pinned_theta)
             outcome = sample(setting, block[k - base])
             belief, starved = update(belief, outcome, setting)
+            m, theta = setting
+            mu, sigma = belief
             k += 1
-            rows.append(new_row((k, setting.m, setting.theta, outcome, belief.mu, belief.sigma, starved)))
+            rows.append(new_row(TraceRow, (k, m, theta, outcome, mu, sigma, starved)))
     finally:
         # Generator.random(n) gives the same values as n scalar calls, so
         # rewinding and redrawing the used part of the block leaves the
@@ -159,7 +170,7 @@ def run_estimation(
         if saved is not None:
             bit_generator.state = saved
             rng.random(k - base)
-    return belief, EstimationTrace(tuple(rows), prior.mu, prior.sigma)
+    return tuple.__new__(NormalBelief, belief), EstimationTrace(tuple(rows), prior.mu, prior.sigma)
 
 
 def circular_distance(a, b):

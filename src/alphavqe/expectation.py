@@ -56,7 +56,7 @@ from . import engine
 # rejection_filter_update, next_setting and run_phase_circuit go uncalled
 # here (stage 2 reads its p0 from RotationOperator.readout_p0): bench/tracing.py
 # patches them by name
-from .bayes import ExperimentSetting, NormalBelief, rejection_filter_update
+from .bayes import NormalBelief, rejection_filter_update
 from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
@@ -269,7 +269,7 @@ class _TrialStateCircuit:
     op: RotationOperator
     pinned_theta = 0.0
 
-    def sample(self, setting: ExperimentSetting, u: float) -> int:
+    def sample(self, setting: tuple[float, float], u: float) -> int:
         return 0 if u < self.op.readout_p0(setting) else 1
 
 

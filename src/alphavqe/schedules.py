@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ExperimentSetting, NormalBelief, variance_gain
+from .bayes import ExperimentSetting, variance_gain
 
 __all__ = [
     "AlphaQPE",
@@ -86,9 +86,14 @@ SchedulePolicy = AlphaQPE | RFPE
 
 
 def next_setting(
-    policy: SchedulePolicy, belief: NormalBelief, pinned_theta: float | None = None
-) -> ExperimentSetting:
-    """Next circuit setting under the policy.
+    policy: SchedulePolicy, belief: tuple[float, float], pinned_theta: float | None = None
+) -> tuple[float, float]:
+    """Next circuit setting under the policy, as a plain (m, theta) pair.
+
+    The belief is a `NormalBelief` or a plain (mu, sigma) pair; the estimation
+    loop passes pairs.  The pair returned passes every check of
+    `ExperimentSetting`; a setting that fails them raises that constructor's
+    ValueError, with its message.
 
     Unpinned: the policy's m rule (clamped to its depth cap) plus
     theta = mu - sigma.  An oracle that can only read out at a fixed theta
@@ -109,13 +114,18 @@ def next_setting(
         # the checks of ExperimentSetting, inline; a setting that fails them
         # goes through it for its message
         if math.isfinite(m) and m > 0.0 and math.isfinite(theta):
-            return tuple.__new__(ExperimentSetting, (m, theta))
-        return ExperimentSetting(m, theta)
+            return m, theta
+        return tuple(ExperimentSetting(m, theta))
     top = math.sqrt(2.0) * m
     if depth_cap is not None:
         top = min(top, depth_cap)
     hi = max(1, math.floor(top))
     lo = min(hi, max(1, math.ceil(m / math.sqrt(2.0))))
+    # every count in the window is finite and positive, so only theta can fail
+    # the checks of ExperimentSetting; math.sin would refuse an infinite one
+    # with a message of its own
+    if not math.isfinite(pinned_theta):
+        return tuple(ExperimentSetting(float(lo), pinned_theta))
     # the least bayes_risk is the largest `bayes._gain`, written out in scalar
     # math over the whole counts: the first maximum wins a tie, and a zero
     # denominator (t = sin2 = 0) gives a zero gain
@@ -130,7 +140,7 @@ def next_setting(
         gain = t * sin2 / denom if denom > 0.0 else 0.0
         if gain > best_gain:
             best_m, best_gain = k, gain
-    return ExperimentSetting(float(best_m), pinned_theta)
+    return float(best_m), pinned_theta
 
 
 def predicted_iterations(epsilon: float, alpha: float) -> float:

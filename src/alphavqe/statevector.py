@@ -298,7 +298,7 @@ class RotationOperator:
         norm2 = float(np.vdot(b, b).real)
         return phi, math.sin(phi), norm2, complex(np.vdot(b, restricted @ b)) - cos_phi * norm2
 
-    def readout_p0(self, setting: ExperimentSetting) -> float:
+    def readout_p0(self, setting: tuple[float, float]) -> float:
         """Exact P(0) of the ancilla circuit on base_state, at O(1) cost in the qubit count.
 
         In plane coordinates P(0) = (1 + Re(e^{-i m theta} <b|M^m|b>)) / 2
@@ -308,11 +308,11 @@ class RotationOperator:
 
         whose ratio tends to m at phi = 0, a Pauli eigenstate's plane.
         """
-        m = _circuit_m(setting)
+        m, theta = _circuit_m(setting)
         phi, sin_phi, norm2, offset = self._readout_terms
         ratio = math.sin(m * phi) / sin_phi if sin_phi else float(m)
         amplitude = math.cos(m * phi) * norm2 + ratio * offset
-        p0 = 0.5 * (1.0 + (cmath.exp(-1j * m * setting.theta) * amplitude).real)
+        p0 = 0.5 * (1.0 + (cmath.exp(-1j * m * theta) * amplitude).real)
         return min(max(p0, 0.0), 1.0)
 
 
@@ -320,10 +320,12 @@ def build_rotation_operator(ansatz: Ansatz, pauli: str) -> RotationOperator:
     return RotationOperator(ansatz, pauli)
 
 
-def _circuit_m(setting: ExperimentSetting) -> int:
-    if abs(setting.m - round(setting.m)) > 1e-9 or setting.m < 1.0:
-        raise ValueError(f"circuit execution needs integer m >= 1, got {setting.m}")
-    return int(round(setting.m))
+def _circuit_m(setting: tuple[float, float]) -> tuple[int, float]:
+    """(m, theta) of a setting, with m as the whole count a circuit runs."""
+    m, theta = setting
+    if abs(m - round(m)) > 1e-9 or m < 1.0:
+        raise ValueError(f"circuit execution needs integer m >= 1, got {m}")
+    return int(round(m)), theta
 
 
 def _ancilla_branches(
@@ -357,11 +359,11 @@ def run_phase_circuit(
     exactly; on the trial state, an even superposition of the two
     eigenvectors, p0 is (1 + cos(m phi) cos(m theta)) / 2.
     """
-    m = _circuit_m(setting)
+    m, theta = _circuit_m(setting)
     if system_state.size != 2**op.n_qubits:
         raise ValueError("system state dimension does not match the operator")
     state = np.array(system_state, dtype=complex)
-    turned = op.power_apply(state * np.exp(-1j * m * setting.theta), m)
+    turned = op.power_apply(state * np.exp(-1j * m * theta), m)
     (p0, state0), (_, state1) = _ancilla_branches(state, turned)
     outcome = 0 if rng.random() < p0 else 1
     return outcome, (state0 if outcome == 0 else state1), p0

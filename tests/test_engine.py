@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import alphavqe.bayes as bayes
 import alphavqe.engine as engine
-from alphavqe.bayes import ExperimentSetting, NormalBelief, likelihood
+from alphavqe.bayes import DegenerateUpdateError, ExperimentSetting, GridBelief, NormalBelief, exact_update, likelihood
 from alphavqe.engine import (
     EstimationTimeout,
     SyntheticOracle,
@@ -162,7 +163,9 @@ def test_hard_cap_raises_with_partial_trace(monkeypatch):
             epsilon=1e-9,
             seed=1,
         )
-    assert len(err.value.trace.rows) == 6
+    rows = err.value.trace.rows
+    assert len(rows) == 6
+    assert str(err.value) == f"sigma={rows[-1].sigma:.3g} after 6 iterations without reaching epsilon=1e-09"
 
 
 def test_circular_distance_wraps():
@@ -282,3 +285,49 @@ def test_a_shared_generator_reproduces_scalar_draws_across_runs():
     for row in first.rows + second.rows:
         u = stream.random()
         assert row.outcome == (0 if u < likelihood(0, 0.3, ExperimentSetting(row.m, row.theta)) else 1)
+
+
+@pytest.mark.parametrize(
+    "stop",
+    [
+        dict(max_iterations=0),
+        dict(epsilon=2.0),  # the prior already meets it
+        dict(epsilon=0.02),
+        dict(max_iterations=7),
+    ],
+)
+def test_run_returns_a_normal_belief_on_every_exit(stop):
+    prior = NormalBelief(0.2, 0.8)
+    belief, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), prior, seed=3, **stop)
+    assert type(belief) is NormalBelief
+    last = trace.rows[-1] if trace.rows else None
+    assert belief == (prior if last is None else (last.mu, last.sigma))
+
+
+def test_a_starved_update_takes_the_grid_posterior_and_the_run_goes_on(monkeypatch):
+    # the closed form degenerates on the fourth update only
+    closed_form, calls = bayes._moment_pair, []
+
+    def degenerate_once(prior, e, setting):
+        calls.append((prior, e, setting))
+        if len(calls) == 4:
+            raise DegenerateUpdateError("injected")
+        return closed_form(prior, e, setting)
+
+    monkeypatch.setattr(bayes, "_moment_pair", degenerate_once)
+    gen = np.random.default_rng(17)
+    belief, trace = run_estimation(
+        SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=gen
+    )
+    rows = trace.rows
+    assert [row.starved for row in rows] == [False] * 3 + [True] + [False] * 36
+    before, row, after = rows[2:5]
+    # the fallback saw the loop's plain pairs and returned the grid posterior
+    assert calls[3] == ((before.mu, before.sigma), row.outcome, (row.m, row.theta))
+    want = exact_update(GridBelief.from_normal((before.mu, before.sigma)), row.outcome, (row.m, row.theta))
+    assert (row.mu, row.sigma) == (want.mean(), want.std())
+    # the next update starts from it, and the run goes on to its stop
+    assert calls[4] == ((row.mu, row.sigma), after.outcome, (after.m, after.theta))
+    assert len(calls) == len(rows) == 40
+    assert type(belief) is NormalBelief and belief == (rows[-1].mu, rows[-1].sigma)
+    assert gen.random() == next_uniform_after(17, 40)

@@ -24,22 +24,31 @@ from dense_oracles import vectorised_window_m, window_bounds
 def test_theta_is_mu_minus_sigma_for_every_policy():
     belief = NormalBelief(0.7, 0.2)
     for policy in (AlphaQPE(0.5), RFPE(), RFPE(scale=1.0, depth_cap=16.0), AlphaQPE(0.0)):
-        assert next_setting(policy, belief).theta == pytest.approx(0.5)
+        _, theta = next_setting(policy, belief)
+        assert theta == pytest.approx(0.5)
 
 
 def test_alpha_qpe_repetition_counts():
     belief = NormalBelief(0.0, 0.01)
-    assert next_setting(AlphaQPE(0.0), belief).m == pytest.approx(1.0)
-    assert next_setting(AlphaQPE(0.5), belief).m == pytest.approx(10.0)
-    assert next_setting(AlphaQPE(1.0), belief).m == pytest.approx(100.0)
-    assert next_setting(AlphaQPE(1.0, scale=1.25), belief).m == pytest.approx(125.0)
+    for policy, want in (
+        (AlphaQPE(0.0), 1.0),
+        (AlphaQPE(0.5), 10.0),
+        (AlphaQPE(1.0), 100.0),
+        (AlphaQPE(1.0, scale=1.25), 125.0),
+    ):
+        m, _ = next_setting(policy, belief)
+        assert m == pytest.approx(want)
 
 
 def test_rfpe_and_beta_qpe_ceil_rule():
     belief = NormalBelief(0.0, 0.3)
-    assert next_setting(RFPE(), belief).m == 5.0  # ceil(1.25 / 0.3)
-    assert next_setting(RFPE(scale=1.0, depth_cap=16.0), belief).m == 4.0  # ceil(1 / 0.3)
-    assert next_setting(RFPE(scale=1.0, depth_cap=2.0), belief).m == 2.0  # budget binds
+    for policy, want in (
+        (RFPE(), 5.0),  # ceil(1.25 / 0.3)
+        (RFPE(scale=1.0, depth_cap=16.0), 4.0),  # ceil(1 / 0.3)
+        (RFPE(scale=1.0, depth_cap=2.0), 2.0),  # budget binds
+    ):
+        m, _ = next_setting(policy, belief)
+        assert m == want
 
 
 def test_depth_cap_clamps_every_policy():
@@ -49,12 +58,14 @@ def test_depth_cap_clamps_every_policy():
         RFPE(depth_cap=32.0),
         RFPE(scale=1.0, depth_cap=32.0),
     ):
-        assert next_setting(policy, belief).m == 32.0
+        m, _ = next_setting(policy, belief)
+        assert m == 32.0
 
 
 def test_statistical_sampling_never_repeats():
     for sigma in (1.0, 0.1, 1e-6):
-        assert next_setting(AlphaQPE(0.0), NormalBelief(0.0, sigma)).m == 1.0
+        m, _ = next_setting(AlphaQPE(0.0), NormalBelief(0.0, sigma))
+        assert m == 1.0
 
 
 def random_policies_and_beliefs(seed, n):
@@ -93,7 +104,10 @@ class FixedM:
 
 def test_unpinned_setting_is_a_checked_setting():
     for policy, belief in random_policies_and_beliefs(62, 50):
-        assert type(next_setting(policy, belief)) is ExperimentSetting
+        s = next_setting(policy, belief)
+        assert type(s) is tuple and ExperimentSetting(*s) == s
+        # the estimation loop passes its belief as a plain pair
+        assert next_setting(policy, tuple(belief)) == s
 
 
 @pytest.mark.parametrize(
@@ -113,25 +127,34 @@ def test_unpinned_setting_refuses_what_the_constructor_refuses(policy, belief, m
     assert info.type is ValueError and str(info.value) == message
 
 
+@pytest.mark.parametrize("pinned", [math.nan, math.inf, -math.inf])
+def test_pinned_setting_refuses_a_non_finite_theta(pinned):
+    with pytest.raises(ValueError) as info:
+        next_setting(AlphaQPE(0.5, scale=1.5, depth_cap=32.0), NormalBelief(0.25, 0.125), pinned)
+    assert info.type is ValueError and str(info.value) == f"theta must be finite, got {pinned}"
+
+
 def test_pinned_theta_picks_the_least_risk_whole_m_in_the_window():
     for policy, belief in random_policies_and_beliefs(62, 300):
         pinned = float(np.random.default_rng(int(1e6 * belief.sigma)).uniform(-np.pi, np.pi))
-        star = next_setting(policy, belief).m
+        star, _ = next_setting(policy, belief)
         setting = next_setting(policy, belief, pinned)
-        assert setting.theta == pinned
-        assert setting.m == round(setting.m) and setting.m >= 1.0
+        assert type(setting) is tuple and ExperimentSetting(*setting) == setting
+        m, theta = setting
+        assert theta == pinned
+        assert m == round(m) and m >= 1.0
         if policy.depth_cap is not None:
-            assert setting.m <= np.floor(policy.depth_cap)
+            assert m <= np.floor(policy.depth_cap)
         # the window [m*/sqrt 2, sqrt 2 m*], cut to [1, floor(cap)]
         top = np.sqrt(2.0) * star if policy.depth_cap is None else min(np.sqrt(2.0) * star, np.floor(policy.depth_cap))
         window = [k for k in range(1, int(np.floor(top)) + 1) if k >= star / np.sqrt(2.0)]
         if not window:
             # the window holds no whole count inside the cap: the nearest one is used
-            assert setting.m == max(1.0, np.floor(top))
+            assert m == max(1.0, np.floor(top))
             continue
-        assert setting.m in window
+        assert m in window
         risks = [bayes_risk(ExperimentSetting(float(k), pinned), belief) for k in window]
-        assert bayes_risk(setting, belief) == min(risks)
+        assert bayes_risk(ExperimentSetting(*setting), belief) == min(risks)
 
 
 def test_pinned_window_matches_the_vectorised_reference():
@@ -183,9 +206,9 @@ def test_pinned_window_stays_in_one_to_floor_cap(alpha, scale, cap, window):
     policy = AlphaQPE(alpha, scale=scale, depth_cap=cap)
     assert window_bounds(policy, belief) == window
     for pinned in np.linspace(-np.pi, np.pi, 25):
-        setting = next_setting(policy, belief, float(pinned))
-        assert window[0] <= setting.m <= window[1]
-        assert setting.m == vectorised_window_m(policy, belief, float(pinned))
+        m, _ = next_setting(policy, belief, float(pinned))
+        assert window[0] <= m <= window[1]
+        assert m == vectorised_window_m(policy, belief, float(pinned))
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.1])
