@@ -21,7 +21,8 @@ readout is the plain cosine
 
 symmetric under phi -> -phi (Knill, Ortiz & Somma, PRA 75, 012328, 2007).
 The belief update needs no branch bookkeeping, and each iteration costs one
-measurement.
+measurement.  The simulated readout takes P(0) from the exact eigenphase
+phi = 2 arccos |<P>|, so stage 2 builds no rotation operator.
 
 The two-measurement collapse toward one eigenvector is kept as a checked
 diagnostic (`collapse_state`, `collapse_distribution`), not as part of the
@@ -53,16 +54,19 @@ import numpy as np
 # stage 2 calls engine.run_estimation through the module, so a wrapper
 # installed on the module attribute sees every run
 from . import engine
-# rejection_filter_update, next_setting and run_phase_circuit go uncalled
-# here (stage 2 reads its p0 from RotationOperator.readout_p0): bench/tracing.py
-# patches them by name
+# rejection_filter_update, next_setting, run_phase_circuit and
+# build_rotation_operator go uncalled here (stage 2 reads its p0 from the
+# exact eigenphase): bench/tracing.py patches them by name
 from .bayes import NormalBelief, rejection_filter_update
 from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
     RotationOperator,
     _ancilla_branches,
+    _eigenphase,
+    _trial_state_p0,
     build_rotation_operator,
+    pauli_expectation,
     prepare,
     run_phase_circuit,
     sample_pauli_outcomes,
@@ -263,14 +267,15 @@ def collapse_distribution(op: RotationOperator) -> dict[tuple[int, int], tuple[f
 @dataclass(frozen=True)
 class _TrialStateCircuit:
     """Stage-2 oracle: one ancilla circuit on the freshly prepared trial
-    state, read out at theta = 0, where it follows the plain cosine.  Its
-    P(0) comes from `RotationOperator.readout_p0` in plane coordinates."""
+    state, read out at theta = 0, where it follows the plain cosine.  It
+    holds the term's exact eigenphase phi, and its P(0) is
+    `statevector._trial_state_p0` at phi."""
 
-    op: RotationOperator
+    phi: float
     pinned_theta = 0.0
 
     def sample(self, setting: tuple[float, float], u: float) -> int:
-        return 0 if u < self.op.readout_p0(setting) else 1
+        return 0 if u < _trial_state_p0(self.phi, setting) else 1
 
 
 @dataclass(frozen=True)
@@ -327,7 +332,7 @@ def two_stage_estimate(
             iterations=0,
         )
 
-    phi0 = float(2.0 * np.arccos(np.clip(abs(s1.estimate), 0.0, 1.0)))
+    phi0 = _eigenphase(s1.estimate)
     # for +-1 shots the arccos map is variance-stabilizing: the standard
     # error of 2 arccos|a_hat| is 2/sqrt(n) whatever the magnitude, so the
     # phase prior can start this tight with a factor-2 margin; a wide prior
@@ -338,7 +343,7 @@ def two_stage_estimate(
     policy = AlphaQPE(
         config.alpha, scale=config.schedule_scale, depth_cap=float(np.floor(config.d_max))
     )
-    oracle = _TrialStateCircuit(build_rotation_operator(ansatz, pauli))
+    oracle = _TrialStateCircuit(_eigenphase(pauli_expectation(prepare(ansatz), pauli)))
     epsilon = config.stop_sigma_factor * config.target_epsilon
     belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
     rows = trace.rows

@@ -93,7 +93,8 @@ def next_setting(
     The belief is a `NormalBelief` or a plain (mu, sigma) pair; the estimation
     loop passes pairs.  The pair returned passes every check of
     `ExperimentSetting`; a setting that fails them raises that constructor's
-    ValueError, with its message.
+    ValueError, with its message.  The pinned path runs those checks on
+    the clamped rule m before its window, so both paths refuse a bad m alike.
 
     Unpinned: the policy's m rule (clamped to its depth cap) plus
     theta = mu - sigma.  An oracle that can only read out at a fixed theta
@@ -116,16 +117,16 @@ def next_setting(
         if math.isfinite(m) and m > 0.0 and math.isfinite(theta):
             return m, theta
         return tuple(ExperimentSetting(m, theta))
+    # the same checks before the window, so both paths refuse alike: math.floor
+    # would refuse a non-finite m, and math.sin an infinite theta, with
+    # messages of their own
+    if not (math.isfinite(m) and m > 0.0 and math.isfinite(pinned_theta)):
+        return tuple(ExperimentSetting(m, pinned_theta))
     top = math.sqrt(2.0) * m
     if depth_cap is not None:
         top = min(top, depth_cap)
     hi = max(1, math.floor(top))
     lo = min(hi, max(1, math.ceil(m / math.sqrt(2.0))))
-    # every count in the window is finite and positive, so only theta can fail
-    # the checks of ExperimentSetting; math.sin would refuse an infinite one
-    # with a message of its own
-    if not math.isfinite(pinned_theta):
-        return tuple(ExperimentSetting(float(lo), pinned_theta))
     # the least bayes_risk is the largest `bayes._gain`, written out in scalar
     # math over the whole counts: the first maximum wins a tie, and a zero
     # denominator (t = sin2 = 0) gives a zero gain

@@ -17,11 +17,12 @@ spanned by those two states by phi = 2 arccos |<psi|P|psi>| and acts as the
 identity elsewhere, so estimating the eigenphase of U recovers |<psi|P|psi>|.
 U is never built or applied gate by gate: the simulator works through its
 2x2 restriction to that plane, and the test oracles hold the dense reference.
+The trial state psi is an even superposition of U's two eigenvectors, so the
+ancilla readout on it needs only phi, with no operator at all.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -235,6 +236,11 @@ def pauli_expectation(state: np.ndarray, pauli: str) -> float:
     return float(value.real)
 
 
+def _eigenphase(expectation: float) -> float:
+    """phi = 2 arccos |<P>|, the eigenphase of the rotation for that expectation."""
+    return float(2.0 * np.arccos(np.clip(abs(expectation), 0.0, 1.0)))
+
+
 class RotationOperator:
     """The reflection product (R Pi R^dag)(P R Pi R^dag P) for one (R, P) pair,
     held as its 2x2 restriction M = B^H U B to the rotation plane, with B an
@@ -259,7 +265,7 @@ class RotationOperator:
     @property
     def rotation_angle(self) -> float:
         """Exact eigenphase 2 arccos |<psi|P|psi>|."""
-        return float(2.0 * np.arccos(np.clip(abs(self.expectation), 0.0, 1.0)))
+        return _eigenphase(self.expectation)
 
     def _plane_restriction(self) -> tuple[np.ndarray, np.ndarray]:
         """(B, M): the orthonormal columns of B span {psi, P psi} and M = B^H U B.
@@ -281,40 +287,6 @@ class RotationOperator:
         step = np.linalg.matrix_power(self._restricted, m) - np.eye(2)
         return state + self._basis @ (step @ (self._basis.conj().T @ state))
 
-    @functools.cached_property
-    def _readout_terms(self) -> tuple[float, float, float, complex]:
-        """(phi, sin phi, <b|b>, <b|M|b> - cos(phi) <b|b>) for b = B^H psi.
-
-        M is unitary with det 1, so its eigenvalues are e^{+-i phi} with
-        cos phi = Re tr(M) / 2 and sin phi = ||M - M^H||_F / (2 sqrt 2).
-        Taking phi from both keeps it accurate near 0 and pi, where either
-        one alone loses it to cancellation.
-        """
-        restricted = self._restricted
-        b = self._basis.conj().T @ self.base_state
-        cos_phi = 0.5 * float(np.trace(restricted).real)
-        sin_phi = float(np.linalg.norm(restricted - restricted.conj().T)) / (2.0 * math.sqrt(2.0))
-        phi = math.atan2(sin_phi, cos_phi)
-        norm2 = float(np.vdot(b, b).real)
-        return phi, math.sin(phi), norm2, complex(np.vdot(b, restricted @ b)) - cos_phi * norm2
-
-    def readout_p0(self, setting: tuple[float, float]) -> float:
-        """Exact P(0) of the ancilla circuit on base_state, at O(1) cost in the qubit count.
-
-        In plane coordinates P(0) = (1 + Re(e^{-i m theta} <b|M^m|b>)) / 2
-        with b = B^H psi, and since det M = 1, Cayley-Hamilton gives
-
-            M^m = cos(m phi) I + (sin(m phi) / sin(phi)) (M - cos(phi) I),
-
-        whose ratio tends to m at phi = 0, a Pauli eigenstate's plane.
-        """
-        m, theta = _circuit_m(setting)
-        phi, sin_phi, norm2, offset = self._readout_terms
-        ratio = math.sin(m * phi) / sin_phi if sin_phi else float(m)
-        amplitude = math.cos(m * phi) * norm2 + ratio * offset
-        p0 = 0.5 * (1.0 + (cmath.exp(-1j * m * theta) * amplitude).real)
-        return min(max(p0, 0.0), 1.0)
-
 
 def build_rotation_operator(ansatz: Ansatz, pauli: str) -> RotationOperator:
     return RotationOperator(ansatz, pauli)
@@ -326,6 +298,17 @@ def _circuit_m(setting: tuple[float, float]) -> tuple[int, float]:
     if abs(m - round(m)) > 1e-9 or m < 1.0:
         raise ValueError(f"circuit execution needs integer m >= 1, got {m}")
     return int(round(m)), theta
+
+
+def _trial_state_p0(phi: float, setting: tuple[float, float]) -> float:
+    """Exact P(0) of the ancilla circuit on the trial state, from phi alone.
+
+    The trial state is an even superposition of the eigenvectors of
+    eigenphases +-phi, so the readout averages the two eigenstate
+    likelihoods: P(0) = (1 + cos(m theta) cos(m phi)) / 2.
+    """
+    m, theta = _circuit_m(setting)
+    return 0.5 * (1.0 + math.cos(m * theta) * math.cos(m * phi))
 
 
 def _ancilla_branches(

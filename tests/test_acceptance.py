@@ -227,19 +227,28 @@ def test_criterion_6_collapse_table():
     )
 
 
-def test_criterion_7_two_stage_end_to_end():
-    t0 = time.time()
+CRITERION_7_CONFIG = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
+
+
+def criterion_7_trials(seed: int):
+    """(truth, result) for 50 draws from `seed`: a magnitude uniform on
+    TARGET_INTERVAL with a fair sign, estimated as a one-qubit <Z>."""
     lo, hi = TARGET_INTERVAL
-    cfg = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
-    draw = np.random.default_rng(707)
-    within = 0
-    meas = []
+    draw = np.random.default_rng(seed)
     for i in range(50):
         magnitude = float(draw.uniform(lo, hi))
         sign = 1.0 if draw.random() < 0.5 else -1.0
         truth = sign * magnitude
         ansatz = Ansatz(1, 1, np.array([np.arccos(truth)]))
-        res = two_stage_estimate(ansatz, "Z", cfg, rng_for(707, "trial", i))
+        yield truth, two_stage_estimate(ansatz, "Z", CRITERION_7_CONFIG, rng_for(seed, "trial", i))
+
+
+def test_criterion_7_two_stage_end_to_end():
+    t0 = time.time()
+    cfg = CRITERION_7_CONFIG
+    within = 0
+    meas = []
+    for truth, res in criterion_7_trials(707):
         within += abs(res.value - truth) <= 0.02
         meas.append(res.measurements_used)
         assert res.max_depth_used <= cfg.d_max
@@ -251,6 +260,28 @@ def test_criterion_7_two_stage_end_to_end():
         "gated two-stage estimator",
         passed,
         f"{within}/50 within 0.02, median measurements {median:.0f} < 2500, {elapsed:.0f}s",
+    )
+
+
+def test_criterion_7_pooled_over_seeds():
+    # criterion 7's draws from 40 seeds, held to its own rate of 45/50: a
+    # fixed 50-draw stream cannot tell apart changes that move the share
+    # within 0.02 by a few percent, 2000 pooled draws can
+    t0 = time.time()
+    within = 0
+    meas = []
+    for seed in range(700, 740):
+        for truth, res in criterion_7_trials(seed):
+            within += abs(res.value - truth) <= 0.02
+            meas.append(res.measurements_used)
+    median = float(np.median(meas))
+    elapsed = time.time() - t0
+    passed = within >= 1800 and median < 2500.0 and elapsed < 300.0
+    report(
+        7,
+        "gated two-stage estimator, seeds 700-739 pooled",
+        passed,
+        f"{within}/2000 within 0.02, median measurements {median:.0f} < 2500, {elapsed:.0f}s",
     )
 
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import alphavqe.engine as engine
 import alphavqe.expectation as expectation
+import alphavqe.vqe as vqe
 from alphavqe.bayes import ExperimentSetting
 from alphavqe.engine import EstimationTimeout
 from alphavqe.expectation import (
@@ -23,11 +24,14 @@ from alphavqe.expectation import (
 from alphavqe.rand import rng_for
 from alphavqe.statevector import (
     Ansatz,
+    RotationOperator,
+    _eigenphase,
     build_rotation_operator,
     pauli_expectation,
     prepare,
     sample_pauli_outcomes,
 )
+from alphavqe.vqe import Hamiltonian, estimate_energy
 
 from dense_oracles import (
     circuit_branches,
@@ -286,9 +290,9 @@ def test_trial_state_oracle_reads_the_plain_cosine():
     for n_qubits in range(1, 9):
         ansatz = Ansatz(n_qubits, 2, draw.uniform(-np.pi, np.pi, 2 * n_qubits))
         pauli = "".join(draw.choice(list("IXYZ"), n_qubits))
-        op = build_rotation_operator(ansatz, pauli)
+        phi = _eigenphase(pauli_expectation(prepare(ansatz), pauli))
         psi, apply_u = kron_rotation(ansatz, pauli)
-        oracle = _TrialStateCircuit(op)
+        oracle = _TrialStateCircuit(phi)
         assert oracle.pinned_theta == 0.0
         for m in range(1, 33):
             setting = ExperimentSetting(float(m), oracle.pinned_theta)
@@ -298,7 +302,7 @@ def test_trial_state_oracle_reads_the_plain_cosine():
             hand_outcome = 0 if rng_hand.random() < exact_p0 else 1
             assert outcome == hand_outcome
             assert rng_oracle.random() == rng_hand.random()
-            assert exact_p0 == pytest.approx(0.5 * (1.0 + np.cos(m * op.rotation_angle)), abs=1e-12)
+            assert exact_p0 == pytest.approx(0.5 * (1.0 + np.cos(m * phi)), abs=1e-12)
 
 
 def test_stage2_ledger_counts_one_measurement_per_row(monkeypatch):
@@ -371,18 +375,30 @@ def test_fallback_path_for_tiny_expectation():
     assert abs(res.value) <= 1.0
 
 
-def test_only_gated_terms_build_a_rotation_operator(monkeypatch):
-    built = []
+def test_alpha_energy_builds_no_rotation_operator(monkeypatch):
+    built, paths = [], []
+    init = RotationOperator.__init__
 
-    def counting(ansatz, pauli):
+    def counting(self, ansatz, pauli):
         built.append(pauli)
-        return build_rotation_operator(ansatz, pauli)
+        init(self, ansatz, pauli)
 
-    monkeypatch.setattr(expectation, "build_rotation_operator", counting)
-    fallback = two_stage_estimate(ansatz_with_z(0.05), "Z", CONFIG, np.random.default_rng(6))
-    assert fallback.path == "statistical_fallback" and built == []
-    gated = two_stage_estimate(ansatz_with_z(0.6), "Z", CONFIG, np.random.default_rng(4))
-    assert gated.path == "alpha_qpe" and built == ["Z"]
+    def recording(*args, **kwargs):
+        res = two_stage_estimate(*args, **kwargs)
+        paths.append(res.path)
+        return res
+
+    monkeypatch.setattr(RotationOperator, "__init__", counting)
+    monkeypatch.setattr(vqe, "two_stage_estimate", recording)
+    # <ZI> = 0.6 passes the stage-1 gate and <IZ> = 0.05 falls back
+    ansatz = Ansatz(2, 1, np.arccos([0.6, 0.05]))
+    h = Hamiltonian(((1.0, "ZI"), (0.5, "IZ")), 2)
+    estimate_energy(h, ansatz, "alpha", epsilon_total=0.03, rng=np.random.default_rng(4))
+    assert paths == ["alpha_qpe", "statistical_fallback"]
+    assert built == []
+    # the counter does see a construction
+    RotationOperator(ansatz, "ZI")
+    assert built == ["ZI"]
 
 
 def test_alpha_path_estimates_magnitude_and_sign():

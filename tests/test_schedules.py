@@ -125,6 +125,12 @@ def test_unpinned_setting_refuses_what_the_constructor_refuses(policy, belief, m
     with pytest.raises(ValueError) as info:
         next_setting(policy, belief)
     assert info.type is ValueError and str(info.value) == message
+    # a pinned theta is finite here, so the pinned path refuses the same m
+    # before its window, with the same error
+    if message.startswith("m "):
+        with pytest.raises(ValueError) as info:
+            next_setting(policy, belief, 0.0)
+        assert info.type is ValueError and str(info.value) == message
 
 
 @pytest.mark.parametrize("pinned", [math.nan, math.inf, -math.inf])

@@ -18,6 +18,7 @@ from alphavqe.statevector import (
     Ansatz,
     MAX_QUBITS,
     _n_qubits_of,
+    _trial_state_p0,
     apply_ansatz,
     apply_pauli,
     build_rotation_operator,
@@ -337,14 +338,14 @@ def test_circuit_on_trial_state_averages_the_branches():
         (p0, _), _ = circuit_branches(apply_u, psi, m, theta)
         want = 0.5 * (1.0 + np.cos(m * phi) * np.cos(m * theta))
         assert p0 == pytest.approx(want, abs=1e-12)
-        assert op.readout_p0(setting) == pytest.approx(want, abs=1e-12)
+        assert _trial_state_p0(phi, setting) == pytest.approx(want, abs=1e-12)
 
 
 def test_scalar_readout_matches_the_circuit():
-    # readout_p0 works on the 2x2 plane alone; the Kronecker reference
-    # circuit's exact p0 is the reference, on random terms and where its
-    # sin(m phi) / sin(phi) ratio is 0 / 0: Pauli eigenstates (phi = 0, one
-    # of them under YY) and <P> = 0 (phi = pi)
+    # _trial_state_p0 works on the exact eigenphase alone; the Kronecker
+    # reference circuit's exact p0 is the reference, on random terms and at
+    # the ends of the spectrum: Pauli eigenstates (phi = 0, one of them under
+    # YY) and <P> = 0 (phi = pi)
     rng = np.random.default_rng(31)
     terms = [
         (random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits)))
@@ -364,9 +365,10 @@ def test_scalar_readout_matches_the_circuit():
         for m in range(1, 33):
             for theta in (0.0, rng.uniform(-np.pi, np.pi)):
                 (exact_p0, _), _ = circuit_branches(apply_u, psi, m, theta)
-                assert abs(op.readout_p0(ExperimentSetting(float(m), theta)) - exact_p0) <= 1e-12
+                p0 = _trial_state_p0(op.rotation_angle, ExperimentSetting(float(m), theta))
+                assert abs(p0 - exact_p0) <= 1e-12
     with pytest.raises(ValueError):
-        ops[0].readout_p0(ExperimentSetting(2.5, 0.0))
+        _trial_state_p0(ops[0].rotation_angle, ExperimentSetting(2.5, 0.0))
 
 
 def test_circuit_rejects_fractional_m():
