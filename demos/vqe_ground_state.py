@@ -8,13 +8,7 @@ measurement budget), comparing both against diagonalization.
 import numpy as np
 
 from alphavqe.statevector import Ansatz
-from alphavqe.vqe import (
-    OptimizerConfig,
-    bundled_hamiltonian,
-    estimate_energy,
-    exact_ground_energy,
-    optimize,
-)
+from alphavqe.vqe import bundled_hamiltonian, estimate_energy, exact_ground_energy, optimize
 
 h = bundled_hamiltonian("toy1q")
 ground = exact_ground_energy(h)
@@ -23,15 +17,13 @@ print(f"diagonalization ground energy: {ground:.9f}\n")
 
 template = Ansatz(1, 1, np.array([0.0]))
 
-exact = optimize(h, template, OptimizerConfig(max_iters=200), mode="exact")
+exact = optimize(h, template, max_iters=200, mode="exact")
 print("exact mode")
 print(f"  best lambda : {exact.best_lambda[0]:+.6f}")
 print(f"  best energy : {exact.best_energy:.9f}  (gap {abs(exact.best_energy - ground):.1e})")
 print(f"  evaluations : {len(exact.energy_history)}\n")
 
-noisy = optimize(
-    h, template, OptimizerConfig(max_iters=40), mode="alpha", epsilon_total=0.01, seed=60
-)
+noisy = optimize(h, template, max_iters=40, mode="alpha", epsilon_total=0.01, seed=60)
 achieved, _ = estimate_energy(h, Ansatz(1, 1, noisy.best_lambda), "exact")
 print("alpha mode, epsilon_total = 0.01")
 print(f"  best lambda          : {noisy.best_lambda[0]:+.6f}")

@@ -48,8 +48,6 @@ from .expectation import (
 from .rand import child_seed, rng_for
 from .schedules import (
     AlphaQPE,
-    RFPE,
-    SchedulePolicy,
     alpha_max,
     analytic_risk_curve,
     n_min,
@@ -73,7 +71,6 @@ from .statevector import (
 from .vqe import (
     Hamiltonian,
     HamiltonianParseError,
-    OptimizerConfig,
     VQEResult,
     bundled_hamiltonian,
     dense_matrix,

@@ -154,16 +154,11 @@ class GridBelief:
             raise ValueError("weights must sum to 1")
 
     @classmethod
-    def from_normal(
-        cls,
-        belief: tuple[float, float],
-        half_width: float = GRID_HALF_WIDTH,
-        points: int = GRID_POINTS,
-    ) -> "GridBelief":
+    def from_normal(cls, belief: tuple[float, float]) -> "GridBelief":
         """Discretize a normal, a `NormalBelief` or a plain (mu, sigma) pair,
-        on [mu - W sigma, mu + W sigma]."""
+        on GRID_POINTS points of [mu - W sigma, mu + W sigma], W = GRID_HALF_WIDTH."""
         mu, sigma = belief
-        support = np.linspace(mu - half_width * sigma, mu + half_width * sigma, points)
+        support = np.linspace(mu - GRID_HALF_WIDTH * sigma, mu + GRID_HALF_WIDTH * sigma, GRID_POINTS)
         z = (support - mu) / sigma
         w = np.exp(-0.5 * z * z)
         return cls(support, w / w.sum())
@@ -282,18 +277,13 @@ def bayes_risk(setting: ExperimentSetting, belief: NormalBelief) -> float:
     return belief.sigma**2 * (1.0 - _gain(t, np.sin(delta) ** 2))
 
 
-def bayes_risk_quadrature(
-    setting: ExperimentSetting,
-    belief: NormalBelief,
-    half_width: float = GRID_HALF_WIDTH,
-    points: int = GRID_POINTS,
-) -> float:
-    """Expected posterior variance by dense-grid quadrature.
+def bayes_risk_quadrature(setting: ExperimentSetting, belief: NormalBelief) -> float:
+    """Expected posterior variance by quadrature on the `GridBelief.from_normal` grid.
 
     Independent check of `bayes_risk`: weights each outcome by its predictive
     probability and uses the exact grid posterior's variance.
     """
-    grid = GridBelief.from_normal(belief, half_width, points)
+    grid = GridBelief.from_normal(belief)
     total = 0.0
     for e in (0, 1):
         pe = float(np.sum(grid.weights * likelihood(e, grid.support, setting)))

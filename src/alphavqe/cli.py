@@ -29,7 +29,6 @@ from .schedules import AlphaQPE, alpha_max, analytic_risk_curve, n_min, n_min_re
 from .statevector import Ansatz, build_rotation_operator
 from .vqe import (
     HamiltonianParseError,
-    OptimizerConfig,
     bundled_hamiltonian,
     exact_ground_energy,
     load_hamiltonian,
@@ -253,12 +252,18 @@ def cmd_expectation(cfg: dict) -> int:
     config = TwoStageConfig(
         alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=_single(cfg, "epsilon")
     )
+    # the footer's quantiles need at least one trial
+    if cfg["trials"] < 1:
+        raise CliError(f"trials must be positive, got {cfg['trials']}")
+    if not cfg["avalues"]:
+        raise CliError("avalues needs at least one value")
+    for true_a in cfg["avalues"]:
+        if not -1.0 <= true_a <= 1.0:
+            raise CliError(f"avalues entries must lie in [-1, 1], got {true_a}")
     rows = []
     errors: list[float] = []
     counts: list[float] = []
     for i, true_a in enumerate(cfg["avalues"]):
-        if not -1.0 <= true_a <= 1.0:
-            raise CliError(f"avalues entries must lie in [-1, 1], got {true_a}")
         ansatz = Ansatz(1, 1, np.array([math.acos(true_a)]))
         for trial in range(cfg["trials"]):
             rng = rng_for(cfg["seed"], "expectation", i, trial)
@@ -297,7 +302,7 @@ def cmd_vqe(cfg: dict) -> int:
     result = optimize(
         hamiltonian,
         template,
-        OptimizerConfig(max_iters=cfg["iters"]),
+        max_iters=cfg["iters"],
         mode=mode,
         epsilon_total=None if mode == "exact" else epsilon,
         two_stage=two_stage,

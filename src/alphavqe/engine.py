@@ -37,7 +37,7 @@ import numpy as np
 
 from .bayes import NormalBelief, rejection_filter_update
 from .rand import child_seed, rng_for
-from .schedules import SchedulePolicy, next_setting
+from .schedules import AlphaQPE, next_setting
 
 __all__ = [
     "HARD_ITERATION_CAP",
@@ -107,7 +107,7 @@ class EstimationTrace:
 
 def run_estimation(
     oracle,
-    policy: SchedulePolicy,
+    policy: AlphaQPE,
     prior: NormalBelief,
     *,
     epsilon: float | None = None,
@@ -190,13 +190,13 @@ class EnsembleResult:
 
 
 def ensemble_run(
-    policy: SchedulePolicy,
+    policy: AlphaQPE,
     n_phases: int,
     iterations: int,
     seed: int = 0,
-    prior: NormalBelief | None = None,
 ) -> EnsembleResult:
-    """Run the synthetic estimator over uniformly drawn true phases and aggregate.
+    """Run the synthetic estimator from the prior N(0, 1) over uniformly drawn
+    true phases and aggregate.
 
     True phases come from the substream (seed, "phases"); run i uses the
     substream (seed, "run", i), so the ensemble is reproducible and each run
@@ -206,7 +206,7 @@ def ensemble_run(
         raise ValueError(f"n_phases must be positive, got {n_phases}")
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
-    prior = NormalBelief(0.0, 1.0) if prior is None else prior
+    prior = NormalBelief(0.0, 1.0)
     phases = rng_for(seed, "phases").uniform(-np.pi, np.pi, n_phases)
     sigmas = np.empty((n_phases, iterations + 1))
     errors = np.empty((n_phases, iterations + 1))

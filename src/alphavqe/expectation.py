@@ -1,15 +1,19 @@
 """Signed Pauli-expectation estimation under a coherence-depth budget.
 
-Stage 1 measures the Pauli a fixed number of times and gates on the
-magnitude of the sample mean: estimates landing inside the fixed
-`gate_interval` are routed to phase estimation on the rotation operator (the
-sign rides along from the stage-1 mean for free); everything else falls back
-to plain statistical sampling at the target precision.  The gate sits
-`stage1_tolerance` inside `TARGET_INTERVAL` on both sides, and
-`hoeffding_bound(stage1_samples, stage1_tolerance)` = 2 e^-5 ~ 0.013 at the
-defaults bounds the chance that a stage-1 mean misses the true magnitude by
-more than that tolerance, so a gated term's true magnitude lies inside the
-target interval except with at most that probability.
+`TwoStageConfig` holds the estimator's three settings: the schedule exponent
+alpha, the depth budget d_max and the target precision epsilon.  Everything
+else is a fixed module constant.
+
+Stage 1 measures the Pauli 1000 times (`_STAGE1_SAMPLES`) and gates on the
+magnitude of the sample mean: estimates landing inside the fixed gate
+interval [0.36, 0.85] are routed to phase estimation on the rotation
+operator (the sign rides along from the stage-1 mean for free); everything
+else falls back to plain statistical sampling at the target precision.  The
+gate sits a tolerance of 0.1 inside `TARGET_INTERVAL` on both sides, and
+`hoeffding_bound(1000, 0.1)` = 2 e^-5 ~ 0.013 bounds the chance that a
+stage-1 mean misses the true magnitude by more than that tolerance, so a
+gated term's true magnitude lies inside the target interval except with at
+most that probability.
 
 On the phase-estimation path every measurement prepares the trial state
 afresh and runs one ancilla circuit on it with controlled powers of the
@@ -90,35 +94,35 @@ __all__ = [
 # magnitudes whose eigenphase lies in [pi/6, 5*pi/6]
 TARGET_INTERVAL = (math.cos(5.0 * math.pi / 12.0), math.cos(math.pi / 12.0))
 
+# stage 1: shots, and the gate on |mean| that sits this tolerance inside
+# TARGET_INTERVAL on both sides
+_STAGE1_SAMPLES = 1000
+_STAGE1_TOLERANCE = 0.1
+_GATE_INTERVAL = (0.36, 0.85)
+# prefactor of the stage-2 depth rule m = scale * sigma^(-alpha).  Deeper
+# circuits per unit of posterior width mean fewer belief updates overall; 1.5
+# cut stage-2 measurements by roughly a third relative to the customary 1.25
+# in calibration sweeps without hurting the realized error rate, and still
+# keeps m * sigma well inside the regime where the normal belief tracks the
+# posterior.
+_SCHEDULE_SCALE = 1.5
+
 
 @dataclass(frozen=True)
 class TwoStageConfig:
-    """Knobs for the gated two-stage estimator.
+    """The estimator's three settings: the schedule exponent alpha, the depth
+    budget d_max, and the absolute precision target_epsilon on the expectation.
 
-    target_epsilon is the requested absolute precision on the expectation; the
-    phase posterior is driven to sigma <= stop_sigma_factor * target_epsilon.
-    Because |d|A|/d phi| <= 1/2, a factor of 2 already bounds the propagated
-    posterior width by target_epsilon; the default of 1 leaves enough headroom
-    that the realized error beats target_epsilon in the large majority of
-    runs, not just in expectation.
-
-    schedule_scale is the prefactor of the stage-2 depth rule
-    m = schedule_scale * sigma^(-alpha).  Deeper circuits per unit of
-    posterior width mean fewer belief updates overall; 1.5 cut stage-2
-    measurements by roughly a third relative to the customary 1.25 in
-    calibration sweeps without hurting the realized error rate, and still
-    keeps m * sigma well inside the regime where the normal belief tracks
-    the posterior.
+    Stage 2 drives the phase posterior to sigma <= target_epsilon.  Because
+    |d|A|/d phi| <= 1/2, sigma <= 2 target_epsilon would already bound the
+    propagated posterior width by target_epsilon; stopping at target_epsilon
+    leaves enough headroom that the realized error beats target_epsilon in the
+    large majority of runs, not just in expectation.
     """
 
     alpha: float
     d_max: float
     target_epsilon: float
-    stage1_samples: int = 1000
-    stage1_tolerance: float = 0.1
-    gate_interval: tuple[float, float] = (0.36, 0.85)
-    stop_sigma_factor: float = 1.0
-    schedule_scale: float = 1.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -129,17 +133,6 @@ class TwoStageConfig:
             )
         if not 0.0 < self.target_epsilon < 1.0:
             raise ValueError(f"target_epsilon must lie in (0, 1), got {self.target_epsilon}")
-        if self.stage1_samples < 1:
-            raise ValueError(f"stage1_samples must be positive, got {self.stage1_samples}")
-        if not 0.0 < self.stage1_tolerance < 1.0:
-            raise ValueError(f"stage1_tolerance must lie in (0, 1), got {self.stage1_tolerance}")
-        lo, hi = self.gate_interval
-        if not 0.0 < lo < hi < 1.0:
-            raise ValueError(f"gate_interval must satisfy 0 < lo < hi < 1, got {self.gate_interval}")
-        if not self.stop_sigma_factor > 0.0:
-            raise ValueError(f"stop_sigma_factor must be positive, got {self.stop_sigma_factor}")
-        if not self.schedule_scale > 0.0:
-            raise ValueError(f"schedule_scale must be positive, got {self.schedule_scale}")
 
 
 def hoeffding_bound(n: int, t: float) -> float:
@@ -184,10 +177,11 @@ class Stage1Result:
     sign: int
 
 
-def stage1_gate(ansatz: Ansatz, pauli: str, config: TwoStageConfig, rng: np.random.Generator) -> Stage1Result:
-    """Screen the expectation magnitude; the sign of the mean comes for free."""
-    mean, _ = statistical_estimate(ansatz, pauli, config.stage1_samples, rng)
-    lo, hi = config.gate_interval
+def stage1_gate(ansatz: Ansatz, pauli: str, rng: np.random.Generator) -> Stage1Result:
+    """Screen the expectation magnitude on the stage-1 shots; the sign of the
+    mean comes for free."""
+    mean, _ = statistical_estimate(ansatz, pauli, _STAGE1_SAMPLES, rng)
+    lo, hi = _GATE_INTERVAL
     return Stage1Result(lo <= abs(mean) <= hi, mean, 1 if mean >= 0.0 else -1)
 
 
@@ -305,23 +299,23 @@ def two_stage_estimate(
     from `rng`.  Per iteration it prepares the trial state afresh and runs one
     ancilla measurement at theta = 0 with m controlled applications of U,
     m the whole count the schedule picks, and updates the phase belief under
-    the plain cosine until sigma <= stop_sigma_factor * target_epsilon.  Each
-    iteration is one measurement, and max_depth_used is the largest m run.
+    the plain cosine until sigma <= target_epsilon.  Each iteration is one
+    measurement, and max_depth_used is the largest m run.
     A converged phase whose implied magnitude contradicts the stage-1
-    estimate beyond stage1_tolerance is treated as an alias capture and
+    estimate beyond the gate's tolerance is treated as an alias capture and
     rerun once from the prior.  Each run may take the engine's 10**6
     iterations; past that, EstimationTimeout carries that run's partial
     trace.  Gate fails: statistical sampling topped up to
     ceil(1 / target_epsilon^2) total shots, stage 1 included.
     """
-    s1 = stage1_gate(ansatz, pauli, config, rng)
+    s1 = stage1_gate(ansatz, pauli, rng)
     if not s1.passed:
-        total = max(config.stage1_samples, math.ceil(1.0 / config.target_epsilon**2))
-        extra = total - config.stage1_samples
+        total = max(_STAGE1_SAMPLES, math.ceil(1.0 / config.target_epsilon**2))
+        extra = total - _STAGE1_SAMPLES
         value = s1.estimate
         if extra > 0:
             mean_extra, _ = statistical_estimate(ansatz, pauli, extra, rng)
-            value = (s1.estimate * config.stage1_samples + mean_extra * extra) / total
+            value = (s1.estimate * _STAGE1_SAMPLES + mean_extra * extra) / total
         return ExpectationResult(
             value=float(value),
             path="statistical_fallback",
@@ -338,28 +332,25 @@ def two_stage_estimate(
     # phase prior can start this tight with a factor-2 margin; a wide prior
     # would span several lobes of the early likelihood and occasionally lock
     # the belief onto an alias, which a lobe-width prior cannot reach
-    prior = NormalBelief(phi0, 4.0 / math.sqrt(config.stage1_samples))
+    prior = NormalBelief(phi0, 4.0 / math.sqrt(_STAGE1_SAMPLES))
     # the circuit m is integer, so the binding cap is floor(d_max)
-    policy = AlphaQPE(
-        config.alpha, scale=config.schedule_scale, depth_cap=float(np.floor(config.d_max))
-    )
+    policy = AlphaQPE(config.alpha, scale=_SCHEDULE_SCALE, depth_cap=float(np.floor(config.d_max)))
     oracle = _TrialStateCircuit(_eigenphase(pauli_expectation(prepare(ansatz), pauli)))
-    epsilon = config.stop_sigma_factor * config.target_epsilon
-    belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
+    belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=config.target_epsilon, seed=rng)
     rows = trace.rows
     # a posterior parked on an alias lobe of the periodic likelihood is
     # confidently wrong, and more updates of the same kind cannot move it;
     # stage 1 already brackets the magnitude within its tolerance, so a
     # converged phase that contradicts the bracket restarts once from the
     # prior instead of being returned
-    if not abs(float(np.cos(principal_phase(belief.mu) / 2.0)) - abs(s1.estimate)) <= config.stage1_tolerance:
-        belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=epsilon, seed=rng)
+    if not abs(float(np.cos(principal_phase(belief.mu) / 2.0)) - abs(s1.estimate)) <= _STAGE1_TOLERANCE:
+        belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=config.target_epsilon, seed=rng)
         rows += trace.rows
     value = s1.sign * float(np.cos(principal_phase(belief.mu) / 2.0))
     return ExpectationResult(
         value=value,
         path="alpha_qpe",
-        measurements_used=config.stage1_samples + len(rows),
+        measurements_used=_STAGE1_SAMPLES + len(rows),
         max_depth_used=max(row.m for row in rows) if rows else 0.0,
         posterior_sigma=belief.sigma,
         stage1_estimate=s1.estimate,

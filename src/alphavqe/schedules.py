@@ -5,10 +5,11 @@ All schedules here pick theta = mu - sigma and differ only in the repetition
 count m, unless the oracle pins theta (see `next_setting`):
 
 * AlphaQPE           m = a (1/sigma)^alpha, alpha in [0, 1].  alpha = 0 is
-                     statistical sampling, alpha = 1 full phase estimation.
-* RFPE               m = ceil(1.25 / sigma).
+                     statistical sampling, alpha = 1 full phase estimation,
+                     and alpha = 1 with a = 1.25 is the customary
+                     random-phase rule m ~ 1.25 / sigma.
 
-Every policy takes an optional depth_cap that clamps m.
+An optional depth_cap clamps m.
 
 The number of measurements needed to shrink the expected deviation from 1 to
 epsilon under AlphaQPE is (natural logs throughout)
@@ -31,8 +32,6 @@ from .bayes import ExperimentSetting, variance_gain
 
 __all__ = [
     "AlphaQPE",
-    "RFPE",
-    "SchedulePolicy",
     "next_setting",
     "predicted_iterations",
     "alpha_max",
@@ -40,11 +39,6 @@ __all__ = [
     "n_min_restarts",
     "analytic_risk_curve",
 ]
-
-
-def _check_depth_cap(depth_cap) -> None:
-    if depth_cap is not None and not depth_cap >= 1.0:
-        raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
 
 
 @dataclass(frozen=True)
@@ -60,33 +54,20 @@ class AlphaQPE:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        _check_depth_cap(self.depth_cap)
+        if self.depth_cap is not None and not self.depth_cap >= 1.0:
+            raise ValueError(f"depth_cap must be >= 1, got {self.depth_cap}")
 
     def raw_m(self, sigma: float) -> float:
-        return self.scale * sigma ** (-self.alpha)
-
-
-@dataclass(frozen=True)
-class RFPE:
-    """m = ceil(scale / sigma) with the customary scale 1.25."""
-
-    scale: float = 1.25
-    depth_cap: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        _check_depth_cap(self.depth_cap)
-
-    def raw_m(self, sigma: float) -> float:
-        return float(np.ceil(self.scale / sigma))
-
-
-SchedulePolicy = AlphaQPE | RFPE
+        """The rule's m; inf where the power overflows, which `next_setting`
+        then refuses as `ExperimentSetting` does."""
+        try:
+            return self.scale * sigma ** (-self.alpha)
+        except OverflowError:
+            return math.inf
 
 
 def next_setting(
-    policy: SchedulePolicy, belief: tuple[float, float], pinned_theta: float | None = None
+    policy: AlphaQPE, belief: tuple[float, float], pinned_theta: float | None = None
 ) -> tuple[float, float]:
     """Next circuit setting under the policy, as a plain (m, theta) pair.
 

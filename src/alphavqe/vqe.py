@@ -36,10 +36,15 @@ __all__ = [
     "dense_matrix",
     "exact_ground_energy",
     "estimate_energy",
-    "OptimizerConfig",
     "VQEResult",
     "optimize",
 ]
+
+# Nelder-Mead: initial simplex spread per coordinate, and the simplex
+# diameter below which the search has converged
+_INIT_SPREAD = 0.5
+_TOL = 1e-6
+
 
 class HamiltonianParseError(ValueError):
     """Malformed Hamiltonian text; the message names the offending line."""
@@ -198,24 +203,6 @@ def estimate_energy(
     return float(energy), measurements
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Nelder-Mead controls: initial simplex spread per coordinate, iteration
-    cap, and the simplex-diameter convergence tolerance."""
-
-    max_iters: int = 200
-    init_spread: float = 0.5
-    tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
-        if not self.init_spread > 0.0:
-            raise ValueError(f"init_spread must be positive, got {self.init_spread}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-
-
 @dataclass
 class VQEResult:
     best_lambda: np.ndarray
@@ -228,7 +215,7 @@ class VQEResult:
 def optimize(
     h: Hamiltonian,
     ansatz_template: Ansatz,
-    opt: OptimizerConfig | None = None,
+    max_iters: int = 200,
     mode: str = "exact",
     epsilon_total: float | None = None,
     two_stage: TwoStageConfig | None = None,
@@ -238,9 +225,11 @@ def optimize(
 
     The history records every objective evaluation as (iteration, lambda,
     energy, cumulative measurements); best_energy/best_lambda are the minimum
-    over that history.  max_iters = 0 just evaluates the template parameters.
+    over that history.  max_iters caps the Nelder-Mead iterations; 0 just
+    evaluates the template parameters.
     """
-    opt = OptimizerConfig() if opt is None else opt
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     rng = np.random.default_rng(seed)
     history: list[tuple[int, np.ndarray, float, int]] = []
     totals = {"measurements": 0, "iteration": 0}
@@ -255,8 +244,8 @@ def optimize(
     x0 = np.asarray(ansatz_template.params, dtype=float)
     f0 = objective(x0)
     converged = False
-    if opt.max_iters > 0:
-        converged = _nelder_mead(objective, x0, f0, opt, totals)
+    if max_iters > 0:
+        converged = _nelder_mead(objective, x0, f0, max_iters, totals)
     best_iter = min(range(len(history)), key=lambda i: history[i][2])
     return VQEResult(
         best_lambda=history[best_iter][1],
@@ -267,22 +256,26 @@ def optimize(
     )
 
 
-def _nelder_mead(objective, x0: np.ndarray, f0: float, opt: OptimizerConfig, totals) -> bool:
-    """Simplex descent with incumbent re-evaluation on shrink; returns converged."""
+def _nelder_mead(objective, x0: np.ndarray, f0: float, max_iters: int, totals) -> bool:
+    """Simplex descent with incumbent re-evaluation on shrink; returns converged.
+
+    With no parameters the simplex is the one point x0, of diameter 0, so the
+    search converges at once.
+    """
     dim = x0.size
     points = [x0.copy()]
     values = [f0]
     for j in range(dim):
         xj = x0.copy()
-        xj[j] += opt.init_spread
+        xj[j] += _INIT_SPREAD
         points.append(xj)
         values.append(objective(xj))
-    for iteration in range(1, opt.max_iters + 1):
+    for iteration in range(1, max_iters + 1):
         totals["iteration"] = iteration
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]
-        if max(np.max(np.abs(p - points[0])) for p in points[1:]) < opt.tol:
+        if max((np.max(np.abs(p - points[0])) for p in points[1:]), default=0.0) < _TOL:
             return True
         centroid = np.mean(points[:-1], axis=0)
         reflected = centroid + (centroid - points[-1])

@@ -23,7 +23,6 @@ from alphavqe.schedules import (
 )
 from alphavqe.statevector import Ansatz, build_rotation_operator, pauli_expectation, prepare
 from alphavqe.vqe import bundled_hamiltonian, estimate_energy, exact_ground_energy, optimize
-from alphavqe.vqe import OptimizerConfig
 
 from dense_oracles import circuit_branches, dense_eigenvectors, dense_operator, kron_rotation
 
@@ -294,14 +293,14 @@ def test_criterion_8_variational_end_to_end():
         res = optimize(
             h,
             Ansatz(1, 1, np.array([0.0])),
-            OptimizerConfig(max_iters=40),
+            max_iters=40,
             mode="alpha",
             epsilon_total=0.01,
             seed=800 + seed,
         )
         achieved, _ = estimate_energy(h, Ansatz(1, 1, res.best_lambda), "exact")
         hits += abs(achieved - ground) <= 0.02
-    exact_res = optimize(h, Ansatz(1, 1, np.array([0.0])), OptimizerConfig(max_iters=200), mode="exact")
+    exact_res = optimize(h, Ansatz(1, 1, np.array([0.0])), max_iters=200, mode="exact")
     exact_gap = abs(exact_res.best_energy - ground)
     elapsed = time.time() - t0
     passed = hits >= 16 and exact_gap <= 1e-6 and elapsed < 300.0

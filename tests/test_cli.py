@@ -129,8 +129,13 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["vqe", "--hamiltonian", "toy1q", "--mode", "quantum"]) == 1
     assert main(["expectation", "--alpha", "0.25,0.9", "--trials", "1"]) == 1
     assert main(["expectation", "--alpha", "", "--trials", "1"]) == 1
+    # nothing to summarise: refused before any estimate runs
+    assert main(["expectation", "--trials", "0"]) == 1
+    assert main(["expectation", "--trials", "-2"]) == 1
+    assert main(["expectation", "--avalues", ""]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("subcommand", ["expectation", "vqe"])

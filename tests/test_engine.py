@@ -17,7 +17,7 @@ from alphavqe.engine import (
     ensemble_run,
     run_estimation,
 )
-from alphavqe.schedules import RFPE, AlphaQPE
+from alphavqe.schedules import AlphaQPE
 
 # (rows, SHA-256 of repr(trace.rows)) for run_estimation(SyntheticOracle(0.3),
 # AlphaQPE(alpha), NormalBelief(0, 1), epsilon=0.02, seed=5): they pin every
@@ -120,12 +120,11 @@ def test_trace_layout_and_reproducibility():
 
 def test_settings_follow_the_policy():
     prior = NormalBelief(0.0, 1.0)
-    _, trace = run_estimation(
-        SyntheticOracle(0.4), RFPE(), prior, max_iterations=15, seed=7
-    )
+    policy = AlphaQPE(1.0, scale=1.25)
+    _, trace = run_estimation(SyntheticOracle(0.4), policy, prior, max_iterations=15, seed=7)
     sigmas = trace.sigmas()
     for i, row in enumerate(trace.rows):
-        assert row.m == np.ceil(1.25 / sigmas[i])
+        assert row.m == policy.raw_m(sigmas[i])
         # theta sits one posterior deviation below the running mean
         mu_prev = trace.mus()[i]
         assert row.theta == pytest.approx(mu_prev - sigmas[i])

@@ -62,9 +62,8 @@ def test_target_interval_endpoints():
 
 
 def test_gate_with_tolerance_sits_inside_target_interval():
-    cfg = CONFIG
-    lo, hi = cfg.gate_interval
-    t = cfg.stage1_tolerance
+    lo, hi = expectation._GATE_INTERVAL
+    t = expectation._STAGE1_TOLERANCE
     tlo, thi = TARGET_INTERVAL
     assert tlo < lo - t and hi + t < thi
 
@@ -77,13 +76,6 @@ def test_gate_with_tolerance_sits_inside_target_interval():
         dict(d_max=1.0),
         dict(target_epsilon=0.0),
         dict(target_epsilon=1.0),
-        dict(stage1_samples=0),
-        dict(stage1_tolerance=0.0),
-        dict(gate_interval=(0.9, 0.3)),
-        dict(gate_interval=(0.0, 0.5)),
-        dict(gate_interval=(0.3, 1.0)),
-        dict(stop_sigma_factor=0.0),
-        dict(schedule_scale=-1.0),
     ],
 )
 def test_config_validation(kwargs):
@@ -135,13 +127,13 @@ def test_statistical_estimate_concentrates():
 
 def test_stage1_gate_decisions():
     rng = np.random.default_rng(2)
-    res = stage1_gate(ansatz_with_z(0.6), "Z", CONFIG, rng)
+    res = stage1_gate(ansatz_with_z(0.6), "Z", rng)
     assert res.passed and res.sign == 1
-    res = stage1_gate(ansatz_with_z(-0.6), "Z", CONFIG, rng)
+    res = stage1_gate(ansatz_with_z(-0.6), "Z", rng)
     assert res.passed and res.sign == -1
-    res = stage1_gate(ansatz_with_z(0.0), "Z", CONFIG, rng)
+    res = stage1_gate(ansatz_with_z(0.0), "Z", rng)
     assert not res.passed
-    res = stage1_gate(ansatz_with_z(0.97), "Z", CONFIG, rng)
+    res = stage1_gate(ansatz_with_z(0.97), "Z", rng)
     assert not res.passed
 
 
@@ -321,7 +313,7 @@ def test_stage2_ledger_counts_one_measurement_per_row(monkeypatch):
         assert res.path == "alpha_qpe"
         rows = [row for trace in traces for row in trace.rows]
         assert res.iterations == len(rows) > 0
-        assert res.measurements_used == CONFIG.stage1_samples + len(rows)
+        assert res.measurements_used == expectation._STAGE1_SAMPLES + len(rows)
         assert res.max_depth_used == max(row.m for row in rows)
         assert all(row.theta == 0.0 and row.m == round(row.m) for row in rows)
 
@@ -342,7 +334,7 @@ def test_stage2_measurements_scale_as_inverse_epsilon():
             ansatz = Ansatz(1, 1, np.array([np.arccos(sign * magnitude)]))
             res = two_stage_estimate(ansatz, "Z", cfg, rng_for(707, "trial", i))
             if res.path == "alpha_qpe":
-                counts.append(res.measurements_used - cfg.stage1_samples)
+                counts.append(res.measurements_used - expectation._STAGE1_SAMPLES)
         medians.append(float(np.median(counts)))
     slope = np.polyfit(np.log(1.0 / np.array(epsilons)), np.log(medians), 1)[0]
     assert 0.8 <= slope <= 1.2, (medians, slope)
@@ -406,7 +398,7 @@ def test_alpha_path_estimates_magnitude_and_sign():
     assert res.path == "alpha_qpe"
     assert abs(res.value - np.sqrt(0.5)) <= 0.02
     assert res.measurements_used < 2500
-    assert res.posterior_sigma <= CONFIG.stop_sigma_factor * CONFIG.target_epsilon
+    assert res.posterior_sigma <= CONFIG.target_epsilon
     assert res.iterations > 0
     assert 2.0 <= res.max_depth_used <= CONFIG.d_max
 

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from alphavqe.bayes import ExperimentSetting, NormalBelief, bayes_risk, variance_gain
 from alphavqe.schedules import (
     AlphaQPE,
-    RFPE,
     alpha_max,
     analytic_risk_curve,
     n_min,
@@ -23,7 +22,7 @@ from dense_oracles import vectorised_window_m, window_bounds
 
 def test_theta_is_mu_minus_sigma_for_every_policy():
     belief = NormalBelief(0.7, 0.2)
-    for policy in (AlphaQPE(0.5), RFPE(), RFPE(scale=1.0, depth_cap=16.0), AlphaQPE(0.0)):
+    for policy in (AlphaQPE(0.5), AlphaQPE(1.0, scale=1.25), AlphaQPE(1.0, depth_cap=16.0), AlphaQPE(0.0)):
         _, theta = next_setting(policy, belief)
         assert theta == pytest.approx(0.5)
 
@@ -40,23 +39,12 @@ def test_alpha_qpe_repetition_counts():
         assert m == pytest.approx(want)
 
 
-def test_rfpe_and_beta_qpe_ceil_rule():
-    belief = NormalBelief(0.0, 0.3)
-    for policy, want in (
-        (RFPE(), 5.0),  # ceil(1.25 / 0.3)
-        (RFPE(scale=1.0, depth_cap=16.0), 4.0),  # ceil(1 / 0.3)
-        (RFPE(scale=1.0, depth_cap=2.0), 2.0),  # budget binds
-    ):
-        m, _ = next_setting(policy, belief)
-        assert m == want
-
-
 def test_depth_cap_clamps_every_policy():
     belief = NormalBelief(0.0, 1e-3)
     for policy in (
         AlphaQPE(1.0, depth_cap=32.0),
-        RFPE(depth_cap=32.0),
-        RFPE(scale=1.0, depth_cap=32.0),
+        AlphaQPE(1.0, scale=1.25, depth_cap=32.0),
+        AlphaQPE(0.75, depth_cap=32.0),
     ):
         m, _ = next_setting(policy, belief)
         assert m == 32.0
@@ -75,7 +63,7 @@ def random_policies_and_beliefs(seed, n):
         if draw.random() < 0.5:
             policy = AlphaQPE(float(draw.uniform(0.0, 1.0)), scale=float(draw.uniform(0.5, 2.0)), depth_cap=cap)
         else:
-            policy = RFPE(scale=float(draw.uniform(0.5, 2.0)), depth_cap=cap)
+            policy = AlphaQPE(1.0, scale=float(draw.uniform(0.5, 2.0)), depth_cap=cap)
         sigma = float(np.exp(draw.uniform(np.log(1e-3), np.log(2.0))))
         yield policy, NormalBelief(float(draw.uniform(-4.0, 4.0)), sigma)
 
@@ -115,7 +103,7 @@ def test_unpinned_setting_is_a_checked_setting():
     [
         # the rule's m underflows to 0, overflows to inf, or is nan
         (AlphaQPE(1.0, scale=5e-324), NormalBelief(0.0, 4.0), "m must be finite and positive, got 0.0"),
-        (RFPE(), NormalBelief(0.0, 1e-320), "m must be finite and positive, got inf"),
+        (AlphaQPE(1.0), NormalBelief(0.0, 1e-320), "m must be finite and positive, got inf"),
         (FixedM(math.nan), NormalBelief(0.0, 1.0), "m must be finite and positive, got nan"),
         # theta = mu - sigma overflows
         (AlphaQPE(0.0), NormalBelief(-1e308, 1e308), "theta must be finite, got -inf"),

@@ -11,7 +11,6 @@ from alphavqe.statevector import Ansatz, pauli_expectation, prepare
 from alphavqe.vqe import (
     Hamiltonian,
     HamiltonianParseError,
-    OptimizerConfig,
     bundled_hamiltonian,
     dense_matrix,
     estimate_energy,
@@ -214,16 +213,22 @@ def test_estimate_energy_draws_every_term_from_the_one_generator(mode, make_rng)
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=-1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(init_spread=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol=0.0)
+        optimize(bundled_hamiltonian("toy1q"), Ansatz(1, 1, np.array([0.0])), max_iters=-1)
+
+
+def test_optimize_with_no_parameters_converges_after_one_evaluation():
+    h = bundled_hamiltonian("toy1q")
+    res = optimize(h, Ansatz(1, 0, np.array([])), max_iters=5)
+    # the one-point simplex has diameter 0
+    assert res.converged
+    assert len(res.energy_history) == 1
+    # the state is |0>, so the energy is the Z coefficient
+    assert res.best_energy == pytest.approx(0.5, rel=1e-12)
 
 
 def test_optimize_exact_reaches_the_ground_state():
     h = bundled_hamiltonian("toy1q")
-    res = optimize(h, Ansatz(1, 1, np.array([0.0])), OptimizerConfig(max_iters=200), mode="exact")
+    res = optimize(h, Ansatz(1, 1, np.array([0.0])), max_iters=200, mode="exact")
     assert res.converged
     assert res.best_energy == pytest.approx(-np.sqrt(0.5), abs=1e-6)
     assert res.total_measurements == 0
@@ -231,7 +236,7 @@ def test_optimize_exact_reaches_the_ground_state():
 
 def test_optimize_zero_iterations_evaluates_template_only():
     h = bundled_hamiltonian("toy1q")
-    res = optimize(h, Ansatz(1, 1, np.array([0.3])), OptimizerConfig(max_iters=0), mode="exact")
+    res = optimize(h, Ansatz(1, 1, np.array([0.3])), max_iters=0, mode="exact")
     assert len(res.energy_history) == 1
     assert not res.converged
     state = prepare(Ansatz(1, 1, np.array([0.3])))
@@ -245,7 +250,7 @@ def test_optimize_history_bookkeeping():
     res = optimize(
         h,
         Ansatz(2, 1, np.array([0.2, -0.4])),
-        OptimizerConfig(max_iters=40),
+        max_iters=40,
         mode="statistical",
         epsilon_total=0.2,
         seed=9,
@@ -264,7 +269,7 @@ def test_optimize_statistical_improves_on_noisy_objective():
     res = optimize(
         h,
         Ansatz(1, 1, np.array([0.0])),
-        OptimizerConfig(max_iters=60),
+        max_iters=60,
         mode="statistical",
         epsilon_total=0.05,
         seed=4,
