@@ -17,9 +17,11 @@ Inside the loop the belief and the setting are plain (mu, sigma) and
 (m, theta) tuples: `next_setting` returns the setting as a pair, the oracle
 receives it, and `rejection_filter_update` takes and returns pairs, each
 checked as its value type would check it.  The validated value types sit at
-the loop's edges: the prior comes in as a `NormalBelief`, the run returns a
-`NormalBelief`, and each iteration appends one `TraceRow`, an immutable named
-tuple, to the trace.
+the loop's edges: the prior comes in as a `NormalBelief` and the run returns a
+`NormalBelief`.  Each iteration adds its row to the trace flat, as six plain
+values, and the trace builds its rows as `TraceRow`s, immutable named tuples,
+when they are read.  Plain floats, ints and bools are never tracked by the
+cyclic garbage collector, so a run of any length leaves it nothing to walk.
 
 Each iteration takes one uniform.  The loop draws its uniforms in blocks, and
 on every exit it leaves the Generator exactly where one scalar `random()`
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -92,17 +95,35 @@ class TraceRow(NamedTuple):
     starved: bool
 
 
+# plain values stored per row: every `TraceRow` field but k, which is implied
+# by the row's position
+_ROW_WIDTH = 6
+
+
 @dataclass(frozen=True)
 class EstimationTrace:
-    rows: tuple[TraceRow, ...]
+    """A run's rows, stored flat, and the prior it started from.
+
+    `_values` holds (m, theta, outcome, mu, sigma, starved) for each
+    iteration in turn.  `rows` builds fresh, equal `TraceRow`s on every read.
+    """
+
+    _values: tuple
     prior_mu: float
     prior_sigma: float
 
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        # zip over one iterator repeated takes the values a row at a time,
+        # and the rows are built in C with no copy in between
+        values = iter(self._values)
+        return tuple(map(tuple.__new__, repeat(TraceRow), zip(count(1), *[values] * _ROW_WIDTH)))
+
     def sigmas(self) -> np.ndarray:
-        return np.array([self.prior_sigma] + [row.sigma for row in self.rows])
+        return np.array((self.prior_sigma, *self._values[4::_ROW_WIDTH]))
 
     def mus(self) -> np.ndarray:
-        return np.array([self.prior_mu] + [row.mu for row in self.rows])
+        return np.array((self.prior_mu, *self._values[3::_ROW_WIDTH]))
 
 
 def run_estimation(
@@ -134,10 +155,12 @@ def run_estimation(
     # names see every iteration
     pinned_theta, sample = oracle.pinned_theta, oracle.sample
     choose, update = next_setting, rejection_filter_update
-    cap, new_row = HARD_ITERATION_CAP, tuple.__new__
+    cap = HARD_ITERATION_CAP
     # the belief and the setting are checked plain pairs inside the loop
     belief, sigma = prior, prior.sigma
-    rows: list[TraceRow] = []
+    # the trace's flat values, one row of _ROW_WIDTH per iteration
+    values: list = []
+    push = values.extend
     k = 0
     # iteration k takes block[k - base]; `saved` is the Generator's state
     # before the block was drawn
@@ -151,7 +174,7 @@ def run_estimation(
             if k >= cap:
                 raise EstimationTimeout(
                     f"sigma={sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
-                    EstimationTrace(tuple(rows), prior.mu, prior.sigma),
+                    EstimationTrace(tuple(values), prior.mu, prior.sigma),
                 )
             if k - base == len(block):
                 saved, base = bit_generator.state, k
@@ -162,7 +185,7 @@ def run_estimation(
             m, theta = setting
             mu, sigma = belief
             k += 1
-            rows.append(new_row(TraceRow, (k, m, theta, outcome, mu, sigma, starved)))
+            push((m, theta, outcome, mu, sigma, starved))
     finally:
         # Generator.random(n) gives the same values as n scalar calls, so
         # rewinding and redrawing the used part of the block leaves the
@@ -170,7 +193,7 @@ def run_estimation(
         if saved is not None:
             bit_generator.state = saved
             rng.random(k - base)
-    return tuple.__new__(NormalBelief, belief), EstimationTrace(tuple(rows), prior.mu, prior.sigma)
+    return tuple.__new__(NormalBelief, belief), EstimationTrace(tuple(values), prior.mu, prior.sigma)
 
 
 def circular_distance(a, b):

@@ -1,5 +1,7 @@
 """The traced estimation loop and its measurement oracles."""
 
+import dataclasses
+import gc
 import hashlib
 
 import numpy as np
@@ -39,6 +41,12 @@ class PinnedCosineOracle:
 
     def sample(self, setting, u):
         return 0 if u < likelihood(0, 0.3, setting) else 1
+
+
+def pinned_run():
+    """The run PINNED_ROW_DIGEST pins."""
+    policy = AlphaQPE(0.5, scale=1.5, depth_cap=32.0)
+    return run_estimation(PinnedCosineOracle(), policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5)
 
 
 class FailingOracle:
@@ -200,10 +208,7 @@ def test_rows_are_pinned_bit_for_bit(alpha):
 
 
 def test_pinned_theta_rows_are_pinned_bit_for_bit():
-    policy = AlphaQPE(0.5, scale=1.5, depth_cap=32.0)
-    _, trace = run_estimation(
-        PinnedCosineOracle(), policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5
-    )
+    _, trace = pinned_run()
     assert rows_digest(trace.rows) == PINNED_ROW_DIGEST
     assert len({row.m for row in trace.rows}) > 1
 
@@ -221,6 +226,64 @@ def test_trace_rows_are_immutable_and_compare_by_value():
         row.extra = 1
     assert t1.rows == t2.rows
     assert t1.rows[-1] is not t2.rows[-1]
+
+
+def tracked_reachable(root) -> int:
+    """How many objects reachable from root through gc.get_referents the
+    cyclic garbage collector tracks; classes are neither counted nor entered."""
+    seen, stack, tracked = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return tracked
+
+
+def test_a_trace_holds_no_gc_tracked_object_per_row():
+    args = (SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0))
+    _, long = run_estimation(*args, epsilon=0.01, seed=5)
+    _, short = run_estimation(*args, max_iterations=10, seed=5)
+    assert len(long.rows) > 15_000
+    # a collection untracks every tuple that holds only untracked values, so
+    # both traces are counted in the same state
+    gc.collect()
+    assert tracked_reachable(long) == tracked_reachable(short)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, "pinned"])
+def test_the_flat_trace_reads_back_exactly(alpha):
+    if alpha == "pinned":
+        _, trace = pinned_run()
+    else:
+        _, trace = run_estimation(
+            SyntheticOracle(0.3), AlphaQPE(alpha), NormalBelief(0.0, 1.0), epsilon=0.02, seed=5
+        )
+    rows = trace.rows
+    want_sigmas = np.array([trace.prior_sigma] + [row.sigma for row in rows])
+    want_mus = np.array([trace.prior_mu] + [row.mu for row in rows])
+    assert trace.sigmas().tobytes() == want_sigmas.tobytes()
+    assert trace.mus().tobytes() == want_mus.tobytes()
+    assert [row.k for row in rows] == list(range(1, len(rows) + 1))
+    for row in rows:
+        assert [type(value) for value in row] == [int, float, float, int, float, float, bool]
+    # every read builds fresh rows, equal to the last
+    assert trace.rows == rows and trace.rows[0] is not rows[0]
+    assert type(trace._values) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.prior_mu = 0.0
+
+
+def test_a_timed_out_trace_reads_back_the_rows_of_an_uncapped_run(monkeypatch):
+    args = (SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0))
+    _, uncapped = run_estimation(*args, epsilon=0.01, seed=5)
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 300)
+    with pytest.raises(EstimationTimeout) as err:
+        run_estimation(*args, epsilon=0.01, seed=5)
+    assert repr(err.value.trace.rows) == repr(uncapped.rows[:300])
+    assert err.value.trace.sigmas().tobytes() == uncapped.sigmas()[:301].tobytes()
 
 
 @pytest.mark.parametrize(
