@@ -209,38 +209,30 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
     return tuple.__new__(NormalBelief, _moment_pair(prior, e, setting))
 
 
-# bound once: `_moment_pair` runs on every iteration of the estimation loop
-_exp, _expm1, _sin, _cos, _sqrt, _isfinite = math.exp, math.expm1, math.sin, math.cos, math.sqrt, math.isfinite
-
-
 def _moment_pair(prior: tuple[float, float], e: int, setting: tuple[float, float]) -> tuple[float, float]:
     """`moment_update`'s closed form on plain pairs: (mu, sigma) and (m, theta)
     in, a (mu, sigma) pair that passes every check of `NormalBelief` out."""
-    if e == 0:
-        s, half_trig = 1.0, _cos
-    elif e == 1:
-        s, half_trig = -1.0, _sin
-    else:
+    if e not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {e!r}")
+    s = 1.0 if e == 0 else -1.0
     mu, sigma = prior
     m, theta = setting
     t = (m * sigma) ** 2
-    damp = _exp(-0.5 * t)
-    g = -_expm1(-0.5 * t)
+    damp = math.exp(-0.5 * t)
+    g = -math.expm1(-0.5 * t)
     delta = m * (mu - theta)
-    h = half_trig(0.5 * delta) ** 2
+    h = (math.cos if e == 0 else math.sin)(0.5 * delta) ** 2
     z = g + 2.0 * damp * h
     if not z > 0.0:
         raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}")
-    var = sigma**2
-    mu = mu - s * m * var * damp * _sin(delta) / z
-    var *= 1.0 - (t / z) * (damp * (2.0 * h - g) / z)
-    if not (_isfinite(mu) and var > 0.0):
+    mu = mu - s * m * sigma**2 * damp * math.sin(delta) / z
+    var = sigma**2 * (1.0 - (t / z) * (damp * (2.0 * h - g) / z))
+    if not (math.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
-    sigma = _sqrt(var)
+    sigma = math.sqrt(var)
     # mu is finite and sigma positive here, so only an infinite sigma fails
     # the checks of NormalBelief, which then raises its own error
-    if not _isfinite(sigma):
+    if not math.isfinite(sigma):
         NormalBelief(mu, sigma)
     return mu, sigma
 

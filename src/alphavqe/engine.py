@@ -19,9 +19,10 @@ receives it, and `rejection_filter_update` takes and returns pairs, each
 checked as its value type would check it.  The validated value types sit at
 the loop's edges: the prior comes in as a `NormalBelief` and the run returns a
 `NormalBelief`.  Each iteration adds its row to the trace flat, as six plain
-values, and the trace builds its rows as `TraceRow`s, immutable named tuples,
-when they are read.  Plain floats, ints and bools are never tracked by the
-cyclic garbage collector, so a run of any length leaves it nothing to walk.
+values, and the trace's `rows` builds each `TraceRow`, an immutable named
+tuple, when a reader reaches it.  Plain floats, ints and bools are never
+tracked by the cyclic garbage collector, so neither a run of any length nor
+a scan of its rows leaves the collector anything to walk.
 
 Each iteration takes one uniform.  The loop draws its uniforms in blocks, and
 on every exit it leaves the Generator exactly where one scalar `random()`
@@ -32,6 +33,7 @@ reproduce traces bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple
@@ -100,12 +102,49 @@ class TraceRow(NamedTuple):
 _ROW_WIDTH = 6
 
 
+class _TraceRows(Sequence):
+    """`EstimationTrace.rows`: a read-only sequence over a trace's flat values
+    that compares, concatenates and prints as the tuple of its rows."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: tuple):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values) // _ROW_WIDTH
+
+    def __iter__(self):
+        # zip over one iterator repeated takes the values a row at a time
+        values = iter(self._values)
+        return map(tuple.__new__, repeat(TraceRow), zip(count(1), *[values] * _ROW_WIDTH))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        k = range(len(self))[index]
+        start = _ROW_WIDTH * k
+        return tuple.__new__(TraceRow, (k + 1, *self._values[start : start + _ROW_WIDTH]))
+
+    def __eq__(self, other):
+        if isinstance(other, _TraceRows):
+            return self._values == other._values
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __add__(self, other):
+        return tuple(self) + tuple(other) if isinstance(other, (tuple, _TraceRows)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class EstimationTrace:
     """A run's rows, stored flat, and the prior it started from.
 
     `_values` holds (m, theta, outcome, mu, sigma, starved) for each
-    iteration in turn.  `rows` builds fresh, equal `TraceRow`s on every read.
+    iteration in turn.  `rows` reads them as `TraceRow`s: each row is built
+    when it is reached, and every read builds fresh, equal rows.
     """
 
     _values: tuple
@@ -113,11 +152,11 @@ class EstimationTrace:
     prior_sigma: float
 
     @property
-    def rows(self) -> tuple[TraceRow, ...]:
-        # zip over one iterator repeated takes the values a row at a time,
-        # and the rows are built in C with no copy in between
-        values = iter(self._values)
-        return tuple(map(tuple.__new__, repeat(TraceRow), zip(count(1), *[values] * _ROW_WIDTH)))
+    def rows(self) -> Sequence[TraceRow]:
+        """The rows as `TraceRow`s, each built when it is reached: `len` and
+        indexing build no row beyond the one asked for, a scan holds one at a
+        time, and `tuple(rows)` builds them all."""
+        return _TraceRows(self._values)
 
     def sigmas(self) -> np.ndarray:
         return np.array((self.prior_sigma, *self._values[4::_ROW_WIDTH]))

@@ -276,6 +276,50 @@ def test_the_flat_trace_reads_back_exactly(alpha):
         trace.prior_mu = 0.0
 
 
+def test_trace_rows_read_as_the_tuple_of_them():
+    _, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=3)
+    rows = trace.rows
+    every = tuple(rows)
+    assert len(rows) == len(every) == 40
+    assert [rows[i] for i in range(-40, 40)] == [every[i] for i in range(-40, 40)]
+    for index in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -3), slice(50, 60)):
+        assert type(rows[index]) is tuple and rows[index] == every[index]
+    with pytest.raises(IndexError):
+        rows[40]
+    with pytest.raises(IndexError):
+        rows[-41]
+    assert rows == every and every == rows and rows != every[:-1] and rows != list(every)
+    assert rows + rows == rows + every == every + every
+    assert repr(rows) == repr(every) and rows.index(every[7]) == 7 and every[-1] in rows
+    _, empty = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=0, seed=3)
+    assert empty.rows == () and not empty.rows and repr(empty.rows) == "()"
+
+
+def test_a_long_run_and_a_scan_of_its_rows_set_off_no_collection():
+    # rows are built one at a time as the scan reaches them, each freed before
+    # the next, so neither the run nor the read leaves ~20k objects for the
+    # collector: what the benchmark and stage 2 do after every run
+    generations = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        _, trace = run_estimation(
+            SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=0.01, seed=5
+        )
+        rows = trace.rows
+        deepest = max(row.m for row in rows)
+        last = rows[-1]
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert len(rows) > 15_000 and deepest == 1.0 and last.k == len(rows)
+    assert generations == []
+
+
 def test_a_timed_out_trace_reads_back_the_rows_of_an_uncapped_run(monkeypatch):
     args = (SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0))
     _, uncapped = run_estimation(*args, epsilon=0.01, seed=5)
@@ -362,7 +406,8 @@ def test_run_returns_a_normal_belief_on_every_exit(stop):
     prior = NormalBelief(0.2, 0.8)
     belief, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), prior, seed=3, **stop)
     assert type(belief) is NormalBelief
-    last = trace.rows[-1] if trace.rows else None
+    rows = trace.rows
+    last = rows[-1] if rows else None
     assert belief == (prior if last is None else (last.mu, last.sigma))
 
 
