@@ -11,8 +11,11 @@ N(mu, sigma^2).  Posteriors are computed two ways: exactly on a dense grid
 (the validation oracle and the degenerate-mass fallback), and in closed form,
 since the refit normal's moments are Gaussian trigonometric integrals.
 
-`rejection_filter_update` is the one update the estimators call: it takes
-the closed form and falls back to the grid when the closed form degenerates.
+The closed form exists once, in `_moment_step`, on plain floats.
+`moment_update` wraps it in the value types.  `rejection_filter_update` takes
+it and falls back to the grid when it degenerates.  The estimation loop calls
+`_moment_step` itself on every iteration and calls `rejection_filter_update`
+only for an update the closed form cannot make.
 
 The closed-form expected posterior variance after one measurement (the Bayes
 risk) is
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+# bound once for `_moment_step`, which runs on every iteration of a run
+from math import cos as _cos, exp as _exp, expm1 as _expm1, isfinite as _isfinite, sin as _sin, sqrt as _sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -206,33 +211,40 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
         1 + s c          = g + 2 e^(-t/2) h
         s c + c^2 + q^2  = e^(-t/2) (2 h - g)
     """
-    return tuple.__new__(NormalBelief, _moment_pair(prior, e, setting))
-
-
-def _moment_pair(prior: tuple[float, float], e: int, setting: tuple[float, float]) -> tuple[float, float]:
-    """`moment_update`'s closed form on plain pairs: (mu, sigma) and (m, theta)
-    in, a (mu, sigma) pair that passes every check of `NormalBelief` out."""
-    if e not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {e!r}")
-    s = 1.0 if e == 0 else -1.0
     mu, sigma = prior
     m, theta = setting
+    return tuple.__new__(NormalBelief, _moment_step(mu, sigma, e, m, theta))
+
+
+def _moment_step(mu: float, sigma: float, e: int, m: float, theta: float) -> tuple[float, float]:
+    """`moment_update`'s closed form on plain floats: the belief (mu, sigma),
+    outcome e and setting (m, theta) in, a (mu, sigma) pair that passes every
+    check of `NormalBelief` out.  The one copy of the closed form: every
+    normal update runs through it, and the estimation loop calls it directly
+    on every iteration."""
+    if e == 0:
+        s, half = 1.0, _cos
+    elif e == 1:
+        s, half = -1.0, _sin
+    else:
+        raise ValueError(f"outcome must be 0 or 1, got {e!r}")
     t = (m * sigma) ** 2
-    damp = math.exp(-0.5 * t)
-    g = -math.expm1(-0.5 * t)
+    damp = _exp(-0.5 * t)
+    g = -_expm1(-0.5 * t)
     delta = m * (mu - theta)
-    h = (math.cos if e == 0 else math.sin)(0.5 * delta) ** 2
+    h = half(0.5 * delta) ** 2
     z = g + 2.0 * damp * h
     if not z > 0.0:
         raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}")
-    mu = mu - s * m * sigma**2 * damp * math.sin(delta) / z
-    var = sigma**2 * (1.0 - (t / z) * (damp * (2.0 * h - g) / z))
-    if not (math.isfinite(mu) and var > 0.0):
+    var = sigma**2
+    mu = mu - s * m * var * damp * _sin(delta) / z
+    var *= 1.0 - (t / z) * (damp * (2.0 * h - g) / z)
+    if not (_isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
-    sigma = math.sqrt(var)
+    sigma = _sqrt(var)
     # mu is finite and sigma positive here, so only an infinite sigma fails
     # the checks of NormalBelief, which then raises its own error
-    if not math.isfinite(sigma):
+    if not _isfinite(sigma):
         NormalBelief(mu, sigma)
     return mu, sigma
 
@@ -244,18 +256,22 @@ def rejection_filter_update(
 
     The prior and setting may be value types or plain pairs, and the
     posterior comes back as a plain pair that passes every check of
-    `NormalBelief`: the estimation loop carries its belief as such pairs.
-    The closed form of `moment_update` gives the refit normal exactly; an
-    outcome that leaves it no mass falls back to the exact grid posterior
-    and reports starved=True.  Its cancellation-free form loses the mass
-    only when (m sigma)^2 underflows to 0 at delta = 0, where the grid has
-    none either and the error propagates.
+    `NormalBelief`.  The closed form of `moment_update` gives the refit
+    normal exactly; an outcome that leaves it no mass falls back to the
+    exact grid posterior and reports starved=True.  Its cancellation-free
+    form loses the mass only when (m sigma)^2 underflows to 0 at delta = 0,
+    where the grid has none either and the error propagates.
 
     The name is kept from the rejection-filter sampler this update replaced,
-    because it is public and instrumentation wraps it by name.
+    because it is public.  The estimation loop makes its own closed-form
+    step and calls this only when that step degenerates, so a wrapper on
+    `engine.rejection_filter_update` sees the grid fallbacks alone, not
+    every iteration.
     """
+    mu, sigma = prior
+    m, theta = setting
     try:
-        return _moment_pair(prior, e, setting), False
+        return _moment_step(mu, sigma, e, m, theta), False
     except DegenerateUpdateError:
         post = exact_update(GridBelief.from_normal(prior), e, setting)
         return tuple(NormalBelief(post.mean(), post.std())), True

@@ -13,16 +13,25 @@ theta the oracle can read out at, which `next_setting` then holds fixed while
 it picks a whole m.  `SyntheticOracle` compares u with the cosine at a hidden
 true phase.
 
-Inside the loop the belief and the setting are plain (mu, sigma) and
-(m, theta) tuples: `next_setting` returns the setting as a pair, the oracle
-receives it, and `rejection_filter_update` takes and returns pairs, each
-checked as its value type would check it.  The validated value types sit at
-the loop's edges: the prior comes in as a `NormalBelief` and the run returns a
-`NormalBelief`.  Each iteration adds its row to the trace flat, as six plain
-values, and the trace's `rows` builds each `TraceRow`, an immutable named
-tuple, when a reader reaches it.  Plain floats, ints and bools are never
-tracked by the cyclic garbage collector, so neither a run of any length nor
-a scan of its rows leaves the collector anything to walk.
+Inside the loop the belief is two plain floats, mu and sigma, and the
+oracle receives the setting as a plain (m, theta) tuple.  An unpinned
+iteration makes two calls: `oracle.sample` and `bayes._moment_step`, the
+closed-form update.  It picks its setting itself, as `next_setting` would:
+m from `policy.raw_m`, clamped to the depth cap, theta = mu - sigma, and the
+checks of `ExperimentSetting`, whose constructor raises for a setting that
+fails them.  A pinned iteration also calls `next_setting`, for its window
+scan.  `rejection_filter_update` runs only when the closed form degenerates,
+for its grid fallback.  So wrappers on `engine.next_setting` and
+`engine.rejection_filter_update` see only pinned iterations and degenerate
+updates, while `oracle.sample` and `engine._moment_step` see every iteration.
+The validated value types sit at the loop's edges: the prior comes in as a
+`NormalBelief` and the run returns a `NormalBelief`.
+
+Each iteration adds its row to the trace flat, as six plain values, and the
+trace's `rows` builds each `TraceRow`, an immutable named tuple, when a
+reader reaches it.  Plain floats, ints and bools are never tracked by the
+cyclic garbage collector, so neither a run of any length nor a scan of its
+rows leaves the collector anything to walk.
 
 Each iteration takes one uniform.  The loop draws its uniforms in blocks, and
 on every exit it leaves the Generator exactly where one scalar `random()`
@@ -40,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import NormalBelief, rejection_filter_update
+from .bayes import DegenerateUpdateError, ExperimentSetting, NormalBelief, _moment_step, rejection_filter_update
 from .rand import child_seed, rng_for
 from .schedules import AlphaQPE, next_setting
 
@@ -191,12 +200,21 @@ def run_estimation(
     rng = np.random.default_rng(seed)
     bit_generator = rng.bit_generator
     # looked up per call, not at import, so that wrappers installed on these
-    # names see every iteration
+    # names see every run: `sample` is called on every iteration,
+    # `next_setting` only on the pinned path and `rejection_filter_update`
+    # only for an update the closed form cannot make
     pinned_theta, sample = oracle.pinned_theta, oracle.sample
-    choose, update = next_setting, rejection_filter_update
+    choose, step, fallback = next_setting, _moment_step, rejection_filter_update
+    # the unpinned setting is `next_setting`'s, written out: the policy's
+    # rule, clamped to its depth cap (no cap is an infinite one), and
+    # theta = mu - sigma.  float(depth_cap) is the float nearest an int cap,
+    # so `m > top` clamps exactly as `m > depth_cap` does
+    raw_m, depth_cap = policy.raw_m, policy.depth_cap
+    inf = math.inf
+    top = inf if depth_cap is None else float(depth_cap)
     cap = HARD_ITERATION_CAP
-    # the belief and the setting are checked plain pairs inside the loop
-    belief, sigma = prior, prior.sigma
+    # the belief is two plain floats inside the loop
+    mu, sigma = prior
     # the trace's flat values, one row of _ROW_WIDTH per iteration
     values: list = []
     push = values.extend
@@ -218,11 +236,24 @@ def run_estimation(
             if k - base == len(block):
                 saved, base = bit_generator.state, k
                 block = rng.random(_UNIFORM_BLOCK).tolist()
-            setting = choose(policy, belief, pinned_theta)
-            outcome = sample(setting, block[k - base])
-            belief, starved = update(belief, outcome, setting)
-            m, theta = setting
-            mu, sigma = belief
+            if pinned_theta is None:
+                m = raw_m(sigma)
+                if m > top:
+                    m = top
+                theta = mu - sigma
+                # the checks of ExperimentSetting, as comparisons that nan
+                # fails; a setting that fails them goes through it for its
+                # message
+                if not (0.0 < m < inf and -inf < theta < inf):
+                    ExperimentSetting(m, theta)
+            else:
+                m, theta = choose(policy, (mu, sigma), pinned_theta)
+            outcome = sample((m, theta), block[k - base])
+            try:
+                mu, sigma = step(mu, sigma, outcome, m, theta)
+                starved = False
+            except DegenerateUpdateError:
+                (mu, sigma), starved = fallback((mu, sigma), outcome, (m, theta))
             k += 1
             push((m, theta, outcome, mu, sigma, starved))
     finally:
@@ -232,7 +263,7 @@ def run_estimation(
         if saved is not None:
             bit_generator.state = saved
             rng.random(k - base)
-    return tuple.__new__(NormalBelief, belief), EstimationTrace(tuple(values), prior.mu, prior.sigma)
+    return tuple.__new__(NormalBelief, (mu, sigma)), EstimationTrace(tuple(values), prior.mu, prior.sigma)
 
 
 def circular_distance(a, b):

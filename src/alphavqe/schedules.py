@@ -40,6 +40,11 @@ __all__ = [
     "analytic_risk_curve",
 ]
 
+# the most whole counts the pinned-theta window may scan, one scalar gain
+# each (tens of milliseconds at this width); a capped policy's window holds
+# at most floor(depth_cap) / 2 + 1 counts
+_MAX_WINDOW = 1 << 16
+
 
 @dataclass(frozen=True)
 class AlphaQPE:
@@ -84,7 +89,10 @@ def next_setting(
     kept within [1, floor(depth_cap)]; the first such count wins a tie.  The
     window lets m step off the zeros of the Bayes gain, which at a fixed
     theta fall wherever sin(m (mu - theta)) vanishes.  The window is scanned
-    in scalar `math`, with no numpy call.
+    in scalar `math`, with no numpy call.  A window of more than
+    `_MAX_WINDOW` counts is refused, before any scan, with a ValueError that
+    names its width; only a policy with no depth cap, or a cap above about
+    2 `_MAX_WINDOW`, can give one.
     """
     mu, sigma = belief
     depth_cap = policy.depth_cap
@@ -108,6 +116,11 @@ def next_setting(
         top = min(top, depth_cap)
     hi = max(1, math.floor(top))
     lo = min(hi, max(1, math.ceil(m / math.sqrt(2.0))))
+    if hi - lo >= _MAX_WINDOW:
+        raise ValueError(
+            f"the pinned window around m = {m:.6g} holds {hi - lo + 1:.6g} whole counts, "
+            f"more than {_MAX_WINDOW}; give the policy a depth_cap"
+        )
     # the least bayes_risk is the largest `bayes._gain`, written out in scalar
     # math over the whole counts: the first maximum wins a tie, and a zero
     # denominator (t = sin2 = 0) gives a zero gain

@@ -243,10 +243,10 @@ def test_rejection_filter_starvation_falls_back_to_grid(monkeypatch):
     # the stable closed form degenerates only when (m sigma)^2 underflows to
     # 0 at delta = 0, where the grid has no mass either, so the degeneracy
     # is injected to check the route: starved, and exactly the grid posterior
-    def degenerate(prior, e, setting):
+    def degenerate(mu, sigma, e, m, theta):
         raise DegenerateUpdateError("injected")
 
-    monkeypatch.setattr(bayes, "_moment_pair", degenerate)
+    monkeypatch.setattr(bayes, "_moment_step", degenerate)
     prior = NormalBelief(0.3, 0.25)
     setting = ExperimentSetting(4.0, 0.1)
     for e in (0, 1):

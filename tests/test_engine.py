@@ -19,7 +19,7 @@ from alphavqe.engine import (
     ensemble_run,
     run_estimation,
 )
-from alphavqe.schedules import AlphaQPE
+from alphavqe.schedules import AlphaQPE, next_setting
 
 # (rows, SHA-256 of repr(trace.rows)) for run_estimation(SyntheticOracle(0.3),
 # AlphaQPE(alpha), NormalBelief(0, 1), epsilon=0.02, seed=5): they pin every
@@ -366,7 +366,7 @@ def test_generator_ends_one_scalar_draw_per_row_when_the_oracle_raises(rows):
 
 def test_generator_ends_one_scalar_draw_per_row_when_the_update_raises(monkeypatch):
     calls = []
-    update = engine.rejection_filter_update
+    update = engine._moment_step
 
     def failing(*args):
         if len(calls) == 300:
@@ -374,7 +374,7 @@ def test_generator_ends_one_scalar_draw_per_row_when_the_update_raises(monkeypat
         calls.append(args)
         return update(*args)
 
-    monkeypatch.setattr(engine, "rejection_filter_update", failing)
+    monkeypatch.setattr(engine, "_moment_step", failing)
     gen = np.random.default_rng(17)
     with pytest.raises(FloatingPointError):
         run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
@@ -411,17 +411,39 @@ def test_run_returns_a_normal_belief_on_every_exit(stop):
     assert belief == (prior if last is None else (last.mu, last.sigma))
 
 
-def test_a_starved_update_takes_the_grid_posterior_and_the_run_goes_on(monkeypatch):
-    # the closed form degenerates on the fourth update only
-    closed_form, calls = bayes._moment_pair, []
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("cap", [None, 4.5, 4])
+def test_the_loop_picks_next_settings_unpinned_setting_bit_for_bit(alpha, cap):
+    policy, prior = AlphaQPE(alpha, depth_cap=cap), NormalBelief(0.2, 0.8)
+    _, trace = run_estimation(SyntheticOracle(0.3), policy, prior, max_iterations=300, seed=11)
+    rows = trace.rows
+    assert len(rows) == 300
+    beliefs = [tuple(prior)] + [(row.mu, row.sigma) for row in rows]
+    for belief, row in zip(beliefs, rows):
+        m, theta = next_setting(policy, belief)
+        assert (row.m, row.theta) == (m, theta)
+        assert type(row.m) is type(m) and type(row.theta) is type(theta)
+    # the cap binds at alpha > 0 once sigma is small enough
+    if cap is not None and alpha > 0.0:
+        assert rows[-1].m == float(cap)
 
-    def degenerate_once(prior, e, setting):
-        calls.append((prior, e, setting))
+
+def test_a_starved_update_takes_the_grid_posterior_and_the_run_goes_on(monkeypatch):
+    # the loop's closed-form step degenerates on the fourth update only, and
+    # the fallback's closed form degenerates as the loop's did
+    closed_form, calls = engine._moment_step, []
+
+    def degenerate_once(mu, sigma, e, m, theta):
+        calls.append(((mu, sigma), e, (m, theta)))
         if len(calls) == 4:
             raise DegenerateUpdateError("injected")
-        return closed_form(prior, e, setting)
+        return closed_form(mu, sigma, e, m, theta)
 
-    monkeypatch.setattr(bayes, "_moment_pair", degenerate_once)
+    def degenerate(*args):
+        raise DegenerateUpdateError("injected")
+
+    monkeypatch.setattr(engine, "_moment_step", degenerate_once)
+    monkeypatch.setattr(bayes, "_moment_step", degenerate)
     gen = np.random.default_rng(17)
     belief, trace = run_estimation(
         SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=gen

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import alphavqe.schedules as schedules
 from alphavqe.bayes import ExperimentSetting, NormalBelief, bayes_risk, variance_gain
+from alphavqe.engine import SyntheticOracle, run_estimation
 from alphavqe.schedules import (
     AlphaQPE,
     alpha_max,
@@ -113,6 +115,10 @@ def test_unpinned_setting_refuses_what_the_constructor_refuses(policy, belief, m
     with pytest.raises(ValueError) as info:
         next_setting(policy, belief)
     assert info.type is ValueError and str(info.value) == message
+    # the estimation loop picks its unpinned setting itself and refuses alike
+    with pytest.raises(ValueError) as info:
+        run_estimation(SyntheticOracle(0.3), policy, belief, max_iterations=1)
+    assert info.type is ValueError and str(info.value) == message
     # a pinned theta is finite here, so the pinned path refuses the same m
     # before its window, with the same error
     if message.startswith("m "):
@@ -203,6 +209,23 @@ def test_pinned_window_stays_in_one_to_floor_cap(alpha, scale, cap, window):
         m, _ = next_setting(policy, belief, float(pinned))
         assert window[0] <= m <= window[1]
         assert m == vectorised_window_m(policy, belief, float(pinned))
+
+
+def test_an_uncapped_pinned_window_too_wide_to_scan_is_refused_at_once():
+    # m* is about 1e160, so the window holds about 7e159 whole counts
+    with pytest.raises(ValueError, match=r"holds 7\.07\d*e\+159 whole counts, more than 65536") as info:
+        next_setting(AlphaQPE(0.5), NormalBelief(0.0, 1e-320), 0.0)
+    assert info.type is ValueError
+
+
+def test_the_widest_pinned_window_scanned_holds_the_bound(monkeypatch):
+    # the window [22, 42] holds 21 counts: scanned at a bound of 21, refused at 20
+    policy, belief = AlphaQPE(1.0, scale=1.5), NormalBelief(0.3, 0.05)
+    monkeypatch.setattr(schedules, "_MAX_WINDOW", 21)
+    assert next_setting(policy, belief, 0.1) == ExperimentSetting(vectorised_window_m(policy, belief, 0.1), 0.1)
+    monkeypatch.setattr(schedules, "_MAX_WINDOW", 20)
+    with pytest.raises(ValueError, match="holds 21 whole counts, more than 20"):
+        next_setting(policy, belief, 0.1)
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.1])
