@@ -16,7 +16,7 @@ from alphavqe.expectation import (
     collapse_state,
     two_stage_estimate,
 )
-from alphavqe.statevector import Ansatz, build_rotation_operator
+from alphavqe.statevector import Ansatz
 
 cfg = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
 print(f"target interval for the phase path: [{TARGET_INTERVAL[0]:.4f}, {TARGET_INTERVAL[1]:.4f}]")
@@ -32,17 +32,17 @@ for truth in [-0.62, 0.93, 0.04]:
     print(f"  deepest m    : {res.max_depth_used:.0f}\n")
 
 # the two-measurement collapse (a diagnostic; the estimator does not use it):
-# outcome statistics over repeated preparations
+# outcome statistics over repeated preparations, which depend on the
+# eigenphase phi = 2 arccos |A| alone
 truth = -0.62
-op = build_rotation_operator(Ansatz(1, 1, np.array([np.arccos(truth)])), "Z")
+phi = 2.0 * np.arccos(abs(truth))
 rng = np.random.default_rng(9)
 confidences = []
 sharp = 0
 for _ in range(400):
-    col = collapse_state(op, rng)
+    col = collapse_state(phi, rng)
     confidences.append(col.confidence)
     sharp += col.outcomes[0] == 1
-phi = op.rotation_angle
 print(f"collapse statistics on |A| = {abs(truth)} (eigenphase {phi:.3f})")
 print(f"  sharp first bit (b2=1) in {sharp}/400 runs; predicted sin^2(phi) = {np.sin(phi)**2:.3f}")
 print(f"  mean branch confidence {np.mean(confidences):.3f}")

@@ -8,14 +8,15 @@ bit E with probability
 Every estimator reads its outcomes under this one likelihood.  Beliefs over
 phi live on the unwrapped real line and are summarized as normals
 N(mu, sigma^2).  Posteriors are computed two ways: exactly on a dense grid
-(the validation oracle and the degenerate-mass fallback), and in closed form,
-since the refit normal's moments are Gaussian trigonometric integrals.
+(the validation oracle), and in closed form, since the refit normal's moments
+are Gaussian trigonometric integrals.
 
 The closed form exists once, in `_moment_step`, on plain floats.
-`moment_update` wraps it in the value types.  `rejection_filter_update` takes
-it and falls back to the grid when it degenerates.  The estimation loop calls
-`_moment_step` itself on every iteration and calls `rejection_filter_update`
-only for an update the closed form cannot make.
+`moment_update` wraps it in the value types.  The estimation loop calls
+`_moment_step` itself on every iteration, and an update it cannot make raises
+`DegenerateUpdateError` out of the loop.  `rejection_filter_update`, which no
+estimator calls, takes the closed form and falls back to the grid when it
+degenerates.
 
 The closed-form expected posterior variance after one measurement (the Bayes
 risk) is
@@ -180,7 +181,7 @@ class GridBelief:
 
 
 def exact_update(prior: GridBelief, e: int, setting: tuple[float, float]) -> GridBelief:
-    """Exact Bayesian update on the grid: the oracle and fallback for the closed-form update."""
+    """Exact Bayesian update on the grid: the closed form's oracle and `rejection_filter_update`'s fallback."""
     w = prior.weights * likelihood(e, prior.support, setting)
     total = w.sum()
     if not (np.isfinite(total) and total > 0.0):
@@ -263,10 +264,8 @@ def rejection_filter_update(
     where the grid has none either and the error propagates.
 
     The name is kept from the rejection-filter sampler this update replaced,
-    because it is public.  The estimation loop makes its own closed-form
-    step and calls this only when that step degenerates, so a wrapper on
-    `engine.rejection_filter_update` sees the grid fallbacks alone, not
-    every iteration.
+    because it is public.  The estimation loop does not call it: it makes
+    its own closed-form step and lets a degenerate one raise.
     """
     mu, sigma = prior
     m, theta = setting

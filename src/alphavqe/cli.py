@@ -26,7 +26,7 @@ from .engine import ensemble_run
 from .expectation import TwoStageConfig, collapse_distribution, two_stage_estimate
 from .rand import child_seed, rng_for
 from .schedules import AlphaQPE, alpha_max, analytic_risk_curve, n_min, n_min_restarts
-from .statevector import Ansatz, build_rotation_operator
+from .statevector import Ansatz
 from .vqe import (
     HamiltonianParseError,
     bundled_hamiltonian,
@@ -297,8 +297,14 @@ def cmd_vqe(cfg: dict) -> int:
         hamiltonian = load_hamiltonian(name)
     mode = cfg["mode"]
     epsilon = _single(cfg, "epsilon")
+    if cfg["layers"] < 0:
+        raise CliError(f"layers must be non-negative, got {cfg['layers']}")
     template = Ansatz(hamiltonian.n_qubits, cfg["layers"], np.zeros(hamiltonian.n_qubits * cfg["layers"]))
-    two_stage = TwoStageConfig(alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=epsilon)
+    # only alpha mode reads it, at the per-term share of epsilon that estimate_energy sets
+    two_stage = None
+    if mode == "alpha":
+        per_term = epsilon / hamiltonian.coeff_norm
+        two_stage = TwoStageConfig(alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=per_term)
     result = optimize(
         hamiltonian,
         template,
@@ -340,10 +346,7 @@ def cmd_collapse_check(cfg: dict) -> int:
     rows = []
     worst = 0.0
     for phi in cfg["phis"]:
-        if not 0.0 < phi < math.pi:
-            raise CliError(f"phis entries must lie in (0, pi), got {phi}")
-        op = build_rotation_operator(Ansatz(1, 1, np.array([phi / 2.0])), "Z")
-        dist = collapse_distribution(op)
+        dist = collapse_distribution(phi)
         sin_phi = math.sin(phi)
         expected = {
             (0, 0): (math.cos(phi) ** 2 * math.cos(phi / 2.0) ** 2, 0.5),

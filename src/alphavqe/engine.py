@@ -16,22 +16,21 @@ true phase.
 Inside the loop the belief is two plain floats, mu and sigma, and the
 oracle receives the setting as a plain (m, theta) tuple.  An unpinned
 iteration makes two calls: `oracle.sample` and `bayes._moment_step`, the
-closed-form update.  It picks its setting itself, as `next_setting` would:
-m from `policy.raw_m`, clamped to the depth cap, theta = mu - sigma, and the
-checks of `ExperimentSetting`, whose constructor raises for a setting that
-fails them.  A pinned iteration also calls `next_setting`, for its window
-scan.  `rejection_filter_update` runs only when the closed form degenerates,
-for its grid fallback.  So wrappers on `engine.next_setting` and
-`engine.rejection_filter_update` see only pinned iterations and degenerate
-updates, while `oracle.sample` and `engine._moment_step` see every iteration.
-The validated value types sit at the loop's edges: the prior comes in as a
+closed-form update.  It picks its setting itself: m from `policy.raw_m`,
+clamped to the depth cap, theta = mu - sigma, and the checks of
+`ExperimentSetting`, whose constructor raises for a setting that fails them.
+A pinned iteration also calls `next_setting`, for its window scan.  An update
+the closed form cannot make raises `DegenerateUpdateError` out of the loop.
+So a wrapper on `engine.next_setting` sees only pinned iterations, while
+`oracle.sample` and `engine._moment_step` see every iteration.  The
+validated value types sit at the loop's edges: the prior comes in as a
 `NormalBelief` and the run returns a `NormalBelief`.
 
-Each iteration adds its row to the trace flat, as six plain values, and the
+Each iteration adds its row to the trace flat, as five plain values, and the
 trace's `rows` builds each `TraceRow`, an immutable named tuple, when a
-reader reaches it.  Plain floats, ints and bools are never tracked by the
-cyclic garbage collector, so neither a run of any length nor a scan of its
-rows leaves the collector anything to walk.
+reader reaches it.  Plain floats and ints are never tracked by the cyclic
+garbage collector, so neither a run of any length nor a scan of its rows
+leaves the collector anything to walk.
 
 Each iteration takes one uniform.  The loop draws its uniforms in blocks, and
 on every exit it leaves the Generator exactly where one scalar `random()`
@@ -49,7 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import DegenerateUpdateError, ExperimentSetting, NormalBelief, _moment_step, rejection_filter_update
+# rejection_filter_update goes uncalled here (a degenerate update raises out
+# of the loop): bench/tracing.py patches it by name
+from .bayes import ExperimentSetting, NormalBelief, _moment_step, rejection_filter_update
 from .rand import child_seed, rng_for
 from .schedules import AlphaQPE, next_setting
 
@@ -103,12 +104,11 @@ class TraceRow(NamedTuple):
     outcome: int
     mu: float
     sigma: float
-    starved: bool
 
 
 # plain values stored per row: every `TraceRow` field but k, which is implied
 # by the row's position
-_ROW_WIDTH = 6
+_ROW_WIDTH = 5
 
 
 class _TraceRows(Sequence):
@@ -151,7 +151,7 @@ class _TraceRows(Sequence):
 class EstimationTrace:
     """A run's rows, stored flat, and the prior it started from.
 
-    `_values` holds (m, theta, outcome, mu, sigma, starved) for each
+    `_values` holds (m, theta, outcome, mu, sigma) for each
     iteration in turn.  `rows` reads them as `TraceRow`s: each row is built
     when it is reached, and every read builds fresh, equal rows.
     """
@@ -189,7 +189,9 @@ def run_estimation(
     uniform per completed iteration, whatever way the run ends.  At least one
     stopping rule is required.  If only epsilon is given and the hard cap of
     10**6 iterations is reached, EstimationTimeout is raised with the partial
-    trace attached.  Every return gives the belief as a `NormalBelief`.
+    trace attached.  An update the closed form cannot make raises
+    `DegenerateUpdateError`.  Every return gives the belief as a
+    `NormalBelief`.
     """
     if epsilon is None and max_iterations is None:
         raise ValueError("provide a stopping rule: epsilon and/or max_iterations")
@@ -200,15 +202,14 @@ def run_estimation(
     rng = np.random.default_rng(seed)
     bit_generator = rng.bit_generator
     # looked up per call, not at import, so that wrappers installed on these
-    # names see every run: `sample` is called on every iteration,
-    # `next_setting` only on the pinned path and `rejection_filter_update`
-    # only for an update the closed form cannot make
+    # names see every run: `sample` and `_moment_step` are called on every
+    # iteration, `next_setting` only on the pinned path
     pinned_theta, sample = oracle.pinned_theta, oracle.sample
-    choose, step, fallback = next_setting, _moment_step, rejection_filter_update
-    # the unpinned setting is `next_setting`'s, written out: the policy's
-    # rule, clamped to its depth cap (no cap is an infinite one), and
-    # theta = mu - sigma.  float(depth_cap) is the float nearest an int cap,
-    # so `m > top` clamps exactly as `m > depth_cap` does
+    choose, step = next_setting, _moment_step
+    # the unpinned setting: the policy's rule, clamped to its depth cap (no
+    # cap is an infinite one), and theta = mu - sigma.  float(depth_cap) is
+    # the float nearest an int cap, so `m > top` clamps exactly as
+    # `m > depth_cap` does
     raw_m, depth_cap = policy.raw_m, policy.depth_cap
     inf = math.inf
     top = inf if depth_cap is None else float(depth_cap)
@@ -249,13 +250,9 @@ def run_estimation(
             else:
                 m, theta = choose(policy, (mu, sigma), pinned_theta)
             outcome = sample((m, theta), block[k - base])
-            try:
-                mu, sigma = step(mu, sigma, outcome, m, theta)
-                starved = False
-            except DegenerateUpdateError:
-                (mu, sigma), starved = fallback((mu, sigma), outcome, (m, theta))
+            mu, sigma = step(mu, sigma, outcome, m, theta)
             k += 1
-            push((m, theta, outcome, mu, sigma, starved))
+            push((m, theta, outcome, mu, sigma))
     finally:
         # Generator.random(n) gives the same values as n scalar calls, so
         # rewinding and redrawing the used part of the block leaves the

@@ -42,10 +42,11 @@ Writing phi for the positive eigenphase, the joint outcome distribution is
     (b2, b1) = (1, 0): sin^2(phi) / 2              plus-branch prob (1 + sin phi)/2
     (b2, b1) = (1, 1): sin^2(phi) / 2              plus-branch prob (1 - sin phi)/2
 
-The four branches, their probabilities and confidences are computed once per
-operator, in the 2x2 coordinates of the rotation plane, and then sampled.
-The table needs 0 < |<P>| < 1: at either end the two eigenphases coincide
-and the branch confidences are undefined.
+The table depends on phi alone.  In the rotation's eigenbasis the trial state
+is (1/sqrt 2, 1/sqrt 2) on the eigenvalues e^(+-i phi), so both measurements
+are algebra on 2-vectors, with no operator built.  The table needs
+0 < phi < pi, that is 0 < |<P>| < 1: at either end the two eigenphases
+coincide and the branch confidences are undefined.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .bayes import NormalBelief, rejection_filter_update
 from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
-    RotationOperator,
     _ancilla_branches,
     _eigenphase,
     _trial_state_p0,
@@ -187,75 +187,63 @@ def stage1_gate(ansatz: Ansatz, pauli: str, rng: np.random.Generator) -> Stage1R
 
 @dataclass(frozen=True)
 class CollapseResult:
-    state: np.ndarray
     branch: int
     confidence: float
     outcomes: tuple[int, int]
     n_measurements: int
 
 
-def _collapse_table(op: RotationOperator):
-    """The two fixed ancilla measurements on op.base_state, run once per operator.
+def _collapse_table(phi: float):
+    """The two fixed ancilla measurements on the trial state's eigenbasis
+    coordinates, plus branch (eigenvalue e^(+i phi)) first.
 
     Returns (p_b2, branches): p_b2[b2] is the probability of the first bit and
-    branches[(b2, b1)] = (p(b1 | b2), read-only post-measurement state, exact
-    probability that the state is the plus-branch eigenvector).  A zero
-    state, which stands for a zero-probability branch, gets confidence 1/2.
-    Both measurements stay in the rotation plane, so they run on b = B^H psi
-    and the 2x2 restriction M, and the post states are lifted by B at the end.
+    branches[(b2, b1)] = (p(b1 | b2), exact probability that the post state
+    is the plus-branch eigenvector); a zero post state, which stands for a
+    zero-probability branch, gets confidence 1/2.
     """
-    if op._collapse is None:
-        a2 = op.expectation * op.expectation
-        if min(a2, 1.0 - a2) < 1e-12:
-            raise ValueError(f"collapse needs 0 < |<P>| < 1, got {op.expectation}: M = +-I has no eigenbasis")
-        restricted = op._restricted
-        b = op._basis.conj().T @ op.base_state
-        first = _ancilla_branches(b, restricted @ restricted @ b)
-        posts = {}
-        for b2, (_, c2) in enumerate(first):
-            turned = restricted @ (c2 * np.exp(-1j * b2 * np.pi / 2.0))
-            for b1, branch in enumerate(_ancilla_branches(c2, turned)):
-                posts[(b2, b1)] = branch
-        # plus branch first: eigenvalue e^{+i phi}
-        vals, vecs = np.linalg.eig(restricted)
-        w_plus, w_minus = vecs[:, np.argsort(-np.angle(vals))].T
-        states = np.array([c1 for _, c1 in posts.values()]) @ op._basis.T
-        states.flags.writeable = False
-        branches = {}
-        for (key, (p1, c1)), state in zip(posts.items(), states):
-            p_plus = abs(np.vdot(w_plus, c1)) ** 2
-            total = p_plus + abs(np.vdot(w_minus, c1)) ** 2
-            branches[key] = (p1, state, 0.5 if total <= 0.0 else float(p_plus / total))
-        op._collapse = (tuple(p2 for p2, _ in first), branches)
-    return op._collapse
+    a2 = math.cos(phi / 2.0) ** 2
+    if not (0.0 < phi < math.pi and min(a2, 1.0 - a2) >= 1e-12):
+        raise ValueError(f"collapse needs 0 < phi < pi, where 0 < |<P>| < 1 and +-phi differ, got phi = {phi}")
+    eigenvalues = np.exp([1j * phi, -1j * phi])
+    psi = np.full(2, math.sqrt(0.5), dtype=complex)
+    first = _ancilla_branches(psi, eigenvalues**2 * psi)
+    branches = {}
+    for b2, (_, c2) in enumerate(first):
+        turned = np.exp(-1j * b2 * np.pi / 2.0) * eigenvalues * c2
+        for b1, (p1, c1) in enumerate(_ancilla_branches(c2, turned)):
+            plus, minus = abs(c1) ** 2
+            branches[(b2, b1)] = (p1, 0.5 if plus + minus <= 0.0 else float(plus / (plus + minus)))
+    return tuple(p2 for p2, _ in first), branches
 
 
-def collapse_state(op: RotationOperator, rng: np.random.Generator | None) -> CollapseResult:
-    """Drive the freshly prepared trial state toward one rotation eigenvector.
+def collapse_state(phi: float, rng: np.random.Generator | None) -> CollapseResult:
+    """Drive the freshly prepared trial state toward one eigenvector of its
+    rotation, whose eigenphases are +-phi.
 
     Samples the two fixed ancilla measurements (one uniform each, in circuit
-    order) and reports the read-only post-measurement state, the more likely
-    eigenvector branch (+1 for the positive eigenphase) and that branch's
-    exact probability.
+    order) and reports the more likely eigenvector branch (+1 for the
+    positive eigenphase) and that branch's exact probability.
     """
     if rng is None:
         raise ValueError("collapse sampling needs a random generator")
-    p_b2, branches = _collapse_table(op)
+    p_b2, branches = _collapse_table(phi)
     b2 = 0 if rng.random() < p_b2[0] else 1
     b1 = 0 if rng.random() < branches[(b2, 0)][0] else 1
-    _, state, conf_plus = branches[(b2, b1)]
+    conf_plus = branches[(b2, b1)][1]
     branch = 1 if conf_plus >= 0.5 else -1
-    return CollapseResult(state, branch, max(conf_plus, 1.0 - conf_plus), (b2, b1), 2)
+    return CollapseResult(branch, max(conf_plus, 1.0 - conf_plus), (b2, b1), 2)
 
 
-def collapse_distribution(op: RotationOperator) -> dict[tuple[int, int], tuple[float, float]]:
-    """Exact collapse statistics on the freshly prepared trial state.
+def collapse_distribution(phi: float) -> dict[tuple[int, int], tuple[float, float]]:
+    """Exact collapse statistics on the freshly prepared trial state, whose
+    rotation has eigenphases +-phi.
 
     Returns {(b2, b1): (probability, plus-branch confidence)}; confidence of a
     zero-probability outcome is reported as the limiting value 1/2.
     """
-    p_b2, branches = _collapse_table(op)
-    return {(b2, b1): (float(p_b2[b2] * p1), conf) for (b2, b1), (p1, _, conf) in branches.items()}
+    p_b2, branches = _collapse_table(phi)
+    return {(b2, b1): (float(p_b2[b2] * p1), conf) for (b2, b1), (p1, conf) in branches.items()}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Measurement schedules and closed-form measurement/depth trade-off laws.
 
 A schedule maps the current belief N(mu, sigma^2) to the next circuit setting.
-All schedules here pick theta = mu - sigma and differ only in the repetition
-count m, unless the oracle pins theta (see `next_setting`):
+The estimation loop (`engine.run_estimation`) applies the rule itself: theta =
+mu - sigma, and the repetition count m below.  An oracle that pins theta gets
+a whole m from `next_setting` instead:
 
 * AlphaQPE           m = a (1/sigma)^alpha, alpha in [0, 1].  alpha = 0 is
                      statistical sampling, alpha = 1 full phase estimation,
@@ -63,52 +64,38 @@ class AlphaQPE:
             raise ValueError(f"depth_cap must be >= 1, got {self.depth_cap}")
 
     def raw_m(self, sigma: float) -> float:
-        """The rule's m; inf where the power overflows, which `next_setting`
-        then refuses as `ExperimentSetting` does."""
+        """The rule's m; inf where the power overflows, which the estimation
+        loop and `next_setting` then refuse as `ExperimentSetting` does."""
         try:
             return self.scale * sigma ** (-self.alpha)
         except OverflowError:
             return math.inf
 
 
-def next_setting(
-    policy: AlphaQPE, belief: tuple[float, float], pinned_theta: float | None = None
-) -> tuple[float, float]:
-    """Next circuit setting under the policy, as a plain (m, theta) pair.
+def next_setting(policy: AlphaQPE, belief: tuple[float, float], pinned_theta: float) -> tuple[float, float]:
+    """Next setting for an oracle that reads out only at pinned_theta, as a
+    plain (m, theta) pair; the belief is a `NormalBelief` or a plain pair.
 
-    The belief is a `NormalBelief` or a plain (mu, sigma) pair; the estimation
-    loop passes pairs.  The pair returned passes every check of
-    `ExperimentSetting`; a setting that fails them raises that constructor's
-    ValueError, with its message.  The pinned path runs those checks on
-    the clamped rule m before its window, so both paths refuse a bad m alike.
+    m is the whole count in [m*/sqrt 2, sqrt 2 m*] (m* the policy's rule,
+    clamped to its depth cap) with the least `bayes_risk`, kept within
+    [1, floor(depth_cap)]; the first such count wins a tie.  The window lets
+    m step off the zeros of the Bayes gain, which at a fixed theta fall
+    wherever sin(m (mu - theta)) vanishes.  It is scanned in scalar `math`.
 
-    Unpinned: the policy's m rule (clamped to its depth cap) plus
-    theta = mu - sigma.  An oracle that can only read out at a fixed theta
-    pins it: theta = pinned_theta, and m is the whole count in
-    [m*/sqrt 2, sqrt 2 m*] (m* the clamped rule) with the least `bayes_risk`,
-    kept within [1, floor(depth_cap)]; the first such count wins a tie.  The
-    window lets m step off the zeros of the Bayes gain, which at a fixed
-    theta fall wherever sin(m (mu - theta)) vanishes.  The window is scanned
-    in scalar `math`, with no numpy call.  A window of more than
-    `_MAX_WINDOW` counts is refused, before any scan, with a ValueError that
-    names its width; only a policy with no depth cap, or a cap above about
-    2 `_MAX_WINDOW`, can give one.
+    m* and pinned_theta get the checks of `ExperimentSetting` before the
+    window, and a setting that fails them raises that constructor's
+    ValueError.  A window of more than `_MAX_WINDOW` counts is refused,
+    before any scan, with a ValueError that names its width; only a policy
+    with no depth cap, or a cap above about 2 `_MAX_WINDOW`, can give one.
     """
     mu, sigma = belief
     depth_cap = policy.depth_cap
     m = policy.raw_m(sigma)
     if depth_cap is not None and m > depth_cap:
         m = float(depth_cap)
-    if pinned_theta is None:
-        theta = mu - sigma
-        # the checks of ExperimentSetting, inline; a setting that fails them
-        # goes through it for its message
-        if math.isfinite(m) and m > 0.0 and math.isfinite(theta):
-            return m, theta
-        return tuple(ExperimentSetting(m, theta))
-    # the same checks before the window, so both paths refuse alike: math.floor
-    # would refuse a non-finite m, and math.sin an infinite theta, with
-    # messages of their own
+    # the checks of ExperimentSetting before the window: math.floor would
+    # refuse a non-finite m, and math.sin an infinite theta, with messages of
+    # their own
     if not (math.isfinite(m) and m > 0.0 and math.isfinite(pinned_theta)):
         return tuple(ExperimentSetting(m, pinned_theta))
     top = math.sqrt(2.0) * m

@@ -259,8 +259,6 @@ class RotationOperator:
         self.base_state = prepare(ansatz)
         self.expectation = pauli_expectation(self.base_state, pauli)
         self._basis, self._restricted = self._plane_restriction()
-        # the collapse statistics of expectation._collapse_table, built on first use
-        self._collapse = None
 
     @property
     def rotation_angle(self) -> float:

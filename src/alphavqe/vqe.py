@@ -162,7 +162,8 @@ def estimate_energy(
     mode 'exact' evaluates expectations analytically (0 measurements);
     'statistical' and 'alpha' estimate each term to epsilon_i =
     epsilon_total / sum_j |a_j|, the latter through the gated two-stage
-    estimator configured by `two_stage`.
+    estimator configured by `two_stage`, whose target_epsilon is replaced by
+    epsilon_i.
 
     Both sampled modes draw every term from `rng` itself, in term order:
     term i's draws follow term i-1's, so the same seed gives the same bytes

@@ -8,7 +8,11 @@ Slow but independent of the library's own shortcuts: nothing here calls the
 library's kernels or its plane restriction.
 """
 
+import math
+
 import numpy as np
+
+from alphavqe.bayes import ExperimentSetting
 
 _P1 = {
     "I": np.eye(2, dtype=complex),
@@ -154,6 +158,21 @@ def pm_one_draws(expectation: float, shots: int, seed: int) -> np.ndarray:
     +1 where u_k < (1 + <P>) / 2."""
     p_plus = 0.5 * (1.0 + np.clip(expectation, -1.0, 1.0))
     return np.where(np.random.default_rng(seed).random(shots) < p_plus, 1.0, -1.0)
+
+
+def unpinned_setting(policy, belief) -> tuple[float, float]:
+    """The setting the estimation loop picks for an oracle that does not pin
+    theta, written out: the policy's m clamped to its depth cap, and
+    theta = mu - sigma.  A setting that fails the checks of
+    `ExperimentSetting` goes through it for its message."""
+    mu, sigma = belief
+    m = policy.raw_m(sigma)
+    if policy.depth_cap is not None and m > policy.depth_cap:
+        m = float(policy.depth_cap)
+    theta = mu - sigma
+    if math.isfinite(m) and m > 0.0 and math.isfinite(theta):
+        return m, theta
+    return tuple(ExperimentSetting(m, theta))
 
 
 def window_bounds(policy, belief) -> tuple[int, int]:

@@ -197,8 +197,7 @@ def test_criterion_6_collapse_table():
     confidence_ok = True
     b2_one_seen = 0
     for j, phi in enumerate(grid):
-        op = build_rotation_operator(Ansatz(1, 1, np.array([phi / 2.0])), "Z")
-        dist = collapse_distribution(op)
+        dist = collapse_distribution(phi)
         c2, s2 = np.cos(phi) ** 2, np.sin(phi) ** 2
         table = {
             (0, 0): (c2 * np.cos(phi / 2.0) ** 2, 0.5),
@@ -212,7 +211,7 @@ def test_criterion_6_collapse_table():
             if p_want > 1e-12:
                 worst = max(worst, abs(conf_got - conf_want))
         for trial in range(40):
-            col = collapse_state(op, rng_for(606, "collapse", j, trial))
+            col = collapse_state(phi, rng_for(606, "collapse", j, trial))
             if col.outcomes[0] == 1:
                 b2_one_seen += 1
                 confidence_ok &= col.confidence >= 0.75 - 1e-12

@@ -12,9 +12,12 @@ from alphavqe.cli import main
 # <version>", which is the one line that may change without the output
 # changing
 DEFAULT_CSV_DIGESTS = {
+    "risk-surface": "77a64b0900a6301ba4f3962876facbf2a8f4358acfe98eaadb17386f5ffcfe56",
     "phase-sim": "b0c361ca7eb102fd318d29399ab0c9baefe8271b56c969db8efb3b292e9abb68",
+    "tradeoff": "784c370403257c5385617c242d3c35dd3405048c707bcc09c62d9163fffc2ace",
     "expectation": "0b0f9d1c964d5676f086190049d0493c86345d2bd8411598adfb2451d8fb808a",
     "vqe": "2e5a4304a6b50b8b86fd54653b8d2e75305ba20429f6b0c89cb4f5f26f123df6",
+    "collapse-check": "2e5d9e39a88e074b3f7ee59660f4957f6e17b021d4a73f5c16b13c763942e481",
 }
 
 
@@ -127,6 +130,8 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["expectation", "--avalues", "1.5", "--trials", "1"]) == 1
     assert main(["collapse-check", "--phis", "0.0"]) == 1
     assert main(["vqe", "--hamiltonian", "toy1q", "--mode", "quantum"]) == 1
+    # refused before any estimate runs, with a message that names layers
+    assert main(["vqe", "--hamiltonian", "toy1q", "--layers", "-1"]) == 1
     assert main(["expectation", "--alpha", "0.25,0.9", "--trials", "1"]) == 1
     assert main(["expectation", "--alpha", "", "--trials", "1"]) == 1
     # nothing to summarise: refused before any estimate runs
@@ -135,7 +140,18 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["expectation", "--avalues", ""]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
+    assert "alphavqe: layers must be non-negative, got -1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, epsilon", [("exact", "1.5"), ("statistical", "1.5"), ("alpha", "1.0")])
+def test_vqe_takes_a_total_epsilon_of_one_or_more(tmp_path, mode, epsilon):
+    # the two-stage config holds the per-term share, 1.0 / 1.3 on toy2q in
+    # alpha mode, and the other modes build none
+    args = ["vqe", "--hamiltonian", "toy2q", "--mode", mode, "--epsilon", epsilon, "--iters", "2"]
+    code, body = run_to_file(tmp_path, "v.csv", args)
+    assert code == 0
+    assert f"# epsilon = {float(epsilon):g}" in body.decode()
 
 
 @pytest.mark.parametrize("subcommand", ["expectation", "vqe"])

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-import alphavqe.bayes as bayes
 import alphavqe.engine as engine
-from alphavqe.bayes import DegenerateUpdateError, ExperimentSetting, GridBelief, NormalBelief, exact_update, likelihood
+from alphavqe.bayes import DegenerateUpdateError, ExperimentSetting, NormalBelief, likelihood
 from alphavqe.engine import (
     EstimationTimeout,
     SyntheticOracle,
@@ -19,19 +18,21 @@ from alphavqe.engine import (
     ensemble_run,
     run_estimation,
 )
-from alphavqe.schedules import AlphaQPE, next_setting
+from alphavqe.schedules import AlphaQPE
+
+from dense_oracles import unpinned_setting
 
 # (rows, SHA-256 of repr(trace.rows)) for run_estimation(SyntheticOracle(0.3),
 # AlphaQPE(alpha), NormalBelief(0, 1), epsilon=0.02, seed=5): they pin every
 # setting, outcome and belief bit and the Python type of every field
 ROW_DIGESTS = {
-    0.0: (4999, "f5576eb51ae703d132bb8bd06b5653df3edfb8f2ef336c7f017d3f2002654d64"),
-    0.5: (200, "589e3a1b6f926a360d852a71eda4007e8be735c24be335c9ee02224edbdd4469"),
-    1.0: (24, "dfe4c616045b49bca5614842c3dbbf598acf2ed13ba78caafb26da9f1c404d52"),
+    0.0: (4999, "6b51ab68e7254badce6fe932eeb28a9e51ef3d929fd615228eadfa39f6919649"),
+    0.5: (200, "8b366122d18ce9a5a8adf6ff401891cecef558c06fe80542b1f28dcf3d493e9b"),
+    1.0: (24, "6dad84b26388ada95cf1aa8cef2dbaea52f03bb350ebbab8d8798e992befc419"),
 }
 # the same for a theta-pinned oracle under AlphaQPE(0.5, scale=1.5,
 # depth_cap=32) from NormalBelief(0.25, 0.125), as stage 2 runs it
-PINNED_ROW_DIGEST = (31, "3b575f86d7ac85468b5212db34e372c445b20adeb862f97f892b6bec3f7610f4")
+PINNED_ROW_DIGEST = (31, "fcc49dd411e916a9a1477870914a5b72dc93f494aab5cae7e37e27d3065409ae")
 
 
 class PinnedCosineOracle:
@@ -219,7 +220,7 @@ def test_trace_rows_are_immutable_and_compare_by_value():
     _, t2 = run_estimation(*args, max_iterations=10, seed=3)
     row = t1.rows[0]
     assert isinstance(row, TraceRow)
-    assert TraceRow._fields == ("k", "m", "theta", "outcome", "mu", "sigma", "starved")
+    assert TraceRow._fields == ("k", "m", "theta", "outcome", "mu", "sigma")
     with pytest.raises(AttributeError):
         row.sigma = 0.0
     with pytest.raises(AttributeError):
@@ -268,7 +269,7 @@ def test_the_flat_trace_reads_back_exactly(alpha):
     assert trace.mus().tobytes() == want_mus.tobytes()
     assert [row.k for row in rows] == list(range(1, len(rows) + 1))
     for row in rows:
-        assert [type(value) for value in row] == [int, float, float, int, float, float, bool]
+        assert [type(value) for value in row] == [int, float, float, int, float, float]
     # every read builds fresh rows, equal to the last
     assert trace.rows == rows and trace.rows[0] is not rows[0]
     assert type(trace._values) is tuple
@@ -420,7 +421,7 @@ def test_the_loop_picks_next_settings_unpinned_setting_bit_for_bit(alpha, cap):
     assert len(rows) == 300
     beliefs = [tuple(prior)] + [(row.mu, row.sigma) for row in rows]
     for belief, row in zip(beliefs, rows):
-        m, theta = next_setting(policy, belief)
+        m, theta = unpinned_setting(policy, belief)
         assert (row.m, row.theta) == (m, theta)
         assert type(row.m) is type(m) and type(row.theta) is type(theta)
     # the cap binds at alpha > 0 once sigma is small enough
@@ -428,35 +429,26 @@ def test_the_loop_picks_next_settings_unpinned_setting_bit_for_bit(alpha, cap):
         assert rows[-1].m == float(cap)
 
 
-def test_a_starved_update_takes_the_grid_posterior_and_the_run_goes_on(monkeypatch):
-    # the loop's closed-form step degenerates on the fourth update only, and
-    # the fallback's closed form degenerates as the loop's did
+def test_a_degenerate_update_raises_out_of_the_loop(monkeypatch):
+    # at sigma = 1e-320, sigma^2 underflows to 0, so the first closed-form
+    # step has no posterior width to return
+    gen = np.random.default_rng(3)
+    with pytest.raises(DegenerateUpdateError, match="outcome [01] at m=1.0"):
+        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1e-320), max_iterations=50, seed=gen)
+    # no row completed, so the Generator is where it started
+    assert gen.random() == next_uniform_after(3, 0)
+    # a step that degenerates on the fourth update ends the run there too
     closed_form, calls = engine._moment_step, []
 
-    def degenerate_once(mu, sigma, e, m, theta):
-        calls.append(((mu, sigma), e, (m, theta)))
+    def degenerate_on_fourth(*args):
+        calls.append(args)
         if len(calls) == 4:
             raise DegenerateUpdateError("injected")
-        return closed_form(mu, sigma, e, m, theta)
+        return closed_form(*args)
 
-    def degenerate(*args):
-        raise DegenerateUpdateError("injected")
-
-    monkeypatch.setattr(engine, "_moment_step", degenerate_once)
-    monkeypatch.setattr(bayes, "_moment_step", degenerate)
+    monkeypatch.setattr(engine, "_moment_step", degenerate_on_fourth)
     gen = np.random.default_rng(17)
-    belief, trace = run_estimation(
-        SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=gen
-    )
-    rows = trace.rows
-    assert [row.starved for row in rows] == [False] * 3 + [True] + [False] * 36
-    before, row, after = rows[2:5]
-    # the fallback saw the loop's plain pairs and returned the grid posterior
-    assert calls[3] == ((before.mu, before.sigma), row.outcome, (row.m, row.theta))
-    want = exact_update(GridBelief.from_normal((before.mu, before.sigma)), row.outcome, (row.m, row.theta))
-    assert (row.mu, row.sigma) == (want.mean(), want.std())
-    # the next update starts from it, and the run goes on to its stop
-    assert calls[4] == ((row.mu, row.sigma), after.outcome, (after.m, after.theta))
-    assert len(calls) == len(rows) == 40
-    assert type(belief) is NormalBelief and belief == (rows[-1].mu, rows[-1].sigma)
-    assert gen.random() == next_uniform_after(17, 40)
+    with pytest.raises(DegenerateUpdateError, match="injected"):
+        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=gen)
+    assert len(calls) == 4
+    assert gen.random() == next_uniform_after(17, 3)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import alphavqe.engine as engine
 import alphavqe.expectation as expectation
@@ -26,7 +25,6 @@ from alphavqe.statevector import (
     Ansatz,
     RotationOperator,
     _eigenphase,
-    build_rotation_operator,
     pauli_expectation,
     prepare,
     sample_pauli_outcomes,
@@ -39,7 +37,6 @@ from dense_oracles import (
     dense_operator,
     kron_rotation,
     pm_one_draws,
-    states_close,
 )
 
 CONFIG = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
@@ -48,6 +45,11 @@ CONFIG = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.02)
 def ansatz_with_z(value):
     """Single-qubit trial state with <Z> equal to `value`."""
     return Ansatz(1, 1, np.array([np.arccos(value)]))
+
+
+def term_phase(ansatz, pauli):
+    """The exact eigenphase 2 arccos |<P>| of a term's rotation."""
+    return _eigenphase(pauli_expectation(prepare(ansatz), pauli))
 
 
 def test_hoeffding_spot_value():
@@ -149,8 +151,7 @@ def expected_collapse_table(phi):
 
 @pytest.mark.parametrize("phi", np.linspace(np.pi / 6.0, 5.0 * np.pi / 6.0, 9))
 def test_collapse_distribution_matches_table(phi):
-    op = build_rotation_operator(ansatz_with_z(np.cos(phi / 2.0)), "Z")
-    dist = collapse_distribution(op)
+    dist = collapse_distribution(phi)
     want = expected_collapse_table(phi)
     assert sum(p for p, _ in dist.values()) == pytest.approx(1.0, abs=1e-12)
     for key, (p_want, conf_want) in want.items():
@@ -161,15 +162,14 @@ def test_collapse_distribution_matches_table(phi):
 
 
 def test_collapse_state_contract():
-    op = build_rotation_operator(ansatz_with_z(0.6), "Z")
+    phi = _eigenphase(0.6)
     seen_b2_one = False
     for seed in range(20):
-        col = collapse_state(op, np.random.default_rng(seed))
+        col = collapse_state(phi, np.random.default_rng(seed))
         assert col.branch in (-1, 1)
         assert col.n_measurements == 2
         assert 0.5 <= col.confidence <= 1.0
         assert col.outcomes[0] in (0, 1) and col.outcomes[1] in (0, 1)
-        assert_allclose(np.linalg.norm(col.state), 1.0, atol=1e-12)
         if col.outcomes[0] == 1:
             seen_b2_one = True
             assert col.confidence >= 0.75 - 1e-12
@@ -177,7 +177,7 @@ def test_collapse_state_contract():
             assert col.confidence == pytest.approx(0.5, abs=1e-10)
     assert seen_b2_one
     with pytest.raises(ValueError):
-        collapse_state(op, None)
+        collapse_state(phi, None)
 
 
 def sample_circuit(apply_u, state, m, theta, rng):
@@ -187,8 +187,8 @@ def sample_circuit(apply_u, state, m, theta, rng):
 
 
 def dense_collapse_table(ansatz, pauli):
-    """{(b2, b1): (probability, plus-branch confidence, post state)} of the two
-    collapse measurements, run on the Kronecker reference circuit."""
+    """{(b2, b1): (probability, plus-branch confidence)} of the two collapse
+    measurements, run on the Kronecker reference circuit."""
     psi, apply_u = kron_rotation(ansatz, pauli)
     v_plus, v_minus, _ = dense_eigenvectors(dense_operator(apply_u, psi.size))
     table = {}
@@ -196,7 +196,7 @@ def dense_collapse_table(ansatz, pauli):
         for b1, (p1, state1) in enumerate(circuit_branches(apply_u, state2, 1, b2 * np.pi / 2.0)):
             plus = abs(np.vdot(v_plus, state1)) ** 2
             total = plus + abs(np.vdot(v_minus, state1)) ** 2
-            table[(b2, b1)] = (p2 * p1, 0.5 if total <= 0.0 else plus / total, state1)
+            table[(b2, b1)] = (p2 * p1, 0.5 if total <= 0.0 else plus / total)
     return table
 
 
@@ -208,50 +208,42 @@ def test_collapse_state_samples_the_two_circuits_it_replaces():
         (Ansatz(3, 2, np.random.default_rng(2).uniform(-np.pi, np.pi, 6)), "YZY"),
     ]
     for ansatz, pauli in terms:
-        op = build_rotation_operator(ansatz, pauli)
-        assert 0.01 < abs(op.expectation) < 0.99
+        assert 0.01 < abs(pauli_expectation(prepare(ansatz), pauli)) < 0.99
+        phi = term_phase(ansatz, pauli)
         psi, apply_u = kron_rotation(ansatz, pauli)
         v_plus, v_minus, _ = dense_eigenvectors(dense_operator(apply_u, psi.size))
         for seed in range(50):
             rng_table, rng_circuit = np.random.default_rng(seed), np.random.default_rng(seed)
-            col = collapse_state(op, rng_table)
+            col = collapse_state(phi, rng_table)
             b2, state = sample_circuit(apply_u, psi, 2, 0.0, rng_circuit)
             b1, state = sample_circuit(apply_u, state, 1, b2 * np.pi / 2.0, rng_circuit)
             assert col.outcomes == (b2, b1)
             assert rng_table.random() == rng_circuit.random()
-            assert states_close(col.state, state)
             plus, minus = abs(np.vdot(v_plus, state)) ** 2, abs(np.vdot(v_minus, state)) ** 2
             conf_plus = plus / (plus + minus)
             assert col.confidence == pytest.approx(max(conf_plus, 1.0 - conf_plus), abs=1e-12)
             if abs(conf_plus - 0.5) > 1e-9:
                 assert col.branch == (1 if conf_plus > 0.5 else -1)
-    # the state is shared by every collapse on this operator
-    with pytest.raises(ValueError):
-        col.state[0] = 0.0
 
 
 def test_plane_collapse_table_matches_the_dense_circuit():
-    # the 2x2 plane table against both measurements run in the full space
-    # with the Kronecker reference U, on random terms whose spectrum is not
-    # degenerate (0 < |<P>| < 1)
+    # the table from phi alone against both measurements run in the full
+    # space with the Kronecker reference U, on random terms whose spectrum is
+    # not degenerate (0 < |<P>| < 1)
     draw = np.random.default_rng(66)
     for n_qubits in range(1, 9):
         checked = 0
         while checked < 2:
             ansatz = Ansatz(n_qubits, 2, draw.uniform(-np.pi, np.pi, 2 * n_qubits))
             pauli = "".join(draw.choice(list("IXYZ"), n_qubits))
-            op = build_rotation_operator(ansatz, pauli)
-            if not 1e-6 < op.expectation**2 < 1.0 - 1e-6:
+            if not 1e-6 < pauli_expectation(prepare(ansatz), pauli) ** 2 < 1.0 - 1e-6:
                 continue
             checked += 1
-            dist = collapse_distribution(op)
-            _, branches = expectation._collapse_table(op)
-            for key, (p_want, conf_want, state_want) in dense_collapse_table(ansatz, pauli).items():
+            dist = collapse_distribution(term_phase(ansatz, pauli))
+            for key, (p_want, conf_want) in dense_collapse_table(ansatz, pauli).items():
                 p_got, conf_got = dist[key]
                 assert abs(p_got - p_want) <= 1e-12
                 assert abs(conf_got - conf_want) <= 1e-12
-                if p_want > 1e-12:
-                    assert states_close(branches[key][1], state_want, tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -267,12 +259,19 @@ def test_plane_collapse_table_matches_the_dense_circuit():
 def test_collapse_table_refuses_a_degenerate_spectrum(ansatz, pauli):
     # at either end M = +-I, so any basis is an eigenbasis and the branch
     # confidences would be arbitrary
-    op = build_rotation_operator(ansatz, pauli)
-    assert min(op.expectation**2, 1.0 - op.expectation**2) < 1e-12
+    a2 = pauli_expectation(prepare(ansatz), pauli) ** 2
+    assert min(a2, 1.0 - a2) < 1e-12
+    phi = term_phase(ansatz, pauli)
     with pytest.raises(ValueError, match="collapse needs"):
-        collapse_distribution(op)
+        collapse_distribution(phi)
     with pytest.raises(ValueError, match="collapse needs"):
-        collapse_state(op, np.random.default_rng(0))
+        collapse_state(phi, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("phi", [-1.0, 4.0, np.nan])
+def test_collapse_table_refuses_a_phase_outside_zero_to_pi(phi):
+    with pytest.raises(ValueError, match="collapse needs 0 < phi < pi"):
+        collapse_distribution(phi)
 
 
 def test_trial_state_oracle_reads_the_plain_cosine():
@@ -346,7 +345,6 @@ def test_two_stage_timeout_carries_the_partial_trace(monkeypatch):
         two_stage_estimate(ansatz_with_z(0.6), "Z", CONFIG, np.random.default_rng(4))
     rows = err.value.trace.rows
     assert [row.k for row in rows] == [1, 2, 3, 4, 5]
-    assert all(row.starved is False for row in rows)
 
 
 def test_principal_phase_folding():

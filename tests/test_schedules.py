@@ -19,13 +19,21 @@ from alphavqe.schedules import (
     predicted_iterations,
 )
 
-from dense_oracles import vectorised_window_m, window_bounds
+from dense_oracles import unpinned_setting, vectorised_window_m, window_bounds
+
+
+def loop_setting(policy, belief):
+    """The (m, theta) the estimation loop runs first from this belief, for an
+    oracle that does not pin theta."""
+    _, trace = run_estimation(SyntheticOracle(0.3), policy, belief, max_iterations=1)
+    row = trace.rows[0]
+    return row.m, row.theta
 
 
 def test_theta_is_mu_minus_sigma_for_every_policy():
     belief = NormalBelief(0.7, 0.2)
     for policy in (AlphaQPE(0.5), AlphaQPE(1.0, scale=1.25), AlphaQPE(1.0, depth_cap=16.0), AlphaQPE(0.0)):
-        _, theta = next_setting(policy, belief)
+        _, theta = loop_setting(policy, belief)
         assert theta == pytest.approx(0.5)
 
 
@@ -37,7 +45,7 @@ def test_alpha_qpe_repetition_counts():
         (AlphaQPE(1.0), 100.0),
         (AlphaQPE(1.0, scale=1.25), 125.0),
     ):
-        m, _ = next_setting(policy, belief)
+        m, _ = loop_setting(policy, belief)
         assert m == pytest.approx(want)
 
 
@@ -48,13 +56,13 @@ def test_depth_cap_clamps_every_policy():
         AlphaQPE(1.0, scale=1.25, depth_cap=32.0),
         AlphaQPE(0.75, depth_cap=32.0),
     ):
-        m, _ = next_setting(policy, belief)
+        m, _ = loop_setting(policy, belief)
         assert m == 32.0
 
 
 def test_statistical_sampling_never_repeats():
     for sigma in (1.0, 0.1, 1e-6):
-        m, _ = next_setting(AlphaQPE(0.0), NormalBelief(0.0, sigma))
+        m, _ = loop_setting(AlphaQPE(0.0), NormalBelief(0.0, sigma))
         assert m == 1.0
 
 
@@ -76,8 +84,8 @@ def test_unpinned_setting_is_the_policy_rule_bit_for_bit():
         if policy.depth_cap is not None:
             m = min(m, float(policy.depth_cap))
         want = ExperimentSetting(m, belief.mu - belief.sigma)
-        assert next_setting(policy, belief) == want
-        assert next_setting(policy, belief, None) == want
+        assert unpinned_setting(policy, belief) == want
+        assert loop_setting(policy, belief) == want
 
 
 class FixedM:
@@ -94,10 +102,12 @@ class FixedM:
 
 def test_unpinned_setting_is_a_checked_setting():
     for policy, belief in random_policies_and_beliefs(62, 50):
-        s = next_setting(policy, belief)
+        s = unpinned_setting(policy, belief)
         assert type(s) is tuple and ExperimentSetting(*s) == s
-        # the estimation loop passes its belief as a plain pair
-        assert next_setting(policy, tuple(belief)) == s
+        assert unpinned_setting(policy, tuple(belief)) == s
+        # the loop's rows hold the same plain floats
+        m, theta = loop_setting(policy, belief)
+        assert (m, theta) == s and type(m) is type(s[0]) and type(theta) is type(s[1])
 
 
 @pytest.mark.parametrize(
@@ -113,7 +123,7 @@ def test_unpinned_setting_is_a_checked_setting():
 )
 def test_unpinned_setting_refuses_what_the_constructor_refuses(policy, belief, message):
     with pytest.raises(ValueError) as info:
-        next_setting(policy, belief)
+        unpinned_setting(policy, belief)
     assert info.type is ValueError and str(info.value) == message
     # the estimation loop picks its unpinned setting itself and refuses alike
     with pytest.raises(ValueError) as info:
@@ -137,7 +147,7 @@ def test_pinned_setting_refuses_a_non_finite_theta(pinned):
 def test_pinned_theta_picks_the_least_risk_whole_m_in_the_window():
     for policy, belief in random_policies_and_beliefs(62, 300):
         pinned = float(np.random.default_rng(int(1e6 * belief.sigma)).uniform(-np.pi, np.pi))
-        star, _ = next_setting(policy, belief)
+        star, _ = unpinned_setting(policy, belief)
         setting = next_setting(policy, belief, pinned)
         assert type(setting) is tuple and ExperimentSetting(*setting) == setting
         m, theta = setting

@@ -272,7 +272,7 @@ def test_plane_degenerates_on_pauli_eigenstate():
     # U = I has no eigenbasis to collapse onto
     op = build_rotation_operator(Ansatz(1, 1, np.array([0.0])), "Z")
     with pytest.raises(ValueError):
-        collapse_distribution(op)
+        collapse_distribution(op.rotation_angle)
 
 
 def assert_power_matches_repeated_apply(op, apply_u, state, ms):
@@ -307,7 +307,7 @@ def test_power_apply_is_identity_on_an_exact_pauli_eigenstate():
     for m in (1, 3, 16, 64):
         assert_allclose(op.power_apply(state, m), state, atol=1e-14)
     with pytest.raises(ValueError):
-        collapse_distribution(op)
+        collapse_distribution(op.rotation_angle)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
