@@ -285,11 +285,22 @@ def _gain(t, sin2):
     return out if out.ndim else float(out)
 
 
+def _squares(m: float, sigma: float) -> tuple[float, float]:
+    """(m sigma)^2 and sigma^2 for the risks, refused past float range."""
+    try:
+        t, var = (m * sigma) ** 2, sigma**2
+    except OverflowError:
+        t = var = math.inf
+    if not (math.isfinite(t) and math.isfinite(var)):
+        raise ValueError(f"(m*sigma)^2 or sigma^2 is past float range at m*sigma = {m * sigma:.6g}")
+    return t, var
+
+
 def bayes_risk(setting: ExperimentSetting, belief: NormalBelief) -> float:
     """Expected posterior variance after one measurement, averaged over outcomes."""
-    t = (setting.m * belief.sigma) ** 2
+    t, var = _squares(setting.m, belief.sigma)
     delta = setting.m * (belief.mu - setting.theta)
-    return belief.sigma**2 * (1.0 - _gain(t, np.sin(delta) ** 2))
+    return var * (1.0 - _gain(t, np.sin(delta) ** 2))
 
 
 def bayes_risk_quadrature(setting: ExperimentSetting, belief: NormalBelief) -> float:
@@ -310,8 +321,8 @@ def bayes_risk_quadrature(setting: ExperimentSetting, belief: NormalBelief) -> f
 
 def risk_envelope(m: float, sigma: float) -> float:
     """Smallest achievable Bayes risk over theta at fixed m and prior width."""
-    t = (m * sigma) ** 2
-    return sigma**2 * (1.0 - t * np.exp(-t))
+    t, var = _squares(m, sigma)
+    return var * (1.0 - t * np.exp(-t))
 
 
 def variance_gain(x):

@@ -42,28 +42,6 @@ class CliError(Exception):
     """User-facing configuration or validation problem."""
 
 
-_TYPES = {
-    "seed": "int",
-    "out": "str",
-    "phases": "int",
-    "iters": "int",
-    "trials": "int",
-    "layers": "int",
-    "hamiltonian": "str",
-    "mode": "str",
-    "alpha": "floats",
-    "epsilon": "floats",
-    "dmax": "floats",
-    "mvals": "floats",
-    "offsets": "floats",
-    "sigmas": "floats",
-    "avalues": "floats",
-    "phis": "floats",
-}
-
-_LIST_FLAGS = {k for k, t in _TYPES.items() if t == "floats"}
-
-
 def _parse_float_list(raw: str) -> list[float]:
     raw = raw.strip()
     if not raw:
@@ -74,19 +52,17 @@ def _parse_float_list(raw: str) -> list[float]:
         raise CliError(f"bad list value {raw!r}: {exc}") from None
 
 
-def _convert(key: str, raw) -> object:
+def _convert(key: str, raw, default) -> object:
+    """raw read as its default's type: a float list, an int, or a string."""
     if not isinstance(raw, str):
         return raw
-    kind = _TYPES[key]
-    try:
-        if kind == "int":
+    if isinstance(default, list):
+        return _parse_float_list(raw)
+    if isinstance(default, int):
+        try:
             return int(raw)
-        if kind == "floats":
-            return _parse_float_list(raw)
-    except CliError:
-        raise
-    except ValueError:
-        raise CliError(f"bad value {raw!r} for {key}") from None
+        except ValueError:
+            raise CliError(f"bad value {raw!r} for {key}") from None
     return raw
 
 
@@ -114,11 +90,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in _parse_config_file(args.config).items():
             if key not in cfg:
                 raise CliError(f"unknown config key {key!r} for this subcommand")
-            cfg[key] = _convert(key, value)
+            cfg[key] = _convert(key, value, defaults[key])
     for key in cfg:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
-            cfg[key] = _convert(key, cli_value)
+            cfg[key] = _convert(key, cli_value, defaults[key])
     return cfg
 
 
@@ -171,7 +147,8 @@ def cmd_risk_surface(cfg: dict) -> int:
                 belief = NormalBelief(0.0, sigma)
                 closed = bayes_risk(setting, belief)
                 quad = bayes_risk_quadrature(setting, belief)
-                rel = abs(closed - quad) / abs(quad)
+                # at a tiny enough width both risks underflow to 0, and agree
+                rel = abs(closed - quad) / abs(quad) if quad else (math.inf if closed else 0.0)
                 worst = max(worst, rel)
                 rows.append((m, offset, sigma, closed, quad, rel))
     _write_csv(
@@ -300,19 +277,16 @@ def cmd_vqe(cfg: dict) -> int:
     if cfg["layers"] < 0:
         raise CliError(f"layers must be non-negative, got {cfg['layers']}")
     template = Ansatz(hamiltonian.n_qubits, cfg["layers"], np.zeros(hamiltonian.n_qubits * cfg["layers"]))
-    # only alpha mode reads it, at the per-term share of epsilon that estimate_energy sets
-    two_stage = None
-    if mode == "alpha":
-        per_term = epsilon / hamiltonian.coeff_norm
-        two_stage = TwoStageConfig(alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=per_term)
+    # only alpha mode reads the exponent and the depth budget
+    schedule = {"alpha": _single(cfg, "alpha"), "d_max": _single(cfg, "dmax")} if mode == "alpha" else {}
     result = optimize(
         hamiltonian,
         template,
         max_iters=cfg["iters"],
         mode=mode,
         epsilon_total=None if mode == "exact" else epsilon,
-        two_stage=two_stage,
         seed=cfg["seed"],
+        **schedule,
     )
     exact = exact_ground_energy(hamiltonian)
     rows = [
@@ -479,15 +453,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.set_defaults(func=func, defaults=defaults)
         sub.add_argument("--config", help="key = value config file; flags given here win")
+        # a flag's type is its default's, as in _convert
         for key, default in defaults.items():
-            if key == "out":
-                sub.add_argument("--out", help=_FLAG_HELP["out"])
-            elif _TYPES[key] == "int":
-                sub.add_argument(f"--{key}", type=int, help=_FLAG_HELP[key])
-            elif key in _LIST_FLAGS:
-                sub.add_argument(f"--{key}", help=f"{_FLAG_HELP[key]} (default {_fmt(default)})")
-            else:
-                sub.add_argument(f"--{key}", help=_FLAG_HELP[key])
+            flag_help = _FLAG_HELP[key]
+            if isinstance(default, list):
+                flag_help += f" (default {_fmt(default)})"
+            sub.add_argument(f"--{key}", type=int if isinstance(default, int) else None, help=flag_help)
     return parser
 
 

@@ -19,7 +19,8 @@ epsilon under AlphaQPE is (natural logs throughout)
     f(epsilon, 1)     = 4 log(1 / epsilon)
 
 and a coherence-depth budget D on m caps the useful exponent at
-alpha_max = min(log(D) / log(1/epsilon), 1).
+alpha_max = min(log(D) / log(1/epsilon), 1); the single-run floor n_min is
+f(epsilon, alpha_max).
 """
 
 from __future__ import annotations
@@ -141,46 +142,39 @@ def predicted_iterations(epsilon: float, alpha: float) -> float:
     return float(2.0 / (1.0 - alpha) * np.expm1(2.0 * (1.0 - alpha) * log_inv))
 
 
-def alpha_max(epsilon: float, d_max: float) -> float:
-    """Largest exponent whose final repetition count stays within the depth budget."""
+def _check_budget(epsilon: float, d_max: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not d_max >= 1.0:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
+
+
+def alpha_max(epsilon: float, d_max: float) -> float:
+    """Largest exponent whose final repetition count stays within the depth budget."""
+    _check_budget(epsilon, d_max)
     return float(min(np.log(d_max) / np.log(1.0 / epsilon), 1.0))
 
 
 def n_min(epsilon: float, d_max: float) -> float:
-    """Fewest measurements to reach epsilon with every m <= d_max (single run)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not d_max >= 1.0:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
-    log_inv = np.log(1.0 / epsilon)
-    if d_max < 1.0 / epsilon:
-        beta = np.log(d_max) / log_inv
-        return float(2.0 / (1.0 - beta) * ((1.0 / (epsilon * d_max)) ** 2 - 1.0))
-    return float(4.0 * log_inv)
+    """Fewest measurements to reach epsilon in one run with every m <= d_max: f(epsilon, alpha_max)."""
+    return predicted_iterations(epsilon, alpha_max(epsilon, d_max))
 
 
 def n_min_restarts(epsilon: float, d_max: float) -> float:
     """Fewest measurements when the exponent may be raised across restarts.
 
     Run alpha = 1 until the repetition count would exceed d_max, then hold m
-    at the budget (alpha = 0 scaling) for the remainder.  Never larger than
-    `n_min`, with equality exactly when d_max >= 1/epsilon.
+    at the budget (alpha = 0 scaling) for the remainder:
+    f(1/d_max, 1) + f(epsilon d_max, 0).  Never larger than `n_min`, with
+    equality exactly when d_max >= 1/epsilon.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not d_max >= 1.0:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
-    log_inv = np.log(1.0 / epsilon)
+    _check_budget(epsilon, d_max)
     if d_max < 1.0 / epsilon:
-        return float(2.0 * ((1.0 / (epsilon * d_max)) ** 2 - 1.0) + 4.0 * np.log(d_max))
-    return float(4.0 * log_inv)
+        return predicted_iterations(1.0 / d_max, 1.0) + predicted_iterations(epsilon * d_max, 0.0)
+    return predicted_iterations(epsilon, 1.0)
 
 
-def analytic_risk_curve(k, k0: float, r_k0: float, alpha: float, scale: float = 1.0):
+def analytic_risk_curve(k, k0: float, r_k0: float, alpha: float):
     """Expected posterior deviation r_k continued from the anchor (k0, r_k0).
 
     For alpha < 1 the logistic-style closed form
@@ -189,7 +183,7 @@ def analytic_risk_curve(k, k0: float, r_k0: float, alpha: float, scale: float = 
                               / (2 (1 - alpha))
 
     is used; for alpha = 1 each measurement contracts the deviation by the
-    exact factor sqrt(1 - variance_gain(scale)).  Accepts scalar or array k.
+    exact factor sqrt(1 - variance_gain(1)).  Accepts scalar or array k.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < k0):
@@ -199,7 +193,7 @@ def analytic_risk_curve(k, k0: float, r_k0: float, alpha: float, scale: float = 
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if alpha == 1.0:
-        contraction = 1.0 - variance_gain(scale)
+        contraction = 1.0 - variance_gain(1.0)
         out = r_k0 * contraction ** (0.5 * (k - k0))
     else:
         two_1ma = 2.0 * (1.0 - alpha)

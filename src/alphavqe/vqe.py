@@ -6,11 +6,12 @@ Hamiltonians are plain text, one term per line:
     0.5 ZI
     -0.25 XX
 
-Energy estimation splits a total precision budget uniformly over terms
-(epsilon_i = epsilon_total / sum_j |a_j|, so sum_i |a_i| epsilon_i =
-epsilon_total) and supports three modes: exact statevector expectations,
-statistical sampling at ceil(1/epsilon_i^2) shots per term, and the gated
-two-stage estimator.  The sampled modes estimate the terms in order from the
+Energy estimation owns the precision: it splits a total budget uniformly
+over terms (epsilon_i = epsilon_total / sum_j |a_j|, so sum_i |a_i|
+epsilon_i = epsilon_total) and supports three modes: exact statevector
+expectations, statistical sampling at ceil(1/epsilon_i^2) shots per term, and
+the gated two-stage estimator, whose exponent alpha and depth budget d_max
+the caller passes.  The sampled modes estimate the terms in order from the
 caller's one Generator, each term drawing where the previous one stopped.
 The outer loop is a derivative-free Nelder-Mead simplex that re-evaluates the
 incumbent on every shrink, which keeps a lucky noisy estimate from freezing
@@ -155,15 +156,17 @@ def estimate_energy(
     mode: str,
     epsilon_total: float | None = None,
     rng: np.random.Generator | None = None,
-    two_stage: TwoStageConfig | None = None,
+    alpha: float = 0.5,
+    d_max: float = 32.0,
 ) -> tuple[float, int]:
     """Energy of the trial state and the number of measurements spent.
 
     mode 'exact' evaluates expectations analytically (0 measurements);
     'statistical' and 'alpha' estimate each term to epsilon_i =
-    epsilon_total / sum_j |a_j|, the latter through the gated two-stage
-    estimator configured by `two_stage`, whose target_epsilon is replaced by
-    epsilon_i.
+    epsilon_total / sum_j |a_j|, for a finite positive epsilon_total, with at
+    least one shot per term.  Alpha mode runs every term through the gated
+    two-stage estimator at `TwoStageConfig(alpha, d_max, epsilon_i)`, built
+    once before any draw; the other modes read neither alpha nor d_max.
 
     Both sampled modes draw every term from `rng` itself, in term order:
     term i's draws follow term i-1's, so the same seed gives the same bytes
@@ -179,24 +182,22 @@ def estimate_energy(
         return float(energy), 0
     if mode not in ("statistical", "alpha"):
         raise ValueError(f"mode must be exact, statistical, or alpha, got {mode!r}")
-    if epsilon_total is None or not epsilon_total > 0.0:
-        raise ValueError(f"{mode} mode needs a positive epsilon_total, got {epsilon_total}")
+    if epsilon_total is None or not (epsilon_total > 0.0 and math.isfinite(epsilon_total)):
+        raise ValueError(f"{mode} mode needs a finite positive epsilon_total, got {epsilon_total}")
     if rng is None:
         raise ValueError(f"{mode} mode needs a random generator")
     eps_term = epsilon_total / h.coeff_norm
     energy = 0.0
     measurements = 0
     if mode == "statistical":
-        shots = math.ceil(1.0 / eps_term**2)
+        # one shot already meets a share of 1 or more, whose square may overflow
+        shots = 1 if eps_term >= 1.0 else math.ceil(1.0 / eps_term**2)
         for coeff, pauli in h.terms:
             mean, _ = statistical_estimate(ansatz, pauli, shots, rng)
             energy += coeff * mean
             measurements += shots
         return float(energy), measurements
-    if two_stage is None:
-        config = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=eps_term)
-    else:
-        config = replace(two_stage, target_epsilon=eps_term)
+    config = TwoStageConfig(alpha, d_max, eps_term)
     for coeff, pauli in h.terms:
         result = two_stage_estimate(ansatz, pauli, config, rng)
         energy += coeff * result.value
@@ -219,15 +220,17 @@ def optimize(
     max_iters: int = 200,
     mode: str = "exact",
     epsilon_total: float | None = None,
-    two_stage: TwoStageConfig | None = None,
+    alpha: float = 0.5,
+    d_max: float = 32.0,
     seed: int = 0,
 ) -> VQEResult:
     """Minimize the estimated energy over ansatz parameters.
 
-    The history records every objective evaluation as (iteration, lambda,
-    energy, cumulative measurements); best_energy/best_lambda are the minimum
-    over that history.  max_iters caps the Nelder-Mead iterations; 0 just
-    evaluates the template parameters.
+    mode, epsilon_total, alpha and d_max go unchanged to every
+    `estimate_energy` call.  The history records every objective evaluation
+    as (iteration, lambda, energy, cumulative measurements);
+    best_energy/best_lambda are the minimum over that history.  max_iters
+    caps the Nelder-Mead iterations; 0 just evaluates the template parameters.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
@@ -237,7 +240,7 @@ def optimize(
 
     def objective(x: np.ndarray) -> float:
         ansatz = replace(ansatz_template, params=np.asarray(x, dtype=float))
-        energy, used = estimate_energy(h, ansatz, mode, epsilon_total, rng, two_stage)
+        energy, used = estimate_energy(h, ansatz, mode, epsilon_total, rng, alpha, d_max)
         totals["measurements"] += used
         history.append((totals["iteration"], np.array(x, dtype=float), energy, totals["measurements"]))
         return energy

@@ -335,6 +335,15 @@ def test_risk_never_below_envelope():
         assert bayes_risk(setting, belief) >= risk_envelope(m, sigma) - 1e-15
 
 
+@pytest.mark.parametrize("m, sigma", [(1e200, 0.05), (0.5, 1e300), (1e-200, 1e160)])
+def test_risks_past_float_range_are_refused(m, sigma):
+    # (m sigma)^2 overflows in the first two, sigma^2 alone in the last
+    with pytest.raises(ValueError, match=r"past float range at m\*sigma = "):
+        bayes_risk(ExperimentSetting(m, 0.3), NormalBelief(0.0, sigma))
+    with pytest.raises(ValueError, match=r"past float range at m\*sigma = "):
+        risk_envelope(m, sigma)
+
+
 def test_envelope_attained_at_quarter_period_offset():
     m, sigma = 3.0, 0.2
     belief = NormalBelief(0.5, sigma)

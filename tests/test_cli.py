@@ -125,6 +125,17 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "sneed" in capsys.readouterr().err
 
 
+def test_values_that_do_not_read_as_their_default_type_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("trials = 2.5\n", encoding="utf-8")
+    assert main(["expectation", "--config", str(cfg)]) == 1
+    assert main(["tradeoff", "--epsilon", "0.1,x"]) == 1
+    err = capsys.readouterr().err
+    assert "alphavqe: bad value '2.5' for trials" in err
+    assert "alphavqe: bad list value '0.1,x': could not convert string to float: 'x'" in err
+    assert "Traceback" not in err
+
+
 def test_bad_inputs_exit_nonzero(capsys):
     assert main(["vqe", "--hamiltonian", "/no/such/file.txt", "--mode", "exact"]) == 1
     assert main(["expectation", "--avalues", "1.5", "--trials", "1"]) == 1
@@ -138,9 +149,35 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["expectation", "--trials", "0"]) == 1
     assert main(["expectation", "--trials", "-2"]) == 1
     assert main(["expectation", "--avalues", ""]) == 1
+    assert main(["vqe", "--mode", "statistical", "--epsilon", "inf"]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
     assert "alphavqe: layers must be non-negative, got -1" in err
+    assert "alphavqe: statistical mode needs a finite positive epsilon_total, got inf" in err
+    assert "Traceback" not in err
+
+
+def test_vqe_statistical_at_a_huge_epsilon_takes_one_shot_per_term(tmp_path):
+    args = ["vqe", "--mode", "statistical", "--epsilon", "1e200", "--iters", "0"]
+    code, body = run_to_file(tmp_path, "v.csv", args)
+    assert code == 0
+    # toy1q has two terms
+    assert "# total_measurements = 2" in body.decode()
+
+
+def test_risk_surface_reads_two_zero_risks_as_agreeing(tmp_path):
+    code, body = run_to_file(tmp_path, "r.csv", ["risk-surface", "--sigmas", "1e-200"])
+    assert code == 0
+    text = body.decode()
+    assert ",1e-200,0,0,0\n" in text
+    assert "# max_rel_err = 0\n" in text
+
+
+@pytest.mark.parametrize("flag, value", [("--mvals", "1e200"), ("--sigmas", "1e300")])
+def test_risk_surface_refuses_squares_past_float_range(flag, value, capsys):
+    assert main(["risk-surface", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("alphavqe: (m*sigma)^2 or sigma^2 is past float range at m*sigma = ")
     assert "Traceback" not in err
 
 

@@ -279,6 +279,25 @@ def test_n_min_restarts_spot_values():
     assert n_min_restarts(0.01, 100.0) == pytest.approx(4.0 * np.log(100.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.01, 1e-8])
+def test_n_min_is_continuous_just_inside_the_budget_one_over_epsilon(eps):
+    # alpha_max rounds to about 1 there, where f(eps, alpha) is well
+    # conditioned; 2 / (1 - alpha_max) alone is not
+    below = float(np.nextafter(1.0 / eps, 0.0))
+    assert n_min(eps, below) == pytest.approx(predicted_iterations(eps, 1.0), rel=1e-9)
+    assert n_min_restarts(eps, below) == pytest.approx(predicted_iterations(eps, 1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("law", [alpha_max, n_min, n_min_restarts])
+@pytest.mark.parametrize(
+    "eps, d_max, message",
+    [(0.0, 2.0, "epsilon must lie in"), (1.0, 2.0, "epsilon must lie in"), (0.1, 0.5, "d_max must be >= 1")],
+)
+def test_depth_budget_laws_refuse_the_same_inputs(law, eps, d_max, message):
+    with pytest.raises(ValueError, match=message):
+        law(eps, d_max)
+
+
 def test_restarts_never_worse_and_equality_region():
     rng = np.random.default_rng(23)
     for _ in range(300):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from alphavqe import vqe
 from alphavqe.expectation import TwoStageConfig, statistical_estimate, two_stage_estimate
 from alphavqe.statevector import Ansatz, pauli_expectation, prepare
 from alphavqe.vqe import (
@@ -123,6 +124,19 @@ def test_estimate_energy_argument_errors():
         estimate_energy(h, ansatz, "statistical")
     with pytest.raises(ValueError):
         estimate_energy(h, ansatz, "statistical", epsilon_total=0.1)
+    for mode in ("statistical", "alpha"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{mode} mode needs a finite positive epsilon_total, got {bad}"):
+                estimate_energy(h, ansatz, mode, epsilon_total=bad, rng=np.random.default_rng(0))
+
+
+def test_statistical_mode_takes_one_shot_per_term_at_a_huge_epsilon():
+    # the per-term share squared would overflow; one shot already meets it
+    h = bundled_hamiltonian("toy2q")
+    ansatz = Ansatz(2, 1, np.array([0.4, -0.8]))
+    energy, used = estimate_energy(h, ansatz, "statistical", epsilon_total=1e200, rng=np.random.default_rng(2))
+    assert used == len(h.terms)
+    assert abs(energy) <= h.coeff_norm
 
 
 def test_estimate_energy_statistical_mode():
@@ -142,8 +156,7 @@ def test_estimate_energy_alpha_mode():
     ansatz = Ansatz(1, 1, np.array([3.0 * np.pi / 4.0]))
     exact, _ = estimate_energy(h, ansatz, "exact")
     rng = np.random.default_rng(11)
-    cfg = TwoStageConfig(alpha=0.5, d_max=32.0, target_epsilon=0.5)
-    energy, used = estimate_energy(h, ansatz, "alpha", epsilon_total=0.05, rng=rng, two_stage=cfg)
+    energy, used = estimate_energy(h, ansatz, "alpha", epsilon_total=0.05, rng=rng, alpha=0.5, d_max=32.0)
     assert abs(energy - exact) < 4.0 * 0.05
     assert used > 0
 
@@ -209,6 +222,26 @@ def test_estimate_energy_draws_every_term_from_the_one_generator(mode, make_rng)
     assert rng.random() == loop_rng.random()
     if mode == "alpha":
         assert "alpha_qpe" in paths and "statistical_fallback" in paths
+
+
+def test_optimize_gives_every_term_alpha_d_max_and_the_per_term_share(monkeypatch):
+    seen = []
+    estimate = vqe.two_stage_estimate
+
+    def recording(ansatz, pauli, config, rng):
+        seen.append(config)
+        return estimate(ansatz, pauli, config, rng)
+
+    monkeypatch.setattr(vqe, "two_stage_estimate", recording)
+    h = bundled_hamiltonian("toy2q")
+    template = Ansatz(2, 1, np.array([0.2, -0.4]))
+    optimize(h, template, max_iters=2, mode="alpha", epsilon_total=0.05, alpha=0.75, d_max=8.0)
+    assert len(seen) > len(h.terms)
+    assert set(seen) == {TwoStageConfig(0.75, 8.0, 0.05 / h.coeff_norm)}
+    seen.clear()
+    optimize(h, template, max_iters=2, mode="alpha", epsilon_total=0.05)
+    assert len(seen) > len(h.terms)
+    assert set(seen) == {TwoStageConfig(0.5, 32.0, 0.05 / h.coeff_norm)}
 
 
 def test_optimizer_config_validation():
