@@ -307,16 +307,19 @@ def bayes_risk_quadrature(setting: ExperimentSetting, belief: NormalBelief) -> f
     """Expected posterior variance by quadrature on the `GridBelief.from_normal` grid.
 
     Independent check of `bayes_risk`: weights each outcome by its predictive
-    probability and uses the exact grid posterior's variance.
+    probability and uses the exact grid posterior's variance in z = (phi - mu) / sigma,
+    scaled by sigma^2 once, so a subnormal sigma^2 costs no precision.
     """
-    grid = GridBelief.from_normal(belief)
+    grid = GridBelief.from_normal((0.0, 1.0))
+    phi = belief.mu + belief.sigma * grid.support
     total = 0.0
     for e in (0, 1):
-        pe = float(np.sum(grid.weights * likelihood(e, grid.support, setting)))
+        weights = grid.weights * likelihood(e, phi, setting)
+        pe = float(np.sum(weights))
         if pe <= 0.0:
             continue
-        total += pe * exact_update(grid, e, setting).variance()
-    return total
+        total += pe * GridBelief(grid.support, weights / pe).variance()
+    return belief.sigma**2 * total
 
 
 def risk_envelope(m: float, sigma: float) -> float:

@@ -1,10 +1,10 @@
 """Command-line experiment harness emitting deterministic CSV.
 
 Every subcommand resolves its configuration as CLI flags > config file >
-defaults, derives all randomness from --seed through named substreams, and
-writes RFC-4180-style CSV whose leading '#' comment lines record the artifact
-version and the fully resolved configuration.  Same seed and flags, same
-bytes.
+defaults and writes RFC-4180-style CSV whose '#' lines record the version and
+the resolved configuration.  phase-sim, expectation and vqe derive all their
+randomness from --seed through named substreams; the rest draw nothing and
+take no seed.  Same flags, same bytes.
 
 Config files are line-oriented 'key = value' pairs ('#' comments allowed);
 keys match the long option names without the leading dashes.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bayes import ExperimentSetting, NormalBelief, bayes_risk, bayes_risk_quadrature
-from .engine import ensemble_run
+from .engine import EstimationTimeout, ensemble_run
 from .expectation import TwoStageConfig, collapse_distribution, two_stage_estimate
 from .rand import child_seed, rng_for
 from .schedules import AlphaQPE, alpha_max, analytic_risk_curve, n_min, n_min_restarts
@@ -354,7 +354,6 @@ _SUBCOMMANDS = {
     "risk-surface": (
         cmd_risk_surface,
         {
-            "seed": 12345,
             "out": None,
             "mvals": [0.5, 1.0, 2.0, 5.0, 10.0],
             "offsets": [0.0, 0.3, math.pi / 4.0, math.pi / 2.0],
@@ -376,7 +375,6 @@ _SUBCOMMANDS = {
     "tradeoff": (
         cmd_tradeoff,
         {
-            "seed": 12345,
             "out": None,
             "epsilon": [0.1, 0.05, 0.01],
             "dmax": [1.0, 2.0, 10.0, 100.0, 1000.0],
@@ -414,7 +412,6 @@ _SUBCOMMANDS = {
     "collapse-check": (
         cmd_collapse_check,
         {
-            "seed": 12345,
             "out": None,
             "phis": _DEFAULT_PHI_GRID,
         },
@@ -467,7 +464,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, args.defaults)
         return args.func(cfg)
-    except (CliError, HamiltonianParseError, ValueError) as exc:
+    except (CliError, HamiltonianParseError, ValueError, EstimationTimeout) as exc:
         print(f"alphavqe: {exc}", file=sys.stderr)
         return 1
 

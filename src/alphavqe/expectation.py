@@ -8,12 +8,12 @@ Stage 1 measures the Pauli 1000 times (`_STAGE1_SAMPLES`) and gates on the
 magnitude of the sample mean: estimates landing inside the fixed gate
 interval [0.36, 0.85] are routed to phase estimation on the rotation
 operator (the sign rides along from the stage-1 mean for free); everything
-else falls back to plain statistical sampling at the target precision.  The
-gate sits at least a tolerance of 0.1 inside `TARGET_INTERVAL` on each side,
-and `hoeffding_bound(1000, 0.1)` = 2 e^-5 ~ 0.013 bounds the chance that a
-stage-1 mean misses the true magnitude by more than that tolerance, so a
-gated term's true magnitude lies inside the target interval except with at
-most that probability.
+else falls back to plain statistical sampling at the target precision
+(`_shot_count`).  The gate sits at least a tolerance of 0.1 inside
+`TARGET_INTERVAL` on each side, and `hoeffding_bound(1000, 0.1)` = 2 e^-5 ~
+0.013 bounds the chance that a stage-1 mean misses the true magnitude by more
+than that tolerance, so a gated term's true magnitude lies inside the target
+interval except with at most that probability.
 
 On the phase-estimation path every measurement prepares the trial state
 afresh and runs one ancilla circuit on it with controlled powers of the
@@ -99,6 +99,8 @@ TARGET_INTERVAL = (math.cos(5.0 * math.pi / 12.0), math.cos(math.pi / 12.0))
 _STAGE1_SAMPLES = 1000
 _STAGE1_TOLERANCE = 0.1
 _GATE_INTERVAL = (0.36, 0.85)
+# 2**32 shots take 10-25 s per term on a 2-core Xeon; more is refused, not run
+_MAX_SHOTS = 2**32
 # prefactor of the stage-2 depth rule m = scale * sigma^(-alpha).  Deeper
 # circuits per unit of posterior width mean fewer belief updates overall; 1.5
 # cut stage-2 measurements by roughly a third relative to the customary 1.25
@@ -153,10 +155,19 @@ def principal_phase(x: float) -> float:
     return min(y, 2.0 * math.pi - y)
 
 
+def _shot_count(epsilon: float) -> int:
+    """ceil(1 / epsilon^2) shots, at most `_MAX_SHOTS`; 1 for epsilon >= 1, whose square may overflow."""
+    if epsilon >= 1.0:
+        return 1
+    if not epsilon**2 * _MAX_SHOTS >= 1.0:
+        raise ValueError(f"epsilon = {epsilon:.6g} asks for more than the 2**32 shots one estimate may take")
+    return math.ceil(1.0 / epsilon**2)
+
+
 def statistical_estimate(
     ansatz: Ansatz, pauli: str, shots: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Sample mean and standard error of the Pauli over fresh preparations.
+) -> float:
+    """Sample mean of the Pauli over `shots` fresh preparations.
 
     The mean of the +-1 outcomes is (2 c - n) / n for c counted +1s out of n
     shots: their sum is an exact integer, so this is the mean of the +-1
@@ -164,10 +175,7 @@ def statistical_estimate(
     """
     state = prepare(ansatz)
     plus = sample_pauli_outcomes(state, pauli, shots, rng)
-    mean = (2 * plus - shots) / shots
-    # for +-1 draws the ddof = 1 variance is n (1 - mean^2) / (n - 1)
-    stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / (shots - 1)) if shots > 1 else 0.0
-    return mean, stderr
+    return (2 * plus - shots) / shots
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ class Stage1Result:
 def stage1_gate(ansatz: Ansatz, pauli: str, rng: np.random.Generator) -> Stage1Result:
     """Screen the expectation magnitude on the stage-1 shots; the sign of the
     mean comes for free."""
-    mean, _ = statistical_estimate(ansatz, pauli, _STAGE1_SAMPLES, rng)
+    mean = statistical_estimate(ansatz, pauli, _STAGE1_SAMPLES, rng)
     lo, hi = _GATE_INTERVAL
     return Stage1Result(lo <= abs(mean) <= hi, mean, 1 if mean >= 0.0 else -1)
 
@@ -294,15 +302,15 @@ def two_stage_estimate(
     rerun once from the prior.  Each run may take the engine's 10**6
     iterations; past that, EstimationTimeout carries that run's partial
     trace.  Gate fails: statistical sampling topped up to
-    ceil(1 / target_epsilon^2) total shots, stage 1 included.
+    `_shot_count(target_epsilon)` total shots, stage 1 included.
     """
     s1 = stage1_gate(ansatz, pauli, rng)
     if not s1.passed:
-        total = max(_STAGE1_SAMPLES, math.ceil(1.0 / config.target_epsilon**2))
+        total = max(_STAGE1_SAMPLES, _shot_count(config.target_epsilon))
         extra = total - _STAGE1_SAMPLES
         value = s1.estimate
         if extra > 0:
-            mean_extra, _ = statistical_estimate(ansatz, pauli, extra, rng)
+            mean_extra = statistical_estimate(ansatz, pauli, extra, rng)
             value = (s1.estimate * _STAGE1_SAMPLES + mean_extra * extra) / total
         return ExpectationResult(
             value=float(value),

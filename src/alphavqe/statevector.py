@@ -51,13 +51,6 @@ MAX_QUBITS = 12
 # uniforms per block in `sample_pauli_outcomes`: 512 KiB of doubles
 _SHOT_BLOCK = 1 << 16
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 def validate_pauli(pauli: str) -> str:
     """Check a Pauli string over {I, X, Y, Z} and return it unchanged."""

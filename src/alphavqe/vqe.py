@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expectation import TwoStageConfig, statistical_estimate, two_stage_estimate
-from .statevector import _PAULI_MATS, MAX_QUBITS, Ansatz, pauli_expectation, prepare, validate_pauli
+from .expectation import TwoStageConfig, _shot_count, statistical_estimate, two_stage_estimate
+from .statevector import MAX_QUBITS, Ansatz, _pauli_action, pauli_expectation, prepare, validate_pauli
 
 __all__ = [
     "Hamiltonian",
@@ -132,16 +132,15 @@ def bundled_hamiltonian(name: str) -> Hamiltonian:
 
 
 def dense_matrix(h: Hamiltonian) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the Pauli sum (qubit 0 first in the Kronecker order)."""
+    """Dense 2^n x 2^n matrix of the Pauli sum, qubit 0 first, from `apply_pauli`'s bit-mask action."""
     if h.n_qubits > MAX_QUBITS:
         raise ValueError(f"dense form limited to {MAX_QUBITS} qubits")
     dim = 2**h.n_qubits
+    rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for coeff, pauli in h.terms:
-        term = np.eye(1, dtype=complex)
-        for letter in pauli:
-            term = np.kron(term, _PAULI_MATS[letter])
-        out += coeff * term
+        source, phase = _pauli_action(pauli)
+        out[rows, source] += coeff * phase
     return out
 
 
@@ -190,10 +189,9 @@ def estimate_energy(
     energy = 0.0
     measurements = 0
     if mode == "statistical":
-        # one shot already meets a share of 1 or more, whose square may overflow
-        shots = 1 if eps_term >= 1.0 else math.ceil(1.0 / eps_term**2)
+        shots = _shot_count(eps_term)
         for coeff, pauli in h.terms:
-            mean, _ = statistical_estimate(ansatz, pauli, shots, rng)
+            mean = statistical_estimate(ansatz, pauli, shots, rng)
             energy += coeff * mean
             measurements += shots
         return float(energy), measurements

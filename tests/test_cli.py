@@ -5,19 +5,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from alphavqe import __version__
+from alphavqe import __version__, engine
 from alphavqe.cli import main
 
 # SHA-256 of each default-seed CSV after its first line, "# alphavqe
 # <version>", which is the one line that may change without the output
 # changing
 DEFAULT_CSV_DIGESTS = {
-    "risk-surface": "77a64b0900a6301ba4f3962876facbf2a8f4358acfe98eaadb17386f5ffcfe56",
+    "risk-surface": "d28790f70a8fadb9042fc77fa2fd7892bbcd19c0470f36f8d3ac57c51c11ccc3",
     "phase-sim": "b0c361ca7eb102fd318d29399ab0c9baefe8271b56c969db8efb3b292e9abb68",
-    "tradeoff": "784c370403257c5385617c242d3c35dd3405048c707bcc09c62d9163fffc2ace",
+    "tradeoff": "c64739d9f879281335a1f9b8db0d17130e8a2ba7aa5304e6367c09b4ea7f3ee7",
     "expectation": "0b0f9d1c964d5676f086190049d0493c86345d2bd8411598adfb2451d8fb808a",
     "vqe": "2e5a4304a6b50b8b86fd54653b8d2e75305ba20429f6b0c89cb4f5f26f123df6",
-    "collapse-check": "2e5d9e39a88e074b3f7ee59660f4957f6e17b021d4a73f5c16b13c763942e481",
+    "collapse-check": "28716873e9002c4b3cba7cb5a0524b8fa534e56ac130b8c346194f6a8badfa34",
 }
 
 
@@ -109,13 +109,24 @@ def test_stdout_when_no_out_file(capsys):
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 7\nepsilon = 0.1\n# comment\n", encoding="utf-8")
-    args = ["tradeoff", "--config", str(cfg), "--dmax", "2"]
+    args = ["expectation", "--config", str(cfg), "--trials", "1"]
     code, body = run_to_file(tmp_path, "p.csv", args)
     assert code == 0
     assert "# seed = 7" in body.decode()
     code, body = run_to_file(tmp_path, "q.csv", args + ["--seed", "9"])
     assert "# seed = 9" in body.decode()
     assert "# epsilon = 0.1" in body.decode()
+
+
+@pytest.mark.parametrize("subcommand", ["risk-surface", "tradeoff", "collapse-check"])
+def test_subcommands_that_draw_nothing_take_no_seed(tmp_path, subcommand, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([subcommand, "--seed", "1"])
+    assert done.value.code == 2
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 1\n", encoding="utf-8")
+    assert main([subcommand, "--config", str(cfg)]) == 1
+    assert "alphavqe: unknown config key 'seed' for this subcommand" in capsys.readouterr().err
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
@@ -150,10 +161,25 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["expectation", "--trials", "-2"]) == 1
     assert main(["expectation", "--avalues", ""]) == 1
     assert main(["vqe", "--mode", "statistical", "--epsilon", "inf"]) == 1
+    # epsilon^2 underflows: refused by the shot law on each sampled path
+    assert main(["vqe", "--mode", "statistical", "--epsilon", "1e-200", "--iters", "0"]) == 1
+    assert main(["expectation", "--epsilon", "1e-200", "--trials", "1", "--avalues", "0.1"]) == 1
+    assert main(["vqe", "--mode", "alpha", "--epsilon", "1e-200", "--iters", "0"]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
     assert "alphavqe: layers must be non-negative, got -1" in err
     assert "alphavqe: statistical mode needs a finite positive epsilon_total, got inf" in err
+    assert "alphavqe: epsilon = 1e-200 asks for more than the 2**32 shots one estimate may take" in err
+    assert "Traceback" not in err
+
+
+def test_stage2_timeout_is_reported_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 5)
+    # 0.7071 passes the stage-1 gate, so stage 2 runs into the cap
+    assert main(["expectation", "--epsilon", "1e-5", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("alphavqe: sigma=")
+    assert "after 5 iterations without reaching epsilon=1e-05" in err
     assert "Traceback" not in err
 
 
@@ -171,6 +197,16 @@ def test_risk_surface_reads_two_zero_risks_as_agreeing(tmp_path):
     text = body.decode()
     assert ",1e-200,0,0,0\n" in text
     assert "# max_rel_err = 0\n" in text
+
+
+@pytest.mark.parametrize("sigma", ["1e-155", "1e-158", "1e-160", "1e-161"])
+def test_risk_surface_agrees_at_subnormal_variances(tmp_path, sigma):
+    # sigma^2 is subnormal here; the quadrature scales by it only at the end
+    args = ["risk-surface", "--mvals", "1", "--offsets", "0.3", "--sigmas", sigma]
+    code, body = run_to_file(tmp_path, "r.csv", args)
+    assert code == 0
+    rel_err = float(body.decode().splitlines()[-2].split(",")[-1])
+    assert rel_err < 1e-12
 
 
 @pytest.mark.parametrize("flag, value", [("--mvals", "1e200"), ("--sigmas", "1e300")])

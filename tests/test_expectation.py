@@ -1,5 +1,7 @@
 """Two-stage expectation estimation: gate, stage-2 oracle, collapse, and the full protocol."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,19 +89,26 @@ def test_config_validation(kwargs):
         TwoStageConfig(**base)
 
 
+def pm_one_stderr(mean: float, shots: int) -> float:
+    """Standard error of a mean of shots +-1 draws, from the mean alone: for
+    +-1 draws the ddof = 1 variance is n (1 - mean^2) / (n - 1)."""
+    return float(np.sqrt(max(0.0, 1.0 - mean * mean) / (shots - 1)))
+
+
 def test_statistical_estimate_on_definite_state():
-    mean, stderr = statistical_estimate(ansatz_with_z(1.0), "Z", 50, np.random.default_rng(0))
-    assert mean == 1.0
-    assert stderr == 0.0
+    assert statistical_estimate(ansatz_with_z(1.0), "Z", 50, np.random.default_rng(0)) == 1.0
 
 
 @pytest.mark.parametrize("value", [1.0, 0.37, -0.8, 0.0])
 @pytest.mark.parametrize("shots", [2, 10, 1000])
 def test_statistical_estimate_stderr_is_the_sample_std(value, shots):
+    # the estimator returns the mean alone; the standard error that the
+    # concentration bound below takes from it is the draws' sample std
     ansatz = ansatz_with_z(value)
-    mean, stderr = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(shots))
+    mean = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(shots))
     draws = pm_one_draws(pauli_expectation(prepare(ansatz), "Z"), shots, shots)
     assert mean == draws.mean()
+    stderr = pm_one_stderr(mean, shots)
     assert stderr == pytest.approx(draws.std(ddof=1) / np.sqrt(shots), rel=1e-12, abs=0.0)
     if value == 1.0:
         assert np.all(draws == 1.0) and stderr == 0.0
@@ -115,16 +124,29 @@ def test_stage1_count_gives_the_mean_of_the_pm_one_vector_bit_for_bit(value, sho
     draws = pm_one_draws(pauli_expectation(state, "Z"), shots, seed)
     assert plus == np.count_nonzero(draws == 1.0)
     assert (2 * plus - shots) / shots == draws.mean()
-    mean, _ = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(seed))
-    assert mean == draws.mean()
+    assert statistical_estimate(ansatz, "Z", shots, np.random.default_rng(seed)) == draws.mean()
+
+
+def test_shot_count_is_capped_at_two_to_the_32():
+    assert expectation._shot_count(2.0**-16) == 2**32
+    below = math.nextafter(2.0**-16, 0.0)
+    assert math.ceil(1.0 / below**2) == 2**32 + 1
+    with pytest.raises(ValueError, match=r"asks for more than the 2\*\*32 shots one estimate may take"):
+        expectation._shot_count(below)
+    # epsilon^2 underflows to 0, or to a subnormal whose reciprocal is inf
+    for epsilon in (1e-200, 1e-160):
+        with pytest.raises(ValueError, match=f"epsilon = {epsilon:g} asks for more than"):
+            expectation._shot_count(epsilon)
+    assert expectation._shot_count(0.02) == 2500
+    assert expectation._shot_count(1.0) == expectation._shot_count(1e300) == 1
 
 
 def test_statistical_estimate_concentrates():
     ansatz = ansatz_with_z(0.37)
     exact = pauli_expectation(prepare(ansatz), "Z")
     for seed in range(5):
-        mean, stderr = statistical_estimate(ansatz, "Z", 10_000, np.random.default_rng(seed))
-        assert abs(mean - exact) < 3.5 * stderr
+        mean = statistical_estimate(ansatz, "Z", 10_000, np.random.default_rng(seed))
+        assert abs(mean - exact) < 3.5 * pm_one_stderr(mean, 10_000)
 
 
 def test_stage1_gate_decisions():

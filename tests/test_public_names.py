@@ -30,3 +30,33 @@ def test_package_imports_only_public_names():
         if alias.name not in importlib.import_module(f"alphavqe.{node.module}").__all__
     ]
     assert stray == []
+
+
+# imported but uncalled: bench/tracing.py patches these module attributes by
+# name, so they stay until the tracer stops patching them
+TRACER_ONLY_IMPORTS = {
+    "engine.rejection_filter_update",
+    "expectation.build_rotation_operator",
+    "expectation.next_setting",
+    "expectation.rejection_filter_update",
+    "expectation.run_phase_circuit",
+}
+
+
+def _unused_imports(name: str) -> set[str]:
+    tree = ast.parse((Path(alphavqe.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name listed in __all__ is re-exported, which is a use
+    used.update(getattr(importlib.import_module(f"alphavqe.{name}"), "__all__", ()))
+    return {f"{name}.{entry}" for entry in imported - used}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set().union(*(_unused_imports(name) for name in MODULES))
+    assert unused == TRACER_ONLY_IMPORTS

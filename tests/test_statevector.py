@@ -412,7 +412,7 @@ def test_ten_million_shots_count_in_bounded_memory():
     tracemalloc.start()
     try:
         plus = sample_pauli_outcomes(prepare(ansatz), "Z", shots, np.random.default_rng(5))
-        mean, _ = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(5))
+        mean = statistical_estimate(ansatz, "Z", shots, np.random.default_rng(5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
