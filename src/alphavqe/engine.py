@@ -26,11 +26,16 @@ So a wrapper on `engine.next_setting` sees only pinned iterations, while
 validated value types sit at the loop's edges: the prior comes in as a
 `NormalBelief` and the run returns a `NormalBelief`.
 
-Each iteration adds its row to the trace flat, as five plain values, and the
-trace's `rows` builds each `TraceRow`, an immutable named tuple, when a
-reader reaches it.  Plain floats and ints are never tracked by the cyclic
-garbage collector, so neither a run of any length nor a scan of its rows
-leaves the collector anything to walk.
+Each iteration adds its row to a short plain list.  Every 256 iterations,
+when the loop draws its next block of uniforms, and when it returns or times
+out, the list moves into one packed `array('d')`: five float64 values a row,
+8 bytes each, with the outcome as 0.0 or 1.0.  The trace's `rows` builds
+each `TraceRow`, an immutable named tuple, when a reader reaches it, reading
+the outcome back as an int and k from the row's position.  The array holds
+no Python object, so neither a run of any length nor a scan of its rows
+leaves the cyclic garbage collector anything to walk.  Two consequences of
+the packing: an `EstimationTrace` is not hashable, and a row's m and theta
+read back as floats even where an oracle's `pinned_theta` is an int.
 
 Each iteration takes one uniform.  The loop draws its uniforms in blocks, and
 on every exit it leaves the Generator exactly where one scalar `random()`
@@ -41,6 +46,8 @@ reproduce traces bit for bit.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, repeat
@@ -106,34 +113,39 @@ class TraceRow(NamedTuple):
     sigma: float
 
 
-# plain values stored per row: every `TraceRow` field but k, which is implied
-# by the row's position
+# float64 values stored per row: every `TraceRow` field but k, which is
+# implied by the row's position
 _ROW_WIDTH = 5
 
 
 class _TraceRows(Sequence):
-    """`EstimationTrace.rows`: a read-only sequence over a trace's flat values
-    that compares, concatenates and prints as the tuple of its rows."""
+    """`EstimationTrace.rows`: a read-only sequence over a trace's packed
+    float64 values, 8 bytes each, that compares, concatenates and prints as
+    the tuple of its rows.  A row's outcome reads back as an int, its k as its
+    position, and its m and theta as floats, whatever type the oracle's
+    `pinned_theta` had.  Like the trace, it is not hashable."""
 
     __slots__ = ("_values",)
 
-    def __init__(self, values: tuple):
+    def __init__(self, values: array):
         self._values = values
 
     def __len__(self) -> int:
         return len(self._values) // _ROW_WIDTH
 
     def __iter__(self):
-        # zip over one iterator repeated takes the values a row at a time
-        values = iter(self._values)
-        return map(tuple.__new__, repeat(TraceRow), zip(count(1), *[values] * _ROW_WIDTH))
+        # one read-only strided view per field; iterating a view gives floats
+        view = memoryview(self._values).toreadonly()
+        m, theta, outcome, mu, sigma = (view[i::_ROW_WIDTH] for i in range(_ROW_WIDTH))
+        return map(tuple.__new__, repeat(TraceRow), zip(count(1), m, theta, map(int, outcome), mu, sigma))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
         k = range(len(self))[index]
         start = _ROW_WIDTH * k
-        return tuple.__new__(TraceRow, (k + 1, *self._values[start : start + _ROW_WIDTH]))
+        m, theta, outcome, mu, sigma = self._values[start : start + _ROW_WIDTH]
+        return tuple.__new__(TraceRow, (k + 1, m, theta, int(outcome), mu, sigma))
 
     def __eq__(self, other):
         if isinstance(other, _TraceRows):
@@ -149,14 +161,16 @@ class _TraceRows(Sequence):
 
 @dataclass(frozen=True)
 class EstimationTrace:
-    """A run's rows, stored flat, and the prior it started from.
+    """A run's rows, packed, and the prior it started from.
 
-    `_values` holds (m, theta, outcome, mu, sigma) for each
-    iteration in turn.  `rows` reads them as `TraceRow`s: each row is built
-    when it is reached, and every read builds fresh, equal rows.
+    `_values` is an `array('d')` holding (m, theta, outcome, mu, sigma) for
+    each iteration in turn, 8 bytes a value, the outcome as 0.0 or 1.0.
+    `rows` reads them as `TraceRow`s: each row is built when it is reached,
+    and every read builds fresh, equal rows.  The array makes a trace
+    unhashable, and a row's m and theta read back as floats.
     """
 
-    _values: tuple
+    _values: array
     prior_mu: float
     prior_sigma: float
 
@@ -168,10 +182,19 @@ class EstimationTrace:
         return _TraceRows(self._values)
 
     def sigmas(self) -> np.ndarray:
-        return np.array((self.prior_sigma, *self._values[4::_ROW_WIDTH]))
+        return np.concatenate(([self.prior_sigma], np.frombuffer(self._values)[4::_ROW_WIDTH]))
 
     def mus(self) -> np.ndarray:
-        return np.array((self.prior_mu, *self._values[3::_ROW_WIDTH]))
+        return np.concatenate(([self.prior_mu], np.frombuffer(self._values)[3::_ROW_WIDTH]))
+
+
+def _pack(packed: array, values: list) -> None:
+    """Move `values` to the end of `packed` as float64, bit for bit.  struct
+    converts each value with one float conversion, where `array.fromlist`
+    parses each one against a format string at about 2.5 times the cost
+    (CPython 3.11)."""
+    packed.frombytes(struct.pack(f"{len(values)}d", *values))
+    values.clear()
 
 
 def run_estimation(
@@ -216,7 +239,10 @@ def run_estimation(
     cap = HARD_ITERATION_CAP
     # the belief is two plain floats inside the loop
     mu, sigma = prior
-    # the trace's flat values, one row of _ROW_WIDTH per iteration
+    # the trace's rows, _ROW_WIDTH values each: `values` collects the rows
+    # since the last block was drawn, and `packed` takes them over at each
+    # block and on the return and the timeout
+    packed = array("d")
     values: list = []
     push = values.extend
     k = 0
@@ -230,11 +256,13 @@ def run_estimation(
             if epsilon is not None and sigma <= epsilon:
                 break
             if k >= cap:
+                _pack(packed, values)
                 raise EstimationTimeout(
                     f"sigma={sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
-                    EstimationTrace(tuple(values), prior.mu, prior.sigma),
+                    EstimationTrace(packed, prior.mu, prior.sigma),
                 )
             if k - base == len(block):
+                _pack(packed, values)
                 saved, base = bit_generator.state, k
                 block = rng.random(_UNIFORM_BLOCK).tolist()
             if pinned_theta is None:
@@ -260,7 +288,8 @@ def run_estimation(
         if saved is not None:
             bit_generator.state = saved
             rng.random(k - base)
-    return tuple.__new__(NormalBelief, (mu, sigma)), EstimationTrace(tuple(values), prior.mu, prior.sigma)
+    _pack(packed, values)
+    return tuple.__new__(NormalBelief, (mu, sigma)), EstimationTrace(packed, prior.mu, prior.sigma)
 
 
 def circular_distance(a, b):

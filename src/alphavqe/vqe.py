@@ -189,7 +189,13 @@ def estimate_energy(
     energy = 0.0
     measurements = 0
     if mode == "statistical":
-        shots = _shot_count(eps_term)
+        try:
+            shots = _shot_count(eps_term)
+        except ValueError:
+            raise ValueError(
+                f"epsilon_total = {epsilon_total:.6g} over coeff_norm = {h.coeff_norm:.6g} leaves each term "
+                f"a share of {eps_term:.6g}, which asks for more than the 2**32 shots one estimate may take"
+            ) from None
         for coeff, pauli in h.terms:
             mean = statistical_estimate(ansatz, pauli, shots, rng)
             energy += coeff * mean

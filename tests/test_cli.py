@@ -165,11 +165,17 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["vqe", "--mode", "statistical", "--epsilon", "1e-200", "--iters", "0"]) == 1
     assert main(["expectation", "--epsilon", "1e-200", "--trials", "1", "--avalues", "0.1"]) == 1
     assert main(["vqe", "--mode", "alpha", "--epsilon", "1e-200", "--iters", "0"]) == 1
+    # a share past the shot cap is refused by the values the user can change
+    assert main(["vqe", "--hamiltonian", "toy2q", "--mode", "statistical", "--epsilon", "1e-5", "--iters", "0"]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
     assert "alphavqe: layers must be non-negative, got -1" in err
     assert "alphavqe: statistical mode needs a finite positive epsilon_total, got inf" in err
     assert "alphavqe: epsilon = 1e-200 asks for more than the 2**32 shots one estimate may take" in err
+    assert (
+        "alphavqe: epsilon_total = 1e-05 over coeff_norm = 1.3 leaves each term a share of 7.69231e-06, "
+        "which asks for more than the 2**32 shots one estimate may take"
+    ) in err
     assert "Traceback" not in err
 
 

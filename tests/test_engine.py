@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import hashlib
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,9 +274,46 @@ def test_the_flat_trace_reads_back_exactly(alpha):
         assert [type(value) for value in row] == [int, float, float, int, float, float]
     # every read builds fresh rows, equal to the last
     assert trace.rows == rows and trace.rows[0] is not rows[0]
-    assert type(trace._values) is tuple
+    # the storage is five float64 values a row, bit for bit the rows' fields
+    stored = memoryview(trace._values)
+    assert (stored.format, stored.itemsize, len(stored)) == ("d", 8, 5 * len(rows))
+    assert stored.tobytes() == np.array([row[1:] for row in rows], dtype=np.float64).tobytes()
+    again = pickle.loads(pickle.dumps(trace))
+    assert again == trace and repr(again.rows) == repr(rows)
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.prior_mu = 0.0
+    with pytest.raises(TypeError):
+        hash(trace)
+
+
+class IntPinnedCosineOracle(PinnedCosineOracle):
+    pinned_theta = 0
+
+
+def test_an_int_pinned_theta_reads_back_as_a_float():
+    policy = AlphaQPE(0.5, scale=1.5, depth_cap=32.0)
+    _, trace = run_estimation(IntPinnedCosineOracle(), policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5)
+    assert repr(trace.rows) == repr(pinned_run()[1].rows)
+    assert all(type(row.theta) is float and type(row.m) is float for row in trace.rows)
+
+
+def test_a_trace_keeps_at_most_ten_bytes_per_value():
+    # the alpha = 0 end keeps ~20k rows at epsilon = 0.01; the run's peak
+    # traced allocation, everything it held at once, is charged to the trace
+    args = (SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0))
+    # a first run imports numpy.random's submodules, once per process
+    run_estimation(*args, max_iterations=1, seed=5)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _, trace = run_estimation(*args, epsilon=0.01, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = 5 * len(trace.rows)
+    assert len(trace.rows) > 15_000
+    assert (peak - before) / values <= 10.0
 
 
 def test_trace_rows_read_as_the_tuple_of_them():

@@ -143,6 +143,16 @@ def test_estimate_energy_argument_errors():
                 estimate_energy(h, ansatz, mode, epsilon_total=bad, rng=np.random.default_rng(0))
 
 
+def test_statistical_mode_refuses_a_share_past_the_shot_cap_before_any_draw():
+    h = bundled_hamiltonian("toy2q")
+    ansatz = Ansatz(2, 1, np.array([0.4, -0.8]))
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"epsilon_total = 1e-05 over coeff_norm = 1\.3 .* share of 7\.69231e-06"):
+        estimate_energy(h, ansatz, "statistical", epsilon_total=1e-5, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_statistical_mode_takes_one_shot_per_term_at_a_huge_epsilon():
     # the per-term share squared would overflow; one shot already meets it
     h = bundled_hamiltonian("toy2q")
