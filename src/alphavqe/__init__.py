@@ -40,7 +40,6 @@ from .expectation import (
     collapse_distribution,
     collapse_state,
     hoeffding_bound,
-    principal_phase,
     stage1_gate,
     statistical_estimate,
     two_stage_estimate,

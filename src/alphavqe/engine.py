@@ -120,10 +120,10 @@ _ROW_WIDTH = 5
 
 class _TraceRows(Sequence):
     """`EstimationTrace.rows`: a read-only sequence over a trace's packed
-    float64 values, 8 bytes each, that compares, concatenates and prints as
-    the tuple of its rows.  A row's outcome reads back as an int, its k as its
-    position, and its m and theta as floats, whatever type the oracle's
-    `pinned_theta` had.  Like the trace, it is not hashable."""
+    float64 values, 8 bytes each, that compares and prints as the tuple of its
+    rows.  A row's outcome reads back as an int, its k as its position, and
+    its m and theta as floats, whatever type the oracle's `pinned_theta` had.
+    Like the trace, it is not hashable."""
 
     __slots__ = ("_values",)
 
@@ -151,9 +151,6 @@ class _TraceRows(Sequence):
         if isinstance(other, _TraceRows):
             return self._values == other._values
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __add__(self, other):
-        return tuple(self) + tuple(other) if isinstance(other, (tuple, _TraceRows)) else NotImplemented
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -186,6 +183,10 @@ class EstimationTrace:
 
     def mus(self) -> np.ndarray:
         return np.concatenate(([self.prior_mu], np.frombuffer(self._values)[3::_ROW_WIDTH]))
+
+    def depths(self) -> np.ndarray:
+        """Each row's m in run order, read from the packed column with no row built."""
+        return np.frombuffer(self._values)[0::_ROW_WIDTH].copy()
 
 
 def _pack(packed: array, values: list) -> None:

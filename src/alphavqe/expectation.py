@@ -24,9 +24,9 @@ readout is the plain cosine
     P(0) = (1 + cos(m phi)) / 2,
 
 symmetric under phi -> -phi (Knill, Ortiz & Somma, PRA 75, 012328, 2007).
-The belief update needs no branch bookkeeping, and each iteration costs one
-measurement.  The simulated readout takes P(0) from the exact eigenphase
-phi = 2 arccos |<P>|, so stage 2 builds no rotation operator.
+That is `engine.SyntheticOracle`'s law at -phi, phi = 2 arccos |<P>|, with
+theta pinned at 0: stage 2 samples through that oracle, one measurement per
+iteration, and builds no rotation operator.
 
 The two-measurement collapse toward one eigenvector is kept as a checked
 diagnostic (`collapse_state`, `collapse_distribution`), not as part of the
@@ -60,15 +60,14 @@ import numpy as np
 # installed on the module attribute sees every run
 from . import engine
 # rejection_filter_update, next_setting, run_phase_circuit and
-# build_rotation_operator go uncalled here (stage 2 reads its p0 from the
-# exact eigenphase): bench/tracing.py patches them by name
+# build_rotation_operator go uncalled here (stage 2 samples through
+# engine.SyntheticOracle): bench/tracing.py patches them by name
 from .bayes import NormalBelief, rejection_filter_update
 from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
     _ancilla_branches,
     _eigenphase,
-    _trial_state_p0,
     build_rotation_operator,
     pauli_expectation,
     prepare,
@@ -80,7 +79,6 @@ __all__ = [
     "TARGET_INTERVAL",
     "TwoStageConfig",
     "hoeffding_bound",
-    "principal_phase",
     "statistical_estimate",
     "Stage1Result",
     "stage1_gate",
@@ -140,19 +138,6 @@ class TwoStageConfig:
 def hoeffding_bound(n: int, t: float) -> float:
     """Two-sided bound 2 exp(-n t^2 / 2) on P(|mean - A| >= t) for +-1 samples."""
     return float(2.0 * np.exp(-n * t * t / 2.0))
-
-
-def principal_phase(x: float) -> float:
-    """Reduce an unwrapped phase to its canonical magnitude in [0, pi].
-
-    Rotation eigenphases come in +-phi pairs and are only defined modulo
-    2 pi, so an estimate that drifted to -phi or across a period still pins
-    down the same physical angle.
-    """
-    y = math.fmod(x, 2.0 * math.pi)
-    if y < 0.0:
-        y += 2.0 * math.pi
-    return min(y, 2.0 * math.pi - y)
 
 
 def _shot_count(epsilon: float) -> int:
@@ -254,18 +239,13 @@ def collapse_distribution(phi: float) -> dict[tuple[int, int], tuple[float, floa
     return {(b2, b1): (float(p_b2[b2] * p1), conf) for (b2, b1), (p1, conf) in branches.items()}
 
 
-@dataclass(frozen=True)
-class _TrialStateCircuit:
+class _TrialStateCircuit(engine.SyntheticOracle):
     """Stage-2 oracle: one ancilla circuit on the freshly prepared trial
-    state, read out at theta = 0, where it follows the plain cosine.  It
-    holds the term's exact eigenphase phi, and its P(0) is
-    `statevector._trial_state_p0` at phi."""
+    state, read out at theta = 0, where it follows the plain cosine at the
+    term's exact eigenphase.  It is built at -phi: the readout cannot tell
+    +-phi apart, and -phi stays inside [-pi, pi) even at phi = pi."""
 
-    phi: float
     pinned_theta = 0.0
-
-    def sample(self, setting: tuple[float, float], u: float) -> int:
-        return 0 if u < _trial_state_p0(self.phi, setting) else 1
 
 
 @dataclass(frozen=True)
@@ -274,7 +254,8 @@ class ExpectationResult:
 
     max_depth_used counts the largest number of coherent base-operator
     applications in any single circuit (0 on the sampling path); measurements
-    include the stage-1 shots.
+    include the stage-1 shots.  Stage 2 reads out through `SyntheticOracle`
+    at -phi, theta pinned at 0; iterations and max depth span both attempts.
     """
 
     value: float
@@ -291,18 +272,18 @@ def two_stage_estimate(
 ) -> ExpectationResult:
     """Estimate <psi|P|psi> with sign to precision ~target_epsilon.
 
-    Gate passes: stage 2 is `engine.run_estimation` on one oracle, drawing
-    from `rng`.  Per iteration it prepares the trial state afresh and runs one
-    ancilla measurement at theta = 0 with m controlled applications of U,
-    m the whole count the schedule picks, and updates the phase belief under
-    the plain cosine until sigma <= target_epsilon.  Each iteration is one
-    measurement, and max_depth_used is the largest m run.
-    A converged phase whose implied magnitude contradicts the stage-1
-    estimate beyond the gate's tolerance is treated as an alias capture and
-    rerun once from the prior.  Each run may take the engine's 10**6
-    iterations; past that, EstimationTimeout carries that run's partial
-    trace.  Gate fails: statistical sampling topped up to
-    `_shot_count(target_epsilon)` total shots, stage 1 included.
+    Gate passes: stage 2 is `engine.run_estimation` through a
+    `SyntheticOracle` at the exact eigenphase -phi, theta pinned at 0, drawing
+    from `rng`.  Each iteration is one ancilla measurement on the trial state
+    with m controlled applications of U, m the whole count `next_setting`
+    picks, until sigma <= target_epsilon.  A converged magnitude
+    |cos(mu / 2)| that contradicts the stage-1 estimate beyond the gate's
+    tolerance is treated as an alias capture and run once more from the
+    prior.  The counts and max_depth_used are read from the runs' traces.
+    Each run may take the engine's 10**6 iterations; past that,
+    EstimationTimeout carries that run's partial trace.  Gate fails:
+    statistical sampling topped up to `_shot_count(target_epsilon)` total
+    shots, stage 1 included.
     """
     s1 = stage1_gate(ansatz, pauli, rng)
     if not s1.passed:
@@ -322,33 +303,35 @@ def two_stage_estimate(
             iterations=0,
         )
 
-    phi0 = _eigenphase(s1.estimate)
     # for +-1 shots the arccos map is variance-stabilizing: the standard
     # error of 2 arccos|a_hat| is 2/sqrt(n) whatever the magnitude, so the
     # phase prior can start this tight with a factor-2 margin; a wide prior
     # would span several lobes of the early likelihood and occasionally lock
     # the belief onto an alias, which a lobe-width prior cannot reach
-    prior = NormalBelief(phi0, 4.0 / math.sqrt(_STAGE1_SAMPLES))
+    prior = NormalBelief(_eigenphase(s1.estimate), 4.0 / math.sqrt(_STAGE1_SAMPLES))
     # the circuit m is integer, so the binding cap is floor(d_max)
     policy = AlphaQPE(config.alpha, scale=_SCHEDULE_SCALE, depth_cap=float(np.floor(config.d_max)))
-    oracle = _TrialStateCircuit(_eigenphase(pauli_expectation(prepare(ansatz), pauli)))
-    belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=config.target_epsilon, seed=rng)
-    rows = trace.rows
+    oracle = _TrialStateCircuit(-_eigenphase(pauli_expectation(prepare(ansatz), pauli)))
+    runs = []
     # a posterior parked on an alias lobe of the periodic likelihood is
     # confidently wrong, and more updates of the same kind cannot move it;
     # stage 1 already brackets the magnitude within its tolerance, so a
     # converged phase that contradicts the bracket restarts once from the
     # prior instead of being returned
-    if not abs(float(np.cos(principal_phase(belief.mu) / 2.0)) - abs(s1.estimate)) <= _STAGE1_TOLERANCE:
+    for _ in range(2):
         belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=config.target_epsilon, seed=rng)
-        rows += trace.rows
-    value = s1.sign * float(np.cos(principal_phase(belief.mu) / 2.0))
+        runs.append(trace.depths())
+        # |cos(mu / 2)| reads the same magnitude for mu, -mu and mu + 2 pi
+        magnitude = abs(math.cos(belief.mu / 2.0))
+        if abs(magnitude - abs(s1.estimate)) <= _STAGE1_TOLERANCE:
+            break
+    depths = np.concatenate(runs)
     return ExpectationResult(
-        value=value,
+        value=s1.sign * magnitude,
         path="alpha_qpe",
-        measurements_used=_STAGE1_SAMPLES + len(rows),
-        max_depth_used=max(row.m for row in rows) if rows else 0.0,
+        measurements_used=_STAGE1_SAMPLES + depths.size,
+        max_depth_used=float(depths.max(initial=0.0)),
         posterior_sigma=belief.sigma,
         stage1_estimate=s1.estimate,
-        iterations=len(rows),
+        iterations=depths.size,
     )

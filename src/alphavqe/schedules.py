@@ -79,9 +79,10 @@ def next_setting(policy: AlphaQPE, belief: tuple[float, float], pinned_theta: fl
 
     m is the whole count in [m*/sqrt 2, sqrt 2 m*] (m* the policy's rule,
     clamped to its depth cap) with the least `bayes_risk`, kept within
-    [1, floor(depth_cap)]; the first such count wins a tie.  The window lets
-    m step off the zeros of the Bayes gain, which at a fixed theta fall
-    wherever sin(m (mu - theta)) vanishes.  It is scanned in scalar `math`.
+    [1, floor(depth_cap)], two counts wide wherever 2 fits; a tie goes to
+    the first.  The window lets m step off the zeros of the Bayes gain, which
+    at a fixed theta fall wherever sin(m (mu - theta)) vanishes: consecutive
+    counts share one only at mu - theta = 0 mod pi.  It is scanned in `math`.
 
     m* and pinned_theta get the checks of `ExperimentSetting` before the
     window, and a setting that fails them raises that constructor's
@@ -103,7 +104,7 @@ def next_setting(policy: AlphaQPE, belief: tuple[float, float], pinned_theta: fl
     if depth_cap is not None:
         top = min(top, depth_cap)
     hi = max(1, math.floor(top))
-    lo = min(hi, max(1, math.ceil(m / math.sqrt(2.0))))
+    lo = max(1, min(hi - 1, math.ceil(m / math.sqrt(2.0))))
     if hi - lo >= _MAX_WINDOW:
         raise ValueError(
             f"the pinned window around m = {m:.6g} holds {hi - lo + 1:.6g} whole counts, "

@@ -17,8 +17,9 @@ spanned by those two states by phi = 2 arccos |<psi|P|psi>| and acts as the
 identity elsewhere, so estimating the eigenphase of U recovers |<psi|P|psi>|.
 U is never built or applied gate by gate: the simulator works through its
 2x2 restriction to that plane, and the test oracles hold the dense reference.
-The trial state psi is an even superposition of U's two eigenvectors, so the
-ancilla readout on it needs only phi, with no operator at all.
+The trial state psi is an even superposition of U's two eigenvectors, so at
+theta = 0 its ancilla readout is `engine.SyntheticOracle`'s cosine at -phi:
+stage 2 of the expectation estimator samples that oracle and builds no U.
 """
 
 from __future__ import annotations
@@ -283,25 +284,6 @@ def build_rotation_operator(ansatz: Ansatz, pauli: str) -> RotationOperator:
     return RotationOperator(ansatz, pauli)
 
 
-def _circuit_m(setting: tuple[float, float]) -> tuple[int, float]:
-    """(m, theta) of a setting, with m as the whole count a circuit runs."""
-    m, theta = setting
-    if abs(m - round(m)) > 1e-9 or m < 1.0:
-        raise ValueError(f"circuit execution needs integer m >= 1, got {m}")
-    return int(round(m)), theta
-
-
-def _trial_state_p0(phi: float, setting: tuple[float, float]) -> float:
-    """Exact P(0) of the ancilla circuit on the trial state, from phi alone.
-
-    The trial state is an even superposition of the eigenvectors of
-    eigenphases +-phi, so the readout averages the two eigenstate
-    likelihoods: P(0) = (1 + cos(m theta) cos(m phi)) / 2.
-    """
-    m, theta = _circuit_m(setting)
-    return 0.5 * (1.0 + math.cos(m * theta) * math.cos(m * phi))
-
-
 def _ancilla_branches(
     state: np.ndarray, turned: np.ndarray
 ) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
@@ -333,7 +315,10 @@ def run_phase_circuit(
     exactly; on the trial state, an even superposition of the two
     eigenvectors, p0 is (1 + cos(m phi) cos(m theta)) / 2.
     """
-    m, theta = _circuit_m(setting)
+    m, theta = setting
+    if abs(m - round(m)) > 1e-9 or m < 1.0:
+        raise ValueError(f"circuit execution needs integer m >= 1, got {m}")
+    m = int(round(m))
     if system_state.size != 2**op.n_qubits:
         raise ValueError("system state dimension does not match the operator")
     state = np.array(system_state, dtype=complex)

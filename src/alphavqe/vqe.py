@@ -165,7 +165,8 @@ def estimate_energy(
     epsilon_total / sum_j |a_j|, for a finite positive epsilon_total, with at
     least one shot per term.  Alpha mode runs every term through the gated
     two-stage estimator at `TwoStageConfig(alpha, d_max, epsilon_i)`, built
-    once before any draw; the other modes read neither alpha nor d_max.
+    once before any draw, and refuses a share epsilon_i >= 1 by the values
+    that set it; the other modes read neither alpha nor d_max.
 
     Both sampled modes draw every term from `rng` itself, in term order:
     term i's draws follow term i-1's, so the same seed gives the same bytes
@@ -186,21 +187,26 @@ def estimate_energy(
     if rng is None:
         raise ValueError(f"{mode} mode needs a random generator")
     eps_term = epsilon_total / h.coeff_norm
+
+    def refusal(reason: str) -> ValueError:
+        return ValueError(
+            f"epsilon_total = {epsilon_total:.6g} over coeff_norm = {h.coeff_norm:.6g} leaves each term "
+            f"a share of {eps_term:.6g}, {reason}"
+        )
     energy = 0.0
     measurements = 0
     if mode == "statistical":
         try:
             shots = _shot_count(eps_term)
         except ValueError:
-            raise ValueError(
-                f"epsilon_total = {epsilon_total:.6g} over coeff_norm = {h.coeff_norm:.6g} leaves each term "
-                f"a share of {eps_term:.6g}, which asks for more than the 2**32 shots one estimate may take"
-            ) from None
+            raise refusal("which asks for more than the 2**32 shots one estimate may take") from None
         for coeff, pauli in h.terms:
             mean = statistical_estimate(ansatz, pauli, shots, rng)
             energy += coeff * mean
             measurements += shots
         return float(energy), measurements
+    if not eps_term < 1.0:
+        raise refusal("which alpha mode needs below 1")
     config = TwoStageConfig(alpha, d_max, eps_term)
     for coeff, pauli in h.terms:
         result = two_stage_estimate(ansatz, pauli, config, rng)

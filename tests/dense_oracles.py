@@ -176,7 +176,8 @@ def unpinned_setting(policy, belief) -> tuple[float, float]:
 
 
 def window_bounds(policy, belief) -> tuple[int, int]:
-    """The pinned-theta window [lo, hi] of whole counts around the clamped m*."""
+    """The pinned-theta window [lo, hi] of whole counts around the clamped m*,
+    holding at least two counts wherever hi > 1."""
     m = policy.raw_m(belief.sigma)
     if policy.depth_cap is not None:
         m = min(m, float(policy.depth_cap))
@@ -184,7 +185,7 @@ def window_bounds(policy, belief) -> tuple[int, int]:
     if policy.depth_cap is not None:
         top = min(top, policy.depth_cap)
     hi = max(1, int(np.floor(top)))
-    return min(hi, max(1, int(np.ceil(m / np.sqrt(2.0))))), hi
+    return max(1, min(hi - 1, int(np.ceil(m / np.sqrt(2.0))))), hi
 
 
 def vectorised_window_m(policy, belief, pinned_theta: float) -> float:

@@ -337,3 +337,57 @@ def test_criterion_9_acceleration_monotonicity():
         passed,
         f"medians {medians[0]:.0f} > {medians[1]:.0f} > {medians[2]:.0f} at alpha 0, {top/2:.3f}, {top:.3f}, {elapsed:.0f}s",
     )
+
+
+def test_criterion_10_epsilon_exponents():
+    # The paper's claim: depth m ~ 1/epsilon^alpha buys N ~ 1/epsilon^(2 (1 -
+    # alpha)) samples.  Each median over 40 runs is fitted as a log-log slope
+    # against 1/epsilon and held to the law's own slope over the same grid:
+    # for N, the least-squares slope of predicted_iterations, which carries
+    # the law's "- 1"; for the largest m, alpha, since m = a sigma^-alpha and
+    # the last sigma sits within one contraction step of epsilon.  Tolerance
+    # 0.15, fixed before the first run: a median of 40 runs whose log-count
+    # spreads by at most 0.5 has sd <= 1.25 * 0.5 / sqrt(40) ~ 0.1, and five
+    # log-spaced points over one decade give a slope sd <= 0.1 / 1.82 ~
+    # 0.055, so 0.15 is about three sd (six over two decades).  At alpha = 1
+    # the law is 4 ln(1/epsilon), held within criterion 3's 1.5x at every
+    # epsilon.  Phases are uniform on [-1, 1], inside the prior N(0, 1), so
+    # a capture on a far lobe does not confound the fit.  A run at a smaller
+    # epsilon continues the same seeded run at a larger one, so each phase
+    # runs once, to the smallest epsilon, and every epsilon reads its prefix.
+    t0 = time.time()
+    best_prefactor = 1.154432899226
+    tolerance = 0.15
+    slopes_ok, ratios_ok, details = [], [], []
+    for alpha, smallest in ((0.0, 0.01), (0.5, 0.001), (0.75, 0.001), (1.0, 0.001)):
+        epsilons = np.geomspace(0.1, smallest, 5)
+        samples = np.empty((40, epsilons.size))
+        depths = np.empty((40, epsilons.size))
+        for i in range(40):
+            phi = float(rng_for(1010, "phase", alpha, i).uniform(-1.0, 1.0))
+            _, trace = run_estimation(
+                SyntheticOracle(phi),
+                AlphaQPE(alpha, scale=best_prefactor),
+                NormalBelief(0.0, 1.0),
+                epsilon=smallest,
+                seed=child_seed(1010, "run", alpha, i),
+            )
+            sigmas, m = trace.sigmas(), trace.depths()
+            for j, eps in enumerate(epsilons):
+                n = int(np.argmax(sigmas <= eps))
+                samples[i, j], depths[i, j] = n, m[:n].max(initial=0.0)
+        x = np.log(1.0 / epsilons)
+        n_median = np.median(samples, axis=0)
+        if alpha == 1.0:
+            ratios = n_median / (4.0 * x)
+            ratios_ok.append(bool(np.all((ratios >= 1.0 / 1.5) & (ratios <= 1.5))))
+            details.append(f"alpha=1 N/4ln(1/eps) {ratios.min():.2f}-{ratios.max():.2f}")
+            continue
+        n_slope = np.polyfit(x, np.log(n_median), 1)[0]
+        m_slope = np.polyfit(x, np.log(np.median(depths, axis=0)), 1)[0]
+        law = np.polyfit(x, np.log([predicted_iterations(eps, alpha) for eps in epsilons]), 1)[0]
+        slopes_ok.append(abs(n_slope - law) <= tolerance and abs(m_slope - alpha) <= tolerance)
+        details.append(f"alpha={alpha:g} N slope {n_slope:.3f} (law {law:.3f}), max m slope {m_slope:.3f} ({alpha:g})")
+    elapsed = time.time() - t0
+    passed = all(slopes_ok) and all(ratios_ok) and elapsed < 120.0
+    report(10, "epsilon exponents of samples and depth", passed, "; ".join(details) + f", {elapsed:.0f}s")

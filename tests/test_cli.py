@@ -81,6 +81,16 @@ def test_expectation_reports_summary_footer(tmp_path):
     assert "alpha_qpe" in text or "statistical_fallback" in text
 
 
+def test_expectation_at_alpha_zero_finishes_where_m_2_alone_has_no_gain(tmp_path):
+    # |A| = 0.69675 puts phi near pi/2, where at theta = 0 the Bayes gain of
+    # m = 2 vanishes; alpha = 0 pins m* at 1.5, so stage 2 needs a window of
+    # two counts to leave that point
+    args = ["expectation", "--alpha", "0", "--epsilon", "0.005", "--avalues", "0.69675", "--trials", "3"]
+    code, body = run_to_file(tmp_path, "a0.csv", args)
+    assert code == 0
+    assert body.decode().count(",alpha_qpe,") == 3
+
+
 def test_vqe_runs_bundled_problem(tmp_path, capsys):
     code, body = run_to_file(
         tmp_path,
@@ -167,6 +177,7 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["vqe", "--mode", "alpha", "--epsilon", "1e-200", "--iters", "0"]) == 1
     # a share past the shot cap is refused by the values the user can change
     assert main(["vqe", "--hamiltonian", "toy2q", "--mode", "statistical", "--epsilon", "1e-5", "--iters", "0"]) == 1
+    assert main(["vqe", "--mode", "alpha", "--epsilon", "1", "--iters", "0"]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
     assert "alphavqe: layers must be non-negative, got -1" in err
@@ -176,6 +187,8 @@ def test_bad_inputs_exit_nonzero(capsys):
         "alphavqe: epsilon_total = 1e-05 over coeff_norm = 1.3 leaves each term a share of 7.69231e-06, "
         "which asks for more than the 2**32 shots one estimate may take"
     ) in err
+    assert "alphavqe: epsilon_total = 1 over coeff_norm = 1 leaves each term a share of 1, which alpha mode needs below 1" in err
+    assert "target_epsilon" not in err
     assert "Traceback" not in err
 
 

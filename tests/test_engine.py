@@ -269,6 +269,7 @@ def test_the_flat_trace_reads_back_exactly(alpha):
     want_mus = np.array([trace.prior_mu] + [row.mu for row in rows])
     assert trace.sigmas().tobytes() == want_sigmas.tobytes()
     assert trace.mus().tobytes() == want_mus.tobytes()
+    assert trace.depths().tobytes() == np.array([row.m for row in rows]).tobytes()
     assert [row.k for row in rows] == list(range(1, len(rows) + 1))
     for row in rows:
         assert [type(value) for value in row] == [int, float, float, int, float, float]
@@ -329,7 +330,6 @@ def test_trace_rows_read_as_the_tuple_of_them():
     with pytest.raises(IndexError):
         rows[-41]
     assert rows == every and every == rows and rows != every[:-1] and rows != list(every)
-    assert rows + rows == rows + every == every + every
     assert repr(rows) == repr(every) and rows.index(every[7]) == 7 and every[-1] in rows
     _, empty = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=0, seed=3)
     assert empty.rows == () and not empty.rows and repr(empty.rows) == "()"
@@ -428,7 +428,7 @@ def test_a_shared_generator_reproduces_scalar_draws_across_runs():
     _, first = run_estimation(*args, max_iterations=300, seed=gen)
     _, second = run_estimation(*args, max_iterations=40, seed=gen)
     stream = np.random.default_rng(23)
-    for row in first.rows + second.rows:
+    for row in (*first.rows, *second.rows):
         u = stream.random()
         assert row.outcome == (0 if u < likelihood(0, 0.3, ExperimentSetting(row.m, row.theta)) else 1)
 

@@ -8,7 +8,7 @@ import pytest
 import alphavqe.engine as engine
 import alphavqe.expectation as expectation
 import alphavqe.vqe as vqe
-from alphavqe.bayes import ExperimentSetting
+from alphavqe.bayes import ExperimentSetting, NormalBelief
 from alphavqe.engine import EstimationTimeout
 from alphavqe.expectation import (
     TARGET_INTERVAL,
@@ -17,7 +17,6 @@ from alphavqe.expectation import (
     collapse_distribution,
     collapse_state,
     hoeffding_bound,
-    principal_phase,
     stage1_gate,
     statistical_estimate,
     two_stage_estimate,
@@ -298,14 +297,18 @@ def test_collapse_table_refuses_a_phase_outside_zero_to_pi(phi):
 
 def test_trial_state_oracle_reads_the_plain_cosine():
     # the fresh trial state is an even superposition of the two rotation
-    # eigenvectors, so at theta = 0 the readout is (1 + cos(m phi)) / 2
+    # eigenvectors, so at theta = 0 the readout is (1 + cos(m phi)) / 2 with
+    # either sign of phi; stage 2's oracle holds -phi.  Random terms, plus
+    # the ends of the spectrum: a Pauli eigenstate (phi = 0) and <P> = 0
+    # (phi = pi, where +phi would fall outside the oracle's [-pi, pi))
     draw = np.random.default_rng(8)
-    for n_qubits in range(1, 9):
-        ansatz = Ansatz(n_qubits, 2, draw.uniform(-np.pi, np.pi, 2 * n_qubits))
-        pauli = "".join(draw.choice(list("IXYZ"), n_qubits))
-        phi = _eigenphase(pauli_expectation(prepare(ansatz), pauli))
+    terms = [(Ansatz(n, 2, draw.uniform(-np.pi, np.pi, 2 * n)), "".join(draw.choice(list("IXYZ"), n))) for n in range(1, 9)]
+    terms += [(ansatz_with_z(1.0), "Z"), (ansatz_with_z(0.0), "Z")]
+    assert [term_phase(*terms[-2]), term_phase(*terms[-1])] == [0.0, pytest.approx(np.pi)]
+    for ansatz, pauli in terms:
+        phi = term_phase(ansatz, pauli)
         psi, apply_u = kron_rotation(ansatz, pauli)
-        oracle = _TrialStateCircuit(phi)
+        oracle = _TrialStateCircuit(-phi)
         assert oracle.pinned_theta == 0.0
         for m in range(1, 33):
             setting = ExperimentSetting(float(m), oracle.pinned_theta)
@@ -319,24 +322,32 @@ def test_trial_state_oracle_reads_the_plain_cosine():
 
 
 def test_stage2_ledger_counts_one_measurement_per_row(monkeypatch):
+    # each draw runs twice: as it falls, and with its first run's belief
+    # moved by pi, whose magnitude |sin(mu / 2)| contradicts stage 1 by about
+    # 0.2 or more at these values, so the estimator restarts from the prior
     traces = []
     run = engine.run_estimation
 
     def recording(*args, **kwargs):
         belief, trace = run(*args, **kwargs)
         traces.append(trace)
+        if alias and len(traces) == 1:
+            belief = NormalBelief(belief.mu + np.pi, belief.sigma)
         return belief, trace
 
     monkeypatch.setattr(engine, "run_estimation", recording)
-    for seed, value in enumerate((0.6, -0.45, 0.8)):
-        traces.clear()
-        res = two_stage_estimate(ansatz_with_z(value), "Z", CONFIG, np.random.default_rng(seed))
-        assert res.path == "alpha_qpe"
-        rows = [row for trace in traces for row in trace.rows]
-        assert res.iterations == len(rows) > 0
-        assert res.measurements_used == expectation._STAGE1_SAMPLES + len(rows)
-        assert res.max_depth_used == max(row.m for row in rows)
-        assert all(row.theta == 0.0 and row.m == round(row.m) for row in rows)
+    for alias in (False, True):
+        for seed, value in enumerate((0.6, -0.45, 0.8)):
+            traces.clear()
+            res = two_stage_estimate(ansatz_with_z(value), "Z", CONFIG, np.random.default_rng(seed))
+            assert res.path == "alpha_qpe"
+            assert len(traces) == 1 + alias and all(trace.rows for trace in traces)
+            rows = [row for trace in traces for row in trace.rows]
+            assert res.iterations == len(rows)
+            assert res.measurements_used == expectation._STAGE1_SAMPLES + len(rows)
+            assert res.max_depth_used == max(row.m for row in rows)
+            assert all(row.theta == 0.0 and row.m == round(row.m) for row in rows)
+            assert res.value == pytest.approx(value, abs=0.05)
 
 
 def test_stage2_measurements_scale_as_inverse_epsilon():
@@ -367,14 +378,6 @@ def test_two_stage_timeout_carries_the_partial_trace(monkeypatch):
         two_stage_estimate(ansatz_with_z(0.6), "Z", CONFIG, np.random.default_rng(4))
     rows = err.value.trace.rows
     assert [row.k for row in rows] == [1, 2, 3, 4, 5]
-
-
-def test_principal_phase_folding():
-    assert principal_phase(0.3) == pytest.approx(0.3)
-    assert principal_phase(-0.3) == pytest.approx(0.3)
-    assert principal_phase(2.0 * np.pi + 0.4) == pytest.approx(0.4)
-    assert principal_phase(np.pi + 0.2) == pytest.approx(np.pi - 0.2)
-    assert principal_phase(-7.0) == pytest.approx(7.0 - 2.0 * np.pi)
 
 
 def test_fallback_path_for_tiny_expectation():
@@ -433,3 +436,41 @@ def test_depth_cap_respected_for_small_budget():
     res = two_stage_estimate(ansatz_with_z(0.6), "Z", cfg, np.random.default_rng(12))
     assert res.path == "alpha_qpe"
     assert res.max_depth_used <= 5.0
+
+
+def test_stage2_finishes_and_holds_epsilon_across_the_gate(monkeypatch):
+    # Bounds fixed from the law before any run.  At theta = 0 the readout
+    # (1 + cos(m phi)) / 2 carries Fisher information m^2 >= 1 per
+    # measurement at every phi, so from stage 2's prior an efficient
+    # estimator reaches sigma = epsilon within 1 / epsilon^2 measurements even
+    # at m = 1; each run gets 4 / epsilon^2, a factor 4 of slack for the
+    # closed-form normal refit.  sigma_phi <= epsilon gives sigma_A <=
+    # epsilon / 2, so |err| <= epsilon is a two-sigma event (95.4%); at ~120
+    # draws the share's own sd is about 2%, and 90% is held.  The fine grid
+    # sits at phi = pi/2 (|A| = 0.707), where the gain of m = 2 vanishes.
+    epsilon = 0.01
+    budget = round(4.0 / epsilon**2)
+    ends = []
+    run = engine.run_estimation
+
+    def bounded(*args, **kwargs):
+        belief, trace = run(*args, max_iterations=budget, **kwargs)
+        ends.append(belief.sigma)
+        return belief, trace
+
+    monkeypatch.setattr(engine, "run_estimation", bounded)
+    phases = [*(2.0 * np.arccos(np.linspace(0.45, 0.8, 8))), *(np.pi / 2.0 + np.linspace(-0.06, 0.06, 13))]
+    hits = draws = 0
+    for alpha in (0.0, 0.5, 1.0):
+        for d_max in (2.0, 32.0):
+            cfg = TwoStageConfig(alpha=alpha, d_max=d_max, target_epsilon=epsilon)
+            for i, phi in enumerate(phases):
+                value = float(np.cos(phi / 2.0))
+                res = two_stage_estimate(ansatz_with_z(value), "Z", cfg, rng_for(9, "gate sweep", alpha, d_max, i))
+                if res.path == "alpha_qpe":
+                    draws += 1
+                    hits += abs(res.value - value) <= epsilon
+    assert draws >= 0.9 * 6 * len(phases)
+    stalled = sum(sigma > epsilon for sigma in ends)
+    assert stalled == 0, f"{stalled} of {len(ends)} stage-2 runs still above epsilon after {budget} iterations"
+    assert hits >= 0.9 * draws, (hits, draws)

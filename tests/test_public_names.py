@@ -4,6 +4,7 @@ re-exports only names that its modules list as public."""
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,39 @@ def _unused_imports(name: str) -> set[str]:
 def test_no_module_imports_a_name_it_never_uses():
     unused = set().union(*(_unused_imports(name) for name in MODULES))
     assert unused == TRACER_ONLY_IMPORTS
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(node: ast.AST):
+    """Names read as a bare name or as an attribute anywhere under node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_private_definition_is_used_by_the_package():
+    # a docstring or comment naming a helper is not a use: only code that
+    # reads the name, in any module of the package, counts
+    trees = [ast.parse((Path(alphavqe.__file__).parent / f"{name}.py").read_text(encoding="utf-8")) for name in MODULES]
+    total = Counter(name for tree in trees for name in _references(tree))
+    unused = [
+        name
+        for tree in trees
+        for name, node in _private_definitions(tree)
+        if total[name] == Counter(_references(node))[name]
+    ]
+    assert unused == []

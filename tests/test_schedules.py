@@ -155,14 +155,12 @@ def test_pinned_theta_picks_the_least_risk_whole_m_in_the_window():
         assert m == round(m) and m >= 1.0
         if policy.depth_cap is not None:
             assert m <= np.floor(policy.depth_cap)
-        # the window [m*/sqrt 2, sqrt 2 m*], cut to [1, floor(cap)]
+        # the whole counts in [m*/sqrt 2, sqrt 2 m*], cut to [1, floor(cap)],
+        # and widened down to hold at least the top two counts where hi > 1
         top = np.sqrt(2.0) * star if policy.depth_cap is None else min(np.sqrt(2.0) * star, np.floor(policy.depth_cap))
-        window = [k for k in range(1, int(np.floor(top)) + 1) if k >= star / np.sqrt(2.0)]
-        if not window:
-            # the window holds no whole count inside the cap: the nearest one is used
-            assert m == max(1.0, np.floor(top))
-            continue
-        assert m in window
+        hi = max(1, int(np.floor(top)))
+        window = [k for k in range(1, hi + 1) if k >= min(star / np.sqrt(2.0), hi - 1)]
+        assert m in window and len(window) >= min(hi, 2)
         risks = [bayes_risk(ExperimentSetting(float(k), pinned), belief) for k in window]
         assert bayes_risk(ExperimentSetting(*setting), belief) == min(risks)
 
@@ -206,7 +204,7 @@ def test_pinned_window_ties_go_to_the_first_count():
     [
         (0.0, 0.3, None, (1, 1)),  # m* = 0.3: the window is cut up to m = 1
         (1.0, 1.5, 1.0, (1, 1)),  # a cap of 1 leaves m = 1 only
-        (1.0, 1.5, 2.9, (2, 2)),  # m* = 2.9 has no whole count in [2.05, 2.9]: floor(cap)
+        (1.0, 1.5, 2.9, (1, 2)),  # m* = 2.9 has no whole count in [2.05, 2.9]: the two counts up to floor(cap)
         (1.0, 1.5, 5.5, (4, 5)),  # the top of the window is floor(cap), not sqrt 2 m*
         (0.5, 4.0, None, (29, 56)),  # m* = 40 uncapped
     ],

@@ -12,13 +12,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphavqe.bayes import ExperimentSetting, likelihood
-from alphavqe.expectation import collapse_distribution, statistical_estimate
+from alphavqe.expectation import _TrialStateCircuit, collapse_distribution, statistical_estimate
 from alphavqe.statevector import (
     _SHOT_BLOCK,
     Ansatz,
     MAX_QUBITS,
     _n_qubits_of,
-    _trial_state_p0,
     apply_ansatz,
     apply_pauli,
     build_rotation_operator,
@@ -334,18 +333,18 @@ def test_circuit_on_trial_state_averages_the_branches():
     op, (psi, apply_u) = operator_and_reference(random_ansatz(2, 1, rng), "XI")
     phi = op.rotation_angle
     for m, theta in ((1, 0.3), (3, -0.9), (5, 1.7)):
-        setting = ExperimentSetting(float(m), theta)
         (p0, _), _ = circuit_branches(apply_u, psi, m, theta)
         want = 0.5 * (1.0 + np.cos(m * phi) * np.cos(m * theta))
         assert p0 == pytest.approx(want, abs=1e-12)
-        assert _trial_state_p0(phi, setting) == pytest.approx(want, abs=1e-12)
 
 
 def test_scalar_readout_matches_the_circuit():
-    # _trial_state_p0 works on the exact eigenphase alone; the Kronecker
-    # reference circuit's exact p0 is the reference, on random terms and at
-    # the ends of the spectrum: Pauli eigenstates (phi = 0, one of them under
-    # YY) and <P> = 0 (phi = pi)
+    # stage 2's oracle holds the exact eigenphase alone, as -phi, and reads
+    # out at theta = 0; the Kronecker reference circuit's exact p0 is the
+    # reference, on random terms and at the ends of the spectrum: Pauli
+    # eigenstates (phi = 0, one of them under YY) and <P> = 0 (phi = pi).
+    # The oracle returns 0 exactly when u < p0, so a u just below and just
+    # above the reference p0 pins its p0 to within that margin
     rng = np.random.default_rng(31)
     terms = [
         (random_ansatz(n_qubits, 2, rng), "".join(rng.choice(list("IXYZ"), n_qubits)))
@@ -362,13 +361,13 @@ def test_scalar_readout_matches_the_circuit():
     assert ops[-1].rotation_angle == pytest.approx(np.pi)
     assert any("Y" in op.pauli for op in ops[:MAX_QUBITS])
     for op, (psi, apply_u) in pairs:
+        oracle = _TrialStateCircuit(-op.rotation_angle)
+        assert oracle.pinned_theta == 0.0
         for m in range(1, 33):
-            for theta in (0.0, rng.uniform(-np.pi, np.pi)):
-                (exact_p0, _), _ = circuit_branches(apply_u, psi, m, theta)
-                p0 = _trial_state_p0(op.rotation_angle, ExperimentSetting(float(m), theta))
-                assert abs(p0 - exact_p0) <= 1e-12
-    with pytest.raises(ValueError):
-        _trial_state_p0(ops[0].rotation_angle, ExperimentSetting(2.5, 0.0))
+            (exact_p0, _), _ = circuit_branches(apply_u, psi, m, 0.0)
+            setting = (float(m), oracle.pinned_theta)
+            assert oracle.sample(setting, exact_p0 - 1e-12) == 0
+            assert oracle.sample(setting, exact_p0 + 1e-12) == 1
 
 
 def test_circuit_rejects_fractional_m():
