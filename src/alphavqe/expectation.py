@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from . import engine
 # build_rotation_operator go uncalled here (stage 2 samples through
 # engine.SyntheticOracle): bench/tracing.py patches them by name
 from .bayes import NormalBelief, rejection_filter_update
-from .schedules import AlphaQPE, next_setting
+from .schedules import AlphaQPE, n_min_restarts, next_setting
 from .statevector import (
     Ansatz,
     _ancilla_branches,
@@ -106,6 +107,12 @@ _MAX_SHOTS = 2**32
 # keeps m * sigma well inside the regime where the normal belief tracks the
 # posterior.
 _SCHEDULE_SCALE = 1.5
+# a config whose stage-2 law `n_min_restarts` exceeds this many engine caps
+# is refused.  A readout at depth m carries Fisher information m^2 <= D^2, so
+# a run needs at least (1/eps^2 - 1/sigma0^2) / D^2 iterations, about half the
+# law's tail 2 / (eps D)^2: seeded stage-2 runs where D binds take 0.39-0.66
+# times the law, and a refused run would have to beat that bound twice over
+_LAW_CAP_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,12 @@ class TwoStageConfig:
     propagated posterior width by target_epsilon; stopping at target_epsilon
     leaves enough headroom that the realized error beats target_epsilon in the
     large majority of runs, not just in expectation.
+
+    A config whose law `n_min_restarts(target_epsilon, floor(d_max))` is past
+    `_LAW_CAP_FACTOR` times `engine.HARD_ITERATION_CAP` (read now) is refused
+    before any draw, by `_shot_count`'s message if that is past its cap too.
+    The law is the least over all exponents: an alpha below alpha_max may
+    pass and still run into the cap.
     """
 
     alpha: float
@@ -133,6 +146,16 @@ class TwoStageConfig:
             )
         if not 0.0 < self.target_epsilon < 1.0:
             raise ValueError(f"target_epsilon must lie in (0, 1), got {self.target_epsilon}")
+        depth, cap = float(np.floor(self.d_max)), engine.HARD_ITERATION_CAP
+        with np.errstate(over="ignore"):  # an inf law is past any cap
+            law = n_min_restarts(self.target_epsilon, depth)
+        if law > _LAW_CAP_FACTOR * cap:
+            _shot_count(self.target_epsilon)
+            raise ValueError(
+                f"epsilon = {self.target_epsilon:.6g} at depth budget {depth:g} needs about {law:.6g} "
+                f"stage-2 iterations by n_min_restarts, more than {_LAW_CAP_FACTOR} x the cap of {cap} "
+                "iterations a run may take"
+            )
 
 
 def hoeffding_bound(n: int, t: float) -> float:
@@ -163,8 +186,9 @@ def statistical_estimate(
     return (2 * plus - shots) / shots
 
 
-@dataclass(frozen=True)
-class Stage1Result:
+class Stage1Result(NamedTuple):
+    """The stage-1 screen: whether |mean| passed the gate, the mean, and its sign."""
+
     passed: bool
     estimate: float
     sign: int
@@ -248,9 +272,8 @@ class _TrialStateCircuit(engine.SyntheticOracle):
     pinned_theta = 0.0
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
-    """Outcome of the gated estimator.
+class ExpectationResult(NamedTuple):
+    """Outcome of the gated estimator, an immutable named tuple.
 
     max_depth_used counts the largest number of coherent base-operator
     applications in any single circuit (0 on the sampling path); measurements
@@ -293,15 +316,8 @@ def two_stage_estimate(
         if extra > 0:
             mean_extra = statistical_estimate(ansatz, pauli, extra, rng)
             value = (s1.estimate * _STAGE1_SAMPLES + mean_extra * extra) / total
-        return ExpectationResult(
-            value=float(value),
-            path="statistical_fallback",
-            measurements_used=total,
-            max_depth_used=0.0,
-            posterior_sigma=math.sqrt(max(0.0, 1.0 - value * value) / total),
-            stage1_estimate=s1.estimate,
-            iterations=0,
-        )
+        sigma = math.sqrt(max(0.0, 1.0 - value * value) / total)
+        return ExpectationResult(float(value), "statistical_fallback", total, 0.0, sigma, s1.estimate, 0)
 
     # for +-1 shots the arccos map is variance-stabilizing: the standard
     # error of 2 arccos|a_hat| is 2/sqrt(n) whatever the magnitude, so the
@@ -326,12 +342,6 @@ def two_stage_estimate(
         if abs(magnitude - abs(s1.estimate)) <= _STAGE1_TOLERANCE:
             break
     depths = np.concatenate(runs)
-    return ExpectationResult(
-        value=s1.sign * magnitude,
-        path="alpha_qpe",
-        measurements_used=_STAGE1_SAMPLES + depths.size,
-        max_depth_used=float(depths.max(initial=0.0)),
-        posterior_sigma=belief.sigma,
-        stage1_estimate=s1.estimate,
-        iterations=depths.size,
-    )
+    used, depth = _STAGE1_SAMPLES + depths.size, float(depths.max(initial=0.0))
+    value = s1.sign * magnitude
+    return ExpectationResult(value, "alpha_qpe", used, depth, belief.sigma, s1.estimate, depths.size)

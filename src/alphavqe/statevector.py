@@ -20,6 +20,12 @@ U is never built or applied gate by gate: the simulator works through its
 The trial state psi is an even superposition of U's two eigenvectors, so at
 theta = 0 its ancilla readout is `engine.SyntheticOracle`'s cosine at -phi:
 stage 2 of the expectation estimator samples that oracle and builds no U.
+
+A Y rotation [[c, -s], [s, c]] on qubit q is one butterfly on the
+(2**q, 2, rest) view: c psi + (-s, s) psi with its axis 1 reversed.  That is
+bit for bit the matrix-column form (c, s) a + (-s, c) b, since (-s) b = -(s b)
+exactly and IEEE addition commutes, and one pass of broadcast products beats
+a stacked matmul, whose per-stack cost grows with 2**q.
 """
 
 from __future__ import annotations
@@ -80,21 +86,24 @@ def _n_qubits_of(state: np.ndarray) -> int:
     return size.bit_length() - 1
 
 
-def _apply_one_qubit(state: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
-    # qubit q is axis 1 of the (2**q, 2, rest) view; two broadcast products
-    # beat a stacked matmul, whose per-stack cost grows with 2**q
+def _apply_one_qubit(state: np.ndarray, angle: float, qubit: int) -> np.ndarray:
+    # Ry(angle) = [[c, -s], [s, c]] on axis 1 of the (2**q, 2, rest) view as
+    # one butterfly, c psi + (-s, s) psi[:, ::-1]; see the module docstring
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     psi = state.reshape(2**qubit, 2, -1)
-    return (mat[:, 0, None] * psi[:, :1] + mat[:, 1, None] * psi[:, 1:]).reshape(-1)
+    return (c * psi + np.array((-s, s))[:, None] * psi[:, ::-1]).reshape(-1)
 
 
 @functools.lru_cache(maxsize=64)
 def _pauli_action(pauli: str) -> tuple[np.ndarray, np.ndarray]:
-    """(source, phase) with (P state)[c] = phase[c] * state[source[c]].
+    """(source, phase) with (P state)[c] = phase[c] * state[source[c]], for a
+    string that `validate_pauli` accepts: the check runs once per string, and
+    a bad string raises on every call, since the cache keeps no exception.
 
     P = i^{n_Y} X^x Z^z with x marking the X and Y letters and z the Z and Y
     letters, so P|b> = i^{n_Y} (-1)^{popcount(b & z)} |b ^ x>.
     """
-    n = len(pauli)
+    n = len(validate_pauli(pauli))
     x = z = 0
     for letter in pauli:
         x = (x << 1) | (letter in "XY")
@@ -112,17 +121,11 @@ def _pauli_action(pauli: str) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_pauli(state: np.ndarray, pauli: str) -> np.ndarray:
     """Apply a Pauli string; qubit 0 is the most significant bit of the index."""
-    validate_pauli(pauli)
+    source, phase = _pauli_action(pauli)
     n = _n_qubits_of(state)
     if n != len(pauli):
         raise ValueError(f"state has {n} qubits but Pauli string has {len(pauli)}")
-    source, phase = _pauli_action(pauli)
     return phase * np.asarray(state, dtype=complex)[source]
-
-
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]])
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -208,8 +211,8 @@ def _apply_layers(state: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> np.
     """Each row of angles as Y rotations on qubits 0, 1, ... and then the
     controlled-Z ring; the gates are real, so the state keeps its dtype."""
     for angles in rows:
-        for q, angle in enumerate(angles):
-            state = _apply_one_qubit(state, _ry(angle), q)
+        for q, angle in enumerate(angles.tolist()):
+            state = _apply_one_qubit(state, angle, q)
         state *= signs
     return state
 
@@ -232,7 +235,8 @@ def pauli_expectation(state: np.ndarray, pauli: str) -> float:
 
 def _eigenphase(expectation: float) -> float:
     """phi = 2 arccos |<P>|, the eigenphase of the rotation for that expectation."""
-    return float(2.0 * np.arccos(np.clip(abs(expectation), 0.0, 1.0)))
+    # min(|x|, 1) is np.clip(|x|, 0, 1) bit for bit, nan too; math.acos is not np.arccos
+    return float(2.0 * np.arccos(min(abs(expectation), 1.0)))
 
 
 class RotationOperator:
@@ -333,15 +337,16 @@ def sample_pauli_outcomes(state: np.ndarray, pauli: str, shots: int, rng: np.ran
     fresh preparations.
 
     Shot k reads +1 when the k-th uniform of `rng` falls below
-    P(+1) = (1 + <P>) / 2.  The uniforms are drawn in blocks of at most
-    `_SHOT_BLOCK`; `Generator.random(n)` equals the same n uniforms drawn in
-    consecutive smaller pieces, so the count does not depend on the block and
-    memory stays bounded at any shot count.
+    P(+1) = (1 + <P>) / 2.  The uniforms are drawn in blocks of
+    `_SHOT_BLOCK` and then the remainder; `Generator.random(n)` equals the
+    same n uniforms drawn in consecutive smaller pieces, so the count does
+    not depend on the block and memory stays bounded at any shot count.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     p_plus = 0.5 * (1.0 + min(1.0, max(-1.0, pauli_expectation(state, pauli))))
     count = 0
-    for start in range(0, shots, _SHOT_BLOCK):
-        count += int(np.count_nonzero(rng.random(min(_SHOT_BLOCK, shots - start)) < p_plus))
-    return count
+    while shots > _SHOT_BLOCK:
+        count += int(np.count_nonzero(rng.random(_SHOT_BLOCK) < p_plus))
+        shots -= _SHOT_BLOCK
+    return count + int(np.count_nonzero(rng.random(shots) < p_plus))

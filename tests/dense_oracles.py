@@ -96,6 +96,38 @@ def kron_trial_state(ansatz) -> np.ndarray:
     return state
 
 
+def two_product_gate(state: np.ndarray, angle: float, qubit: int) -> np.ndarray:
+    """Ry(angle) on one qubit as two broadcast products of the matrix columns
+    with the (2**q, 2, rest) view, (c, s) psi[:, :1] + (-s, c) psi[:, 1:]:
+    the library's gate arithmetic before its one-butterfly form."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    mat = np.array([[c, -s], [s, c]])
+    psi = state.reshape(2**qubit, 2, -1)
+    return (mat[:, 0, None] * psi[:, :1] + mat[:, 1, None] * psi[:, 1:]).reshape(-1)
+
+
+def two_product_trial_state(ansatz) -> np.ndarray:
+    """R|0...0> in float64, every Y rotation by `two_product_gate` from
+    |0...0> and each controlled-Z as a sign flip of the |11> entries of its
+    pair: the rounding that `prepare` must reproduce bit for bit."""
+    n = ansatz.n_qubits
+    state = np.zeros(2**n)
+    state[0] = 1.0
+    bits = np.arange(2**n)[:, None] >> (n - 1 - np.arange(n)) & 1
+    for layer in np.asarray(ansatz.params).reshape(ansatz.layers, n):
+        for q, angle in enumerate(layer):
+            state = two_product_gate(state, float(angle), q)
+        for a, b in _ring_pairs(n):
+            state = np.where(bits[:, a] & bits[:, b], -state, state)
+    return state
+
+
+def clip_eigenphase(expectation):
+    """2 arccos |<P>| with |<P>| clipped to [0, 1] by np.clip, for a scalar
+    or elementwise over an array."""
+    return 2.0 * np.arccos(np.clip(np.abs(expectation), 0.0, 1.0))
+
+
 def kron_rotation(ansatz, pauli: str):
     """(psi, apply_u): the trial state and U = (I - 2 psi psi^H)(I - 2 P psi psi^H P)
     as a map on vectors, the two reflections applied as written.  psi comes

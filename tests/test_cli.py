@@ -1,11 +1,12 @@
 """Command-line interface: argument handling, config files, CSV determinism."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
 
-from alphavqe import __version__, engine
+from alphavqe import __version__, cli, engine
 from alphavqe.cli import main
 
 # SHA-256 of each default-seed CSV after its first line, "# alphavqe
@@ -193,13 +194,37 @@ def test_bad_inputs_exit_nonzero(capsys):
 
 
 def test_stage2_timeout_is_reported_without_a_traceback(monkeypatch, capsys):
-    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 5)
-    # 0.7071 passes the stage-1 gate, so stage 2 runs into the cap
-    assert main(["expectation", "--epsilon", "1e-5", "--trials", "1"]) == 1
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 20)
+    # 0.7071 passes the stage-1 gate; the config's law, 31.4 iterations, is
+    # under four caps, so it is admitted, and stage 2 runs into the cap
+    assert main(["expectation", "--epsilon", "0.01", "--trials", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("alphavqe: sigma=")
-    assert "after 5 iterations without reaching epsilon=1e-05" in err
+    assert "after 20 iterations without reaching epsilon=0.01" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epsilon", "1e-5"], "epsilon = 1e-05 asks for more than the 2**32 shots one estimate may take"),
+        (
+            ["--epsilon", "1e-4", "--dmax", "2"],
+            "epsilon = 0.0001 at depth budget 2 needs about 5e+07 stage-2 iterations by n_min_restarts, "
+            "more than 4 x the cap of 1000000 iterations a run may take",
+        ),
+    ],
+)
+def test_a_budget_that_cannot_finish_is_refused_before_any_draw(monkeypatch, capsys, flags, message):
+    def unreachable(*args):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr(cli, "two_stage_estimate", unreachable)
+    start = time.perf_counter()
+    assert main(["expectation", "--trials", "1", *flags]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"alphavqe: {message}\n"
 
 
 def test_vqe_statistical_at_a_huge_epsilon_takes_one_shot_per_term(tmp_path):

@@ -370,14 +370,18 @@ def test_a_timed_out_trace_reads_back_the_rows_of_an_uncapped_run(monkeypatch):
     assert err.value.trace.sigmas().tobytes() == uncapped.sigmas()[:301].tobytes()
 
 
+# run lengths on either side of the ends of the loop's first two 256-uniform
+# blocks
+BLOCK_EDGE_RUNS = [255, 256, 257, 511, 512, 513]
+
+
 @pytest.mark.parametrize(
     "alpha, stop",
     [
         (1.0, dict(epsilon=0.02)),
         (0.0, dict(epsilon=0.02)),
         (0.5, dict(max_iterations=0)),
-        (0.5, dict(max_iterations=256)),
-        (0.5, dict(max_iterations=257)),
+        *((0.5, dict(max_iterations=n)) for n in BLOCK_EDGE_RUNS),
     ],
 )
 def test_generator_ends_one_scalar_draw_per_row_on_return(alpha, stop):
@@ -386,7 +390,7 @@ def test_generator_ends_one_scalar_draw_per_row_on_return(alpha, stop):
     assert gen.random() == next_uniform_after(17, len(trace.rows))
 
 
-@pytest.mark.parametrize("cap", [6, 300])
+@pytest.mark.parametrize("cap", [6, 300, *BLOCK_EDGE_RUNS])
 def test_generator_ends_one_scalar_draw_per_row_on_timeout(monkeypatch, cap):
     monkeypatch.setattr(engine, "HARD_ITERATION_CAP", cap)
     gen = np.random.default_rng(17)
@@ -396,7 +400,7 @@ def test_generator_ends_one_scalar_draw_per_row_on_timeout(monkeypatch, cap):
     assert gen.random() == next_uniform_after(17, cap)
 
 
-@pytest.mark.parametrize("rows", [0, 5, 300])
+@pytest.mark.parametrize("rows", [0, 5, 300, *BLOCK_EDGE_RUNS])
 def test_generator_ends_one_scalar_draw_per_row_when_the_oracle_raises(rows):
     gen = np.random.default_rng(17)
     with pytest.raises(RuntimeError, match="readout failed"):

@@ -22,6 +22,7 @@ from alphavqe.expectation import (
     two_stage_estimate,
 )
 from alphavqe.rand import rng_for
+from alphavqe.schedules import n_min_restarts
 from alphavqe.statevector import (
     Ansatz,
     RotationOperator,
@@ -34,6 +35,7 @@ from alphavqe.vqe import Hamiltonian, estimate_energy
 
 from dense_oracles import (
     circuit_branches,
+    clip_eigenphase,
     dense_eigenvectors,
     dense_operator,
     kron_rotation,
@@ -86,6 +88,46 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         TwoStageConfig(**base)
+
+
+def test_config_refuses_a_stage2_law_past_four_caps_before_any_draw(monkeypatch):
+    # the law at (0.01, floor(32.5)) is 31.39 iterations; the cap is read
+    # when the config is built
+    law = n_min_restarts(0.01, 32.0)
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 7)
+    with pytest.raises(ValueError) as err:
+        TwoStageConfig(alpha=0.5, d_max=32.5, target_epsilon=0.01)
+    assert str(err.value) == (
+        f"epsilon = 0.01 at depth budget 32 needs about {law:.6g} stage-2 iterations by "
+        "n_min_restarts, more than 4 x the cap of 7 iterations a run may take"
+    )
+    # a config whose law is half the refusal threshold is admitted
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", math.ceil(law / 2))
+    TwoStageConfig(alpha=0.5, d_max=32.5, target_epsilon=0.01)
+
+
+def test_a_config_the_law_admits_runs_stage2_past_the_fallbacks_shot_cap():
+    # the law at (1e-5, 1e5) is 4 ln(1e5), about 46 iterations, while the
+    # fallback would need 10**10 shots: a gated term finishes, and only a
+    # term that falls back is refused, by the shot count
+    config = TwoStageConfig(alpha=0.75, d_max=1e5, target_epsilon=1e-5)
+    result = two_stage_estimate(ansatz_with_z(0.6), "Z", config, np.random.default_rng(5))
+    assert result.path == "alpha_qpe"
+    assert abs(result.value - 0.6) < 1e-3
+    with pytest.raises(ValueError, match=r"^epsilon = 1e-05 asks for more than the 2\*\*32 shots"):
+        two_stage_estimate(ansatz_with_z(0.1), "Z", config, np.random.default_rng(5))
+
+
+def test_eigenphase_is_the_clip_form_bit_for_bit():
+    ulp_edges = [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    edges = [0.0, -0.0, 1.0, -1.0, *ulp_edges, *(-x for x in ulp_edges), math.nan]
+    sweep = np.random.default_rng(27).uniform(-1.25, 1.25, 10**6)
+    values = np.concatenate((edges, sweep))
+    got = np.array([_eigenphase(x) for x in values.tolist()])
+    assert np.array_equal(got.view(np.int64), clip_eigenphase(values).view(np.int64))
+    # the array form of the oracle agrees with its scalar form
+    head = values[:10_000].tolist()
+    assert np.array_equal(np.array([clip_eigenphase(x) for x in head]).view(np.int64), got[:10_000].view(np.int64))
 
 
 def pm_one_stderr(mean: float, shots: int) -> float:

@@ -39,6 +39,7 @@ from dense_oracles import (
     kron_rotation,
     kron_trial_state,
     pm_one_draws,
+    two_product_trial_state,
 )
 
 
@@ -170,13 +171,17 @@ def test_ansatz_matches_kron_oracle(n_qubits, layers):
 @pytest.mark.parametrize("n_qubits", range(1, MAX_QUBITS + 1))
 def test_prepared_state_is_the_gate_level_path_bit_for_bit(n_qubits, layers):
     # prepare builds the state in float64; the complex gate-level path has
-    # exact zeros for imaginary parts, so the real parts must agree exactly
+    # exact zeros for imaginary parts, so the real parts must agree exactly,
+    # and both must round as the two-product gate of the oracle does, down
+    # to the sign of a zero
     rng = np.random.default_rng(100 * n_qubits + layers)
     ansatz = random_ansatz(n_qubits, layers, rng)
     state = prepare(ansatz)
     gates = apply_ansatz(zero_state(n_qubits), ansatz)
     assert state.dtype == gates.dtype == complex
-    assert np.array_equal(state.real, gates.real)
+    oracle = two_product_trial_state(ansatz)
+    assert np.array_equal(state.real.view(np.int64), oracle.view(np.int64))
+    assert np.array_equal(gates.real.view(np.int64), oracle.view(np.int64))
     assert not state.imag.any() and not gates.imag.any()
     assert_allclose(state, kron_trial_state(ansatz), atol=1e-12)
 

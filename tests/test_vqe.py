@@ -1,5 +1,6 @@
 """Hamiltonian ingestion, energy estimation, and the variational loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -331,3 +332,44 @@ def test_optimize_statistical_improves_on_noisy_objective():
         seed=4,
     )
     assert res.best_energy < -0.6
+
+
+# SHA-256 of the repr of every ExpectationResult's field values, each taken
+# as a plain tuple in field order, over the sweep below
+ALPHA_MODE_DIGEST = "d8605d442789a85efa1f0a9718550e7858b3c54826bef9c29dde248557641b1e"
+RESULT_FIELDS = (
+    "value",
+    "path",
+    "measurements_used",
+    "max_depth_used",
+    "posterior_sigma",
+    "stage1_estimate",
+    "iterations",
+)
+
+
+def test_alpha_mode_term_results_are_pinned_bit_for_bit(monkeypatch):
+    # 24 seeded 8-qubit ansatzes on the transverse-field Ising ring, each at
+    # alpha in {0, 0.5, 1} and d_max in {2, 32}: 2,304 terms, 829 of them
+    # through stage 2
+    n = 8
+    bonds = [(1.0, "".join("Z" if q in (i, (i + 1) % n) else "I" for q in range(n))) for i in range(n)]
+    fields = [(0.7, "".join("X" if q == i else "I" for q in range(n))) for i in range(n)]
+    h = Hamiltonian(tuple(bonds + fields), n)
+    results = []
+
+    def recording(*args):
+        result = two_stage_estimate(*args)
+        results.append(tuple(getattr(result, name) for name in RESULT_FIELDS))
+        return result
+
+    monkeypatch.setattr(vqe, "two_stage_estimate", recording)
+    for seed in range(24):
+        ansatz = Ansatz(n, 2, np.random.default_rng(seed).uniform(-np.pi, np.pi, 2 * n))
+        for alpha in (0.0, 0.5, 1.0):
+            for d_max in (2.0, 32.0):
+                rng = np.random.default_rng([seed, int(2 * alpha), int(d_max)])
+                estimate_energy(h, ansatz, "alpha", epsilon_total=0.272, rng=rng, alpha=alpha, d_max=d_max)
+    assert len(results) == 2304
+    assert sum(path == "alpha_qpe" for _, path, *_ in results) == 829
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == ALPHA_MODE_DIGEST
