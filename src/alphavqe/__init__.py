@@ -57,7 +57,6 @@ from .schedules import (
 from .statevector import (
     Ansatz,
     RotationOperator,
-    apply_ansatz,
     apply_pauli,
     build_rotation_operator,
     pauli_expectation,

@@ -59,12 +59,12 @@ import numpy as np
 
 # stage 2 calls engine.run_estimation through the module, so a wrapper
 # installed on the module attribute sees every run
-from . import engine
+from . import engine, schedules
 # rejection_filter_update, next_setting, run_phase_circuit and
 # build_rotation_operator go uncalled here (stage 2 samples through
 # engine.SyntheticOracle): bench/tracing.py patches them by name
 from .bayes import NormalBelief, rejection_filter_update
-from .schedules import AlphaQPE, n_min_restarts, next_setting
+from .schedules import AlphaQPE, next_setting
 from .statevector import (
     Ansatz,
     _ancilla_branches,
@@ -107,12 +107,21 @@ _MAX_SHOTS = 2**32
 # keeps m * sigma well inside the regime where the normal belief tracks the
 # posterior.
 _SCHEDULE_SCALE = 1.5
-# a config whose stage-2 law `n_min_restarts` exceeds this many engine caps
-# is refused.  A readout at depth m carries Fisher information m^2 <= D^2, so
-# a run needs at least (1/eps^2 - 1/sigma0^2) / D^2 iterations, about half the
-# law's tail 2 / (eps D)^2: seeded stage-2 runs where D binds take 0.39-0.66
-# times the law, and a refused run would have to beat that bound twice over
-_LAW_CAP_FACTOR = 4
+# stage 2's prior width: for +-1 shots 2 arccos|a_hat| has standard error
+# 2/sqrt(n) whatever the magnitude, so this is a factor-2 margin; a wider prior
+# would span several lobes of the early likelihood and could lock onto an alias
+_PRIOR_SIGMA = 4.0 / math.sqrt(_STAGE1_SAMPLES)
+# a config whose stage-2 Fisher bound (see TwoStageConfig) exceeds this many
+# engine caps is refused: seeded stage-2 runs took at least 0.857 times it
+_BOUND_CAP_FACTOR = 2
+
+
+class _PrecisionRefused(ValueError):
+    """'epsilon = <epsilon> <reason>', refused before any draw; `reason` is for a caller naming epsilon its own way."""
+
+    def __init__(self, epsilon: float, reason: str):
+        super().__init__(f"epsilon = {epsilon:.6g} {reason}")
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -126,11 +135,13 @@ class TwoStageConfig:
     leaves enough headroom that the realized error beats target_epsilon in the
     large majority of runs, not just in expectation.
 
-    A config whose law `n_min_restarts(target_epsilon, floor(d_max))` is past
-    `_LAW_CAP_FACTOR` times `engine.HARD_ITERATION_CAP` (read now) is refused
-    before any draw, by `_shot_count`'s message if that is past its cap too.
-    The law is the least over all exponents: an alpha below alpha_max may
-    pass and still run into the cap.
+    Stage 2's schedule, `_policy`, is built here once.  Its pinned window is
+    deepest, at m_top, where the run stops, and a readout at depth m carries
+    Fisher information m^2.  Before any draw a config is refused when m_top
+    reaches 2 `schedules._MAX_WINDOW` (a window spans about half its top), or
+    when the Fisher bound (1/target_epsilon^2 - 1/sigma0^2) / m_top^2 on a
+    run's iterations, which seeded runs took at least 0.857 times, is past
+    `_BOUND_CAP_FACTOR` = 2 engine caps; then `_shot_count` may refuse first.
     """
 
     alpha: float
@@ -138,23 +149,32 @@ class TwoStageConfig:
     target_epsilon: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.d_max >= 2.0:
             raise ValueError(
                 f"d_max must be >= 2 (at depth 1 stage 2 would only repeat stage 1's sampling), got {self.d_max}"
             )
-        if not 0.0 < self.target_epsilon < 1.0:
-            raise ValueError(f"target_epsilon must lie in (0, 1), got {self.target_epsilon}")
-        depth, cap = float(np.floor(self.d_max)), engine.HARD_ITERATION_CAP
-        with np.errstate(over="ignore"):  # an inf law is past any cap
-            law = n_min_restarts(self.target_epsilon, depth)
-        if law > _LAW_CAP_FACTOR * cap:
-            _shot_count(self.target_epsilon)
-            raise ValueError(
-                f"epsilon = {self.target_epsilon:.6g} at depth budget {depth:g} needs about {law:.6g} "
-                f"stage-2 iterations by n_min_restarts, more than {_LAW_CAP_FACTOR} x the cap of {cap} "
-                "iterations a run may take"
+        # AlphaQPE refuses an alpha outside [0, 1] in this config's words; a circuit's m is whole
+        policy = AlphaQPE(self.alpha, scale=_SCHEDULE_SCALE, depth_cap=float(np.floor(self.d_max)))
+        object.__setattr__(self, "_policy", policy)
+        eps = self.target_epsilon
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"target_epsilon must lie in (0, 1), got {eps}")
+        try:
+            m_top = schedules._window_top(policy.raw_m(eps), policy.depth_cap)
+        except OverflowError:  # an infinite rule m under an infinite cap
+            m_top = math.inf
+        budget = f"at alpha = {self.alpha:g} and depth budget {policy.depth_cap:g}"
+        if m_top >= 2 * schedules._MAX_WINDOW:
+            raise _PrecisionRefused(
+                eps, f"{budget} takes the window to count {m_top:g}, past 2 x its scan limit {schedules._MAX_WINDOW}"
+            )
+        bound, cap = (1.0 / eps / eps - 1.0 / _PRIOR_SIGMA**2) / m_top**2, engine.HARD_ITERATION_CAP
+        if bound > _BOUND_CAP_FACTOR * cap:
+            _shot_count(eps)
+            raise _PrecisionRefused(
+                eps,
+                f"{budget} needs at least {bound:.6g} stage-2 iterations (the Fisher bound at the window's deepest "
+                f"count, {m_top:g}), more than {_BOUND_CAP_FACTOR} x the cap of {cap} iterations a run may take",
             )
 
 
@@ -168,7 +188,7 @@ def _shot_count(epsilon: float) -> int:
     if epsilon >= 1.0:
         return 1
     if not epsilon**2 * _MAX_SHOTS >= 1.0:
-        raise ValueError(f"epsilon = {epsilon:.6g} asks for more than the 2**32 shots one estimate may take")
+        raise _PrecisionRefused(epsilon, "asks for more than the 2**32 shots one estimate may take")
     return math.ceil(1.0 / epsilon**2)
 
 
@@ -319,14 +339,7 @@ def two_stage_estimate(
         sigma = math.sqrt(max(0.0, 1.0 - value * value) / total)
         return ExpectationResult(float(value), "statistical_fallback", total, 0.0, sigma, s1.estimate, 0)
 
-    # for +-1 shots the arccos map is variance-stabilizing: the standard
-    # error of 2 arccos|a_hat| is 2/sqrt(n) whatever the magnitude, so the
-    # phase prior can start this tight with a factor-2 margin; a wide prior
-    # would span several lobes of the early likelihood and occasionally lock
-    # the belief onto an alias, which a lobe-width prior cannot reach
-    prior = NormalBelief(_eigenphase(s1.estimate), 4.0 / math.sqrt(_STAGE1_SAMPLES))
-    # the circuit m is integer, so the binding cap is floor(d_max)
-    policy = AlphaQPE(config.alpha, scale=_SCHEDULE_SCALE, depth_cap=float(np.floor(config.d_max)))
+    prior = NormalBelief(_eigenphase(s1.estimate), _PRIOR_SIGMA)
     oracle = _TrialStateCircuit(-_eigenphase(pauli_expectation(prepare(ansatz), pauli)))
     runs = []
     # a posterior parked on an alias lobe of the periodic likelihood is
@@ -335,7 +348,7 @@ def two_stage_estimate(
     # converged phase that contradicts the bracket restarts once from the
     # prior instead of being returned
     for _ in range(2):
-        belief, trace = engine.run_estimation(oracle, policy, prior, epsilon=config.target_epsilon, seed=rng)
+        belief, trace = engine.run_estimation(oracle, config._policy, prior, epsilon=config.target_epsilon, seed=rng)
         runs.append(trace.depths())
         # |cos(mu / 2)| reads the same magnitude for mu, -mu and mu + 2 pi
         magnitude = abs(math.cos(belief.mu / 2.0))

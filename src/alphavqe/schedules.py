@@ -73,6 +73,11 @@ class AlphaQPE:
             return math.inf
 
 
+def _window_top(m: float, depth_cap: float | None) -> int:
+    """The pinned window's deepest whole count, floor(sqrt 2 m) in [1, floor(depth_cap)], m clamped or not."""
+    return max(1, math.floor(min(math.sqrt(2.0) * m, math.inf if depth_cap is None else depth_cap)))
+
+
 def next_setting(policy: AlphaQPE, belief: tuple[float, float], pinned_theta: float) -> tuple[float, float]:
     """Next setting for an oracle that reads out only at pinned_theta, as a
     plain (m, theta) pair; the belief is a `NormalBelief` or a plain pair.
@@ -100,10 +105,7 @@ def next_setting(policy: AlphaQPE, belief: tuple[float, float], pinned_theta: fl
     # their own
     if not (math.isfinite(m) and m > 0.0 and math.isfinite(pinned_theta)):
         return tuple(ExperimentSetting(m, pinned_theta))
-    top = math.sqrt(2.0) * m
-    if depth_cap is not None:
-        top = min(top, depth_cap)
-    hi = max(1, math.floor(top))
+    hi = _window_top(m, depth_cap)
     lo = max(1, min(hi - 1, math.ceil(m / math.sqrt(2.0))))
     if hi - lo >= _MAX_WINDOW:
         raise ValueError(

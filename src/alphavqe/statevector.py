@@ -45,7 +45,6 @@ __all__ = [
     "apply_pauli",
     "Ansatz",
     "prepare",
-    "apply_ansatz",
     "pauli_expectation",
     "RotationOperator",
     "build_rotation_operator",
@@ -188,9 +187,7 @@ class Ansatz:
 
     @functools.cached_property
     def _state(self) -> np.ndarray:
-        # every gate is real, so the state is built in float64 and converted
-        # once; its real parts equal apply_ansatz's bit for bit, whose
-        # imaginary parts are all exact zeros
+        # every gate is real: built in float64 and converted once, the imaginary parts are exact zeros
         if not self.layers:
             state = zero_state(self.n_qubits)
         else:
@@ -202,24 +199,14 @@ class Ansatz:
             real = pairs[0]
             for pair in pairs[1:]:
                 real = (real[:, None] * pair).ravel()
-            state = _apply_layers(real * signs, rows[1:], signs).astype(complex)
+            state = real * signs
+            for angles in rows[1:]:
+                for q, angle in enumerate(angles.tolist()):
+                    state = _apply_one_qubit(state, angle, q)
+                state *= signs
+            state = state.astype(complex)
         state.flags.writeable = False
         return state
-
-
-def _apply_layers(state: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Each row of angles as Y rotations on qubits 0, 1, ... and then the
-    controlled-Z ring; the gates are real, so the state keeps its dtype."""
-    for angles in rows:
-        for q, angle in enumerate(angles.tolist()):
-            state = _apply_one_qubit(state, angle, q)
-        state *= signs
-    return state
-
-
-def apply_ansatz(state: np.ndarray, ansatz: Ansatz) -> np.ndarray:
-    rows = ansatz.params.reshape(ansatz.layers, ansatz.n_qubits)
-    return _apply_layers(np.array(state, dtype=complex), rows, _cz_ring_signs(ansatz.n_qubits))
 
 
 def prepare(ansatz: Ansatz) -> np.ndarray:

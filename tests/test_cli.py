@@ -179,6 +179,7 @@ def test_bad_inputs_exit_nonzero(capsys):
     # a share past the shot cap is refused by the values the user can change
     assert main(["vqe", "--hamiltonian", "toy2q", "--mode", "statistical", "--epsilon", "1e-5", "--iters", "0"]) == 1
     assert main(["vqe", "--mode", "alpha", "--epsilon", "1", "--iters", "0"]) == 1
+    assert main(["vqe", "--hamiltonian", "toy2q", "--mode", "alpha", "--alpha", "0", "--epsilon", "1e-4", "--iters", "0"]) == 1
     err = capsys.readouterr().err
     assert "alphavqe:" in err
     assert "alphavqe: layers must be non-negative, got -1" in err
@@ -189,14 +190,21 @@ def test_bad_inputs_exit_nonzero(capsys):
         "which asks for more than the 2**32 shots one estimate may take"
     ) in err
     assert "alphavqe: epsilon_total = 1 over coeff_norm = 1 leaves each term a share of 1, which alpha mode needs below 1" in err
+    assert (
+        "alphavqe: epsilon_total = 0.0001 over coeff_norm = 1.3 leaves each term a share of 7.69231e-05, "
+        "which at alpha = 0 and depth budget 32 needs at least 4.225e+07 stage-2 iterations (the Fisher bound "
+        "at the window's deepest count, 2), more than 2 x the cap of 1000000 iterations a run may take"
+    ) in err
+    assert "alphavqe: epsilon_total = 1e-200 over coeff_norm = 1 leaves each term a share of 1e-200, which asks" in err
     assert "target_epsilon" not in err
     assert "Traceback" not in err
 
 
 def test_stage2_timeout_is_reported_without_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 20)
-    # 0.7071 passes the stage-1 gate; the config's law, 31.4 iterations, is
-    # under four caps, so it is admitted, and stage 2 runs into the cap
+    # 0.7071 passes the stage-1 gate; the config's Fisher bound, 22.5
+    # iterations, is under two caps, so it is admitted, and stage 2 runs into
+    # the cap
     assert main(["expectation", "--epsilon", "0.01", "--trials", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("alphavqe: sigma=")
@@ -210,8 +218,16 @@ def test_stage2_timeout_is_reported_without_a_traceback(monkeypatch, capsys):
         (["--epsilon", "1e-5"], "epsilon = 1e-05 asks for more than the 2**32 shots one estimate may take"),
         (
             ["--epsilon", "1e-4", "--dmax", "2"],
-            "epsilon = 0.0001 at depth budget 2 needs about 5e+07 stage-2 iterations by n_min_restarts, "
-            "more than 4 x the cap of 1000000 iterations a run may take",
+            "epsilon = 0.0001 at alpha = 0.5 and depth budget 2 needs at least 2.5e+07 stage-2 iterations "
+            "(the Fisher bound at the window's deepest count, 2), more than 2 x the cap of 1000000 iterations "
+            "a run may take",
+        ),
+        (
+            # alpha = 0 pins the window to m in {1, 2} whatever the budget
+            ["--alpha", "0", "--epsilon", "1e-4"],
+            "epsilon = 0.0001 at alpha = 0 and depth budget 32 needs at least 2.5e+07 stage-2 iterations "
+            "(the Fisher bound at the window's deepest count, 2), more than 2 x the cap of 1000000 iterations "
+            "a run may take",
         ),
     ],
 )

@@ -7,6 +7,7 @@ import pytest
 
 import alphavqe.engine as engine
 import alphavqe.expectation as expectation
+import alphavqe.schedules as schedules
 import alphavqe.vqe as vqe
 from alphavqe.bayes import ExperimentSetting, NormalBelief
 from alphavqe.engine import EstimationTimeout
@@ -21,8 +22,7 @@ from alphavqe.expectation import (
     statistical_estimate,
     two_stage_estimate,
 )
-from alphavqe.rand import rng_for
-from alphavqe.schedules import n_min_restarts
+from alphavqe.rand import child_seed, rng_for
 from alphavqe.statevector import (
     Ansatz,
     RotationOperator,
@@ -91,25 +91,70 @@ def test_config_validation(kwargs):
 
 
 def test_config_refuses_a_stage2_law_past_four_caps_before_any_draw(monkeypatch):
-    # the law at (0.01, floor(32.5)) is 31.39 iterations; the cap is read
-    # when the config is built
-    law = n_min_restarts(0.01, 32.0)
-    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 7)
+    # the refusal is the Fisher bound at the window's deepest count: at
+    # (0.5, floor(32.5), 0.01) the rule gives m = 15 at sigma = 0.01, so the
+    # window reaches floor(15 sqrt 2) = 21, and a run needs at least
+    # (1/0.01^2 - 1000/16) / 21^2 = 22.53 iterations; the cap is read when
+    # the config is built
+    bound = (1e4 - 62.5) / 21**2
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 11)
     with pytest.raises(ValueError) as err:
         TwoStageConfig(alpha=0.5, d_max=32.5, target_epsilon=0.01)
     assert str(err.value) == (
-        f"epsilon = 0.01 at depth budget 32 needs about {law:.6g} stage-2 iterations by "
-        "n_min_restarts, more than 4 x the cap of 7 iterations a run may take"
+        f"epsilon = 0.01 at alpha = 0.5 and depth budget 32 needs at least {bound:.6g} stage-2 iterations "
+        "(the Fisher bound at the window's deepest count, 21), more than 2 x the cap of 11 iterations "
+        "a run may take"
     )
-    # a config whose law is half the refusal threshold is admitted
-    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", math.ceil(law / 2))
+    # a config whose bound is half the refusal threshold is admitted
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", math.ceil(bound))
     TwoStageConfig(alpha=0.5, d_max=32.5, target_epsilon=0.01)
 
 
+def test_config_refuses_a_window_that_could_outgrow_its_scan_before_any_draw(monkeypatch):
+    # at alpha = 1 the rule reaches 1.5e5 at sigma = 1e-5, so the window's top
+    # is floor(1.5e5 sqrt 2) = 212132, past 2 x 65536: the run would draw and
+    # then fail in next_setting; here the config is refused by name, although
+    # the Fisher bound (0.22 iterations) and the fallback's shot count would
+    # also refuse nothing sooner
+    with pytest.raises(ValueError) as err:
+        TwoStageConfig(alpha=1.0, d_max=1e9, target_epsilon=1e-5)
+    assert str(err.value) == (
+        "epsilon = 1e-05 at alpha = 1 and depth budget 1e+09 takes the window to count 212132, past 2 x its "
+        "scan limit 65536"
+    )
+    # an infinite rule m under an infinite cap is refused the same way
+    with pytest.raises(ValueError, match="takes the window to count inf, past"):
+        TwoStageConfig(alpha=1.0, d_max=math.inf, target_epsilon=1e-320)
+    # the limit is read when the config is built: a top of 2 x 106 - 1 is
+    # admitted, one of 2 x 106 refused
+    monkeypatch.setattr(schedules, "_MAX_WINDOW", 106)
+    TwoStageConfig(alpha=0.5, d_max=211.0, target_epsilon=1e-4)
+    with pytest.raises(ValueError, match="to count 212, past 2 x its scan limit 106$"):
+        TwoStageConfig(alpha=0.5, d_max=212.0, target_epsilon=1e-4)
+
+
+def test_an_admitted_window_never_outgrows_its_scan(monkeypatch):
+    # lo >= hi / 2, so a window whose top stays below 2 _MAX_WINDOW holds at
+    # most _MAX_WINDOW counts: at a limit of 16, alpha = 1 and epsilon =
+    # 0.067 reach a top of floor(1.5 sqrt 2 / 0.067) = 31 and are admitted,
+    # and every sigma down to epsilon gets a setting; 0.066 reaches 32
+    monkeypatch.setattr(schedules, "_MAX_WINDOW", 16)
+    config = TwoStageConfig(alpha=1.0, d_max=1e9, target_epsilon=0.067)
+    for sigma in np.geomspace(1.0, 0.067, 400).tolist():
+        for mu in (0.3, 1.0, 2.5):
+            m, _ = schedules.next_setting(config._policy, (mu, sigma), 0.0)
+            assert 1.0 <= m <= 31.0
+    result = two_stage_estimate(ansatz_with_z(0.6), "Z", config, np.random.default_rng(3))
+    assert result.path == "alpha_qpe" and result.max_depth_used <= 31.0
+    with pytest.raises(ValueError, match="to count 32, past 2 x its scan limit 16$"):
+        TwoStageConfig(alpha=1.0, d_max=1e9, target_epsilon=0.066)
+
+
 def test_a_config_the_law_admits_runs_stage2_past_the_fallbacks_shot_cap():
-    # the law at (1e-5, 1e5) is 4 ln(1e5), about 46 iterations, while the
-    # fallback would need 10**10 shots: a gated term finishes, and only a
-    # term that falls back is refused, by the shot count
+    # the window reaches m = 11929 at sigma = 1e-5, so the Fisher bound is
+    # under 71 iterations, while the fallback would need 10**10 shots: a
+    # gated term finishes, and only a term that falls back is refused, by the
+    # shot count
     config = TwoStageConfig(alpha=0.75, d_max=1e5, target_epsilon=1e-5)
     result = two_stage_estimate(ansatz_with_z(0.6), "Z", config, np.random.default_rng(5))
     assert result.path == "alpha_qpe"
@@ -516,3 +561,89 @@ def test_stage2_finishes_and_holds_epsilon_across_the_gate(monkeypatch):
     stalled = sum(sigma > epsilon for sigma in ends)
     assert stalled == 0, f"{stalled} of {len(ends)} stage-2 runs still above epsilon after {budget} iterations"
     assert hits >= 0.9 * draws, (hits, draws)
+
+
+def stage2_run(config, value, seed, epsilon):
+    """One stage-2 run as `two_stage_estimate` starts it, on a term with
+    expectation `value`: its oracle, its policy, and its prior around the
+    stage-1 phase; run to `epsilon`, which may be below the config's."""
+    rng = np.random.default_rng(seed)
+    s1 = stage1_gate(ansatz_with_z(value), "Z", rng)
+    prior = NormalBelief(_eigenphase(s1.estimate), expectation._PRIOR_SIGMA)
+    oracle = _TrialStateCircuit(-_eigenphase(value))
+    _, trace = engine.run_estimation(oracle, config._policy, prior, epsilon=epsilon, seed=rng)
+    return trace
+
+
+def test_stage2_runs_take_at_least_half_the_fisher_bound():
+    # the evidence for refusing a config whose Fisher bound is past two caps:
+    # a readout at depth m carries information m^2 <= m_top^2, so no run
+    # beats the bound by more than the closed form's own slack, and at half
+    # the bound a refused config could not have finished within one cap.
+    # Cells where the depth cap sets the top, where alpha does (the first
+    # three) and where alpha = 0 pins it at 2; 24 terms across the gate each
+    cells = [
+        (0.5, 1024.0, 0.003),
+        (0.25, 32.0, 0.01),
+        (0.25, 1024.0, 0.003),
+        (0.0, 32.0, 0.01),
+        (0.5, 8.0, 0.01),
+        (0.75, 32.0, 0.003),
+        (1.0, 8.0, 0.01),
+        (1.0, 32.0, 0.001),
+    ]
+    values = np.linspace(*expectation._GATE_INTERVAL, 24)
+    worst = []
+    for alpha, d_max, epsilon in cells:
+        config = TwoStageConfig(alpha, d_max, epsilon)
+        m_top = schedules._window_top(config._policy.raw_m(epsilon), config._policy.depth_cap)
+        bound = (1.0 / epsilon**2 - 1.0 / expectation._PRIOR_SIGMA**2) / m_top**2
+        ratios = [
+            len(stage2_run(config, float(a), child_seed(28, "bound", alpha, d_max, epsilon, i), epsilon).depths()) / bound
+            for i, a in enumerate(values)
+        ]
+        worst.append((alpha, d_max, epsilon, m_top, min(ratios)))
+    assert all(ratio >= 0.5 for *_, ratio in worst), worst
+    # at least one cell's top is set by alpha below the depth cap
+    assert any(m_top < d_max and alpha > 0.0 for alpha, d_max, _, m_top, _ in worst)
+
+
+def test_stage2_epsilon_exponents_at_a_large_depth_budget():
+    # ROADMAP item 10's stage-2 half, as criterion 10 checks the engine: the
+    # medians of N and of the largest m over 40 terms across the gate, at
+    # D = 1024, fitted as log-log slopes against 1/epsilon over five
+    # epsilons from 0.02 to 0.002, and held within criterion 10's 0.15 of the
+    # paper's exponents, 2 (1 - alpha) for N and alpha for max m.  The law
+    # continued from stage 2's prior width sigma0, 2 / (1 - alpha)
+    # (epsilon^-2(1 - alpha) - sigma0^-2(1 - alpha)), is steeper over this
+    # grid (1.065 at alpha = 0.5, 0.659 at 0.75), and stage 2 misses it at
+    # 0.75 (about 0.47): its first few readouts, at m sigma near 1, carry less
+    # than m^2 and add a head of a few iterations that the law lacks.  At
+    # alpha = 1, N is held within criterion 10's 1.5x of 4 ln(sigma0 /
+    # epsilon).  Each term runs once, to the smallest epsilon, and every
+    # epsilon reads its prefix: the policy does not depend on epsilon, only
+    # the stopping rule does.
+    epsilons = np.geomspace(0.02, 0.002, 5)
+    x = np.log(1.0 / epsilons)
+    values = np.linspace(*expectation._GATE_INTERVAL, 40)
+    details = []
+    for alpha in (0.5, 0.75, 1.0):
+        config = TwoStageConfig(alpha, 1024.0, float(epsilons[-1]))
+        samples = np.empty((values.size, epsilons.size))
+        depths = np.empty_like(samples)
+        for i, a in enumerate(values):
+            trace = stage2_run(config, float(a), child_seed(28, "exponents", alpha, i), float(epsilons[-1]))
+            sigmas, m = trace.sigmas(), trace.depths()
+            for j, eps in enumerate(epsilons):
+                n = int(np.argmax(sigmas <= eps))
+                samples[i, j], depths[i, j] = n, m[:n].max(initial=0.0)
+        n_median = np.median(samples, axis=0)
+        if alpha == 1.0:
+            ratios = n_median / (4.0 * np.log(expectation._PRIOR_SIGMA / epsilons))
+            details.append(f"alpha=1 N/4ln(sigma0/eps) {ratios.min():.2f}-{ratios.max():.2f}")
+            assert np.all((ratios >= 1.0 / 1.5) & (ratios <= 1.5)), details
+            continue
+        n_slope = np.polyfit(x, np.log(n_median), 1)[0]
+        m_slope = np.polyfit(x, np.log(np.median(depths, axis=0)), 1)[0]
+        details.append(f"alpha={alpha:g} N slope {n_slope:.3f}, max m slope {m_slope:.3f}")
+        assert abs(n_slope - 2.0 * (1.0 - alpha)) <= 0.15 and abs(m_slope - alpha) <= 0.15, details

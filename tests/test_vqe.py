@@ -154,6 +154,26 @@ def test_statistical_mode_refuses_a_share_past_the_shot_cap_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def test_alpha_mode_refuses_a_share_the_config_refuses_before_any_draw():
+    # the Fisher bound and the shot cap name the share, a bad alpha or d_max
+    # keeps its own message
+    h = bundled_hamiltonian("toy2q")
+    ansatz = Ansatz(2, 1, np.array([0.4, -0.8]))
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    share = r"epsilon_total = 0\.0001 over coeff_norm = 1\.3 leaves each term a share of 7\.69231e-05, which "
+    with pytest.raises(ValueError, match=share + r"at alpha = 0 and depth budget 32 needs at least 4\.225e\+07"):
+        estimate_energy(h, ansatz, "alpha", epsilon_total=1e-4, rng=rng, alpha=0.0)
+    share = r"epsilon_total = 1e-05 over coeff_norm = 1\.3 leaves each term a share of 7\.69231e-06, which "
+    with pytest.raises(ValueError, match=share + r"asks for more than the 2\*\*32 shots one estimate may take$"):
+        estimate_energy(h, ansatz, "alpha", epsilon_total=1e-5, rng=rng)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
+        estimate_energy(h, ansatz, "alpha", epsilon_total=1e-4, rng=rng, alpha=1.5)
+    with pytest.raises(ValueError, match=r"^d_max must be >= 2 "):
+        estimate_energy(h, ansatz, "alpha", epsilon_total=1e-4, rng=rng, d_max=1.0)
+    assert rng.bit_generator.state == state
+
+
 def test_statistical_mode_takes_one_shot_per_term_at_a_huge_epsilon():
     # the per-term share squared would overflow; one shot already meets it
     h = bundled_hamiltonian("toy2q")
