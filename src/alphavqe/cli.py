@@ -7,7 +7,11 @@ randomness from --seed through named substreams; the rest draw nothing and
 take no seed.  Same flags, same bytes.
 
 Config files are line-oriented 'key = value' pairs ('#' comments allowed);
-keys match the long option names without the leading dashes.
+keys match the long option names without the leading dashes.  A flag and a
+config key are read the same way, as their default's type: a comma-separated
+float list, an int, a float, or a string, so a bad value exits 1 and names its
+key.  phase-sim sweeps a list of alpha and tradeoff lists of epsilon and dmax;
+expectation and vqe take one value of each.
 """
 
 from __future__ import annotations
@@ -52,15 +56,13 @@ def _parse_float_list(raw: str) -> list[float]:
         raise CliError(f"bad list value {raw!r}: {exc}") from None
 
 
-def _convert(key: str, raw, default) -> object:
-    """raw read as its default's type: a float list, an int, or a string."""
-    if not isinstance(raw, str):
-        return raw
+def _convert(key: str, raw: str, default) -> object:
+    """raw read as its default's type: a float list, an int, a float, or a string."""
     if isinstance(default, list):
         return _parse_float_list(raw)
-    if isinstance(default, int):
+    if isinstance(default, (int, float)):
         try:
-            return int(raw)
+            return type(default)(raw)
         except ValueError:
             raise CliError(f"bad value {raw!r} for {key}") from None
     return raw
@@ -106,13 +108,6 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def _single(cfg: dict, key: str) -> float:
-    """The one value of a list flag that a subcommand reads as a scalar."""
-    if len(cfg[key]) != 1:
-        raise CliError(f"{key} takes exactly one value here, got {_fmt(cfg[key])!r}")
-    return cfg[key][0]
 
 
 def _write_csv(cfg: dict, subcommand: str, columns, rows, footer: list[str] | None = None) -> None:
@@ -166,21 +161,17 @@ def cmd_risk_surface(cfg: dict) -> int:
 
 def cmd_phase_sim(cfg: dict) -> int:
     rows = []
-    iters = cfg["iters"]
     for idx, alpha in enumerate(cfg["alpha"]):
         result = ensemble_run(
             AlphaQPE(alpha),
             n_phases=cfg["phases"],
-            iterations=iters,
+            iterations=cfg["iters"],
             seed=child_seed(cfg["seed"], "alpha", idx),
         )
-        anchor_k = 20 if iters >= 20 else None
         for k in result.iterations:
             from_zero = analytic_risk_curve(float(k), 0.0, 1.0, alpha)
             from_20 = (
-                analytic_risk_curve(float(k), 20.0, float(result.mean_sigma[20]), alpha)
-                if anchor_k is not None and k >= 20
-                else None
+                analytic_risk_curve(float(k), 20.0, float(result.mean_sigma[20]), alpha) if k >= 20 else None
             )
             rows.append(
                 (
@@ -226,9 +217,7 @@ def cmd_tradeoff(cfg: dict) -> int:
 
 
 def cmd_expectation(cfg: dict) -> int:
-    config = TwoStageConfig(
-        alpha=_single(cfg, "alpha"), d_max=_single(cfg, "dmax"), target_epsilon=_single(cfg, "epsilon")
-    )
+    config = TwoStageConfig(alpha=cfg["alpha"], d_max=cfg["dmax"], target_epsilon=cfg["epsilon"])
     # the footer's quantiles need at least one trial
     if cfg["trials"] < 1:
         raise CliError(f"trials must be positive, got {cfg['trials']}")
@@ -272,21 +261,19 @@ def cmd_vqe(cfg: dict) -> int:
         hamiltonian = bundled_hamiltonian(name)
     else:
         hamiltonian = load_hamiltonian(name)
-    mode = cfg["mode"]
-    epsilon = _single(cfg, "epsilon")
     if cfg["layers"] < 0:
         raise CliError(f"layers must be non-negative, got {cfg['layers']}")
     template = Ansatz(hamiltonian.n_qubits, cfg["layers"], np.zeros(hamiltonian.n_qubits * cfg["layers"]))
-    # only alpha mode reads the exponent and the depth budget
-    schedule = {"alpha": _single(cfg, "alpha"), "d_max": _single(cfg, "dmax")} if mode == "alpha" else {}
+    # estimate_energy decides which of these settings the mode reads
     result = optimize(
         hamiltonian,
         template,
         max_iters=cfg["iters"],
-        mode=mode,
-        epsilon_total=None if mode == "exact" else epsilon,
+        mode=cfg["mode"],
+        epsilon_total=cfg["epsilon"],
+        alpha=cfg["alpha"],
+        d_max=cfg["dmax"],
         seed=cfg["seed"],
-        **schedule,
     )
     exact = exact_ground_energy(hamiltonian)
     rows = [
@@ -388,9 +375,9 @@ _SUBCOMMANDS = {
             "out": None,
             "avalues": [0.7071],
             "trials": 20,
-            "alpha": [0.5],
-            "epsilon": [0.02],
-            "dmax": [32.0],
+            "alpha": 0.5,
+            "epsilon": 0.02,
+            "dmax": 32.0,
         },
         "Run the gated two-stage expectation estimator on known single-qubit states",
     ),
@@ -403,9 +390,9 @@ _SUBCOMMANDS = {
             "mode": "alpha",
             "layers": 1,
             "iters": 200,
-            "alpha": [0.5],
-            "epsilon": [0.01],
-            "dmax": [32.0],
+            "alpha": 0.5,
+            "epsilon": 0.01,
+            "dmax": 32.0,
         },
         "Minimize a Pauli-sum energy and compare against dense diagonalization",
     ),
@@ -428,14 +415,14 @@ _FLAG_HELP = {
     "layers": "ansatz layers",
     "hamiltonian": "Hamiltonian file path, or a bundled name (toy1q, toy2q)",
     "mode": "energy estimation mode: exact, statistical, or alpha",
-    "alpha": "schedule exponents, comma-separated; exactly one for expectation and vqe",
-    "epsilon": "target precisions, comma-separated; exactly one for expectation and vqe",
-    "dmax": "depth budgets, comma-separated; exactly one for expectation and vqe",
-    "mvals": "comma-separated repetition counts",
-    "offsets": "comma-separated mu - theta offsets",
-    "sigmas": "comma-separated prior widths",
-    "avalues": "comma-separated true expectation values in [-1, 1]",
-    "phis": "comma-separated eigenphases in (0, pi)",
+    "alpha": "schedule exponent",
+    "epsilon": "target precision (vqe: the total over all terms)",
+    "dmax": "depth budget",
+    "mvals": "repetition count",
+    "offsets": "mu - theta offset",
+    "sigmas": "prior width",
+    "avalues": "true expectation value in [-1, 1]",
+    "phis": "eigenphase in (0, pi)",
 }
 
 
@@ -450,12 +437,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.set_defaults(func=func, defaults=defaults)
         sub.add_argument("--config", help="key = value config file; flags given here win")
-        # a flag's type is its default's, as in _convert
+        # every flag stays a string here; _resolve reads it as its default's type
         for key, default in defaults.items():
             flag_help = _FLAG_HELP[key]
             if isinstance(default, list):
+                flag_help += "; a comma-separated list"
+            if default is not None:
                 flag_help += f" (default {_fmt(default)})"
-            sub.add_argument(f"--{key}", type=int if isinstance(default, int) else None, help=flag_help)
+            sub.add_argument(f"--{key}", help=flag_help)
     return parser
 
 

@@ -193,6 +193,8 @@ def estimate_energy(
             shots = _shot_count(eps_term)
         elif not eps_term < 1.0:
             raise _PrecisionRefused(eps_term, "alpha mode needs below 1")
+        elif eps_term <= 0.0:
+            raise _PrecisionRefused(eps_term, "alpha mode needs above 0")
         else:
             config = TwoStageConfig(alpha, d_max, eps_term)
     except _PrecisionRefused as exc:

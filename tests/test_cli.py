@@ -151,9 +151,15 @@ def test_values_that_do_not_read_as_their_default_type_are_refused(tmp_path, cap
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("trials = 2.5\n", encoding="utf-8")
     assert main(["expectation", "--config", str(cfg)]) == 1
+    config_err = capsys.readouterr().err
+    assert config_err == "alphavqe: bad value '2.5' for trials\n"
+    # a flag is read as its config key is
+    assert main(["expectation", "--trials", "2.5"]) == 1
+    assert capsys.readouterr().err == config_err
+    assert main(["expectation", "--alpha", "0.25,0.9"]) == 1
     assert main(["tradeoff", "--epsilon", "0.1,x"]) == 1
     err = capsys.readouterr().err
-    assert "alphavqe: bad value '2.5' for trials" in err
+    assert "alphavqe: bad value '0.25,0.9' for alpha" in err
     assert "alphavqe: bad list value '0.1,x': could not convert string to float: 'x'" in err
     assert "Traceback" not in err
 
@@ -287,14 +293,25 @@ def test_vqe_takes_a_total_epsilon_of_one_or_more(tmp_path, mode, epsilon):
     assert f"# epsilon = {float(epsilon):g}" in body.decode()
 
 
-@pytest.mark.parametrize("subcommand", ["expectation", "vqe"])
+# which of --alpha, --epsilon and --dmax each subcommand sweeps as a list
+SWEPT = {
+    "expectation": {"alpha": False, "epsilon": False, "dmax": False},
+    "vqe": {"alpha": False, "epsilon": False, "dmax": False},
+    "phase-sim": {"alpha": True},
+    "tradeoff": {"epsilon": True, "dmax": True},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SWEPT))
 def test_help_says_single_valued_flags_take_one_value(subcommand, capsys):
     with pytest.raises(SystemExit) as done:
         main([subcommand, "--help"])
     assert done.value.code == 0
-    # --alpha, --epsilon and --dmax each say so; argparse wraps the lines
+    # argparse wraps the lines; the usage line writes "[--alpha ALPHA]"
     text = " ".join(capsys.readouterr().out.split())
-    assert text.count("comma-separated; exactly one for expectation and vqe") == 3
+    for key, is_list in SWEPT[subcommand].items():
+        flag_help = text.split(f"--{key} {key.upper()} ", 1)[1].split(" --", 1)[0]
+        assert ("comma-separated" in flag_help) == is_list, flag_help
 
 
 @pytest.mark.parametrize("subcommand", sorted(DEFAULT_CSV_DIGESTS))

@@ -171,6 +171,11 @@ def test_alpha_mode_refuses_a_share_the_config_refuses_before_any_draw():
         estimate_energy(h, ansatz, "alpha", epsilon_total=1e-4, rng=rng, alpha=1.5)
     with pytest.raises(ValueError, match=r"^d_max must be >= 2 "):
         estimate_energy(h, ansatz, "alpha", epsilon_total=1e-4, rng=rng, d_max=1.0)
+    # a share that underflows to 0 is refused by the share too
+    share = r"^epsilon_total = 4\.94066e-324 over coeff_norm = 2 leaves each term a share of 0, which "
+    with pytest.raises(ValueError, match=share) as refused:
+        estimate_energy(Hamiltonian(((2.0, "Z"),), 1), Ansatz(1, 1, np.array([0.3])), "alpha", 5e-324, rng)
+    assert "target_epsilon" not in str(refused.value)
     assert rng.bit_generator.state == state
 
 
@@ -286,6 +291,30 @@ def test_optimize_gives_every_term_alpha_d_max_and_the_per_term_share(monkeypatc
     optimize(h, template, max_iters=2, mode="alpha", epsilon_total=0.05)
     assert len(seen) > len(h.terms)
     assert set(seen) == {TwoStageConfig(0.5, 32.0, 0.05 / h.coeff_norm)}
+
+
+def _history(result):
+    return [(it, lam.tolist(), energy, meas) for it, lam, energy, meas in result.energy_history]
+
+
+@pytest.mark.parametrize(
+    "mode, epsilon_total, varied",
+    [
+        ("exact", None, [{"alpha": 0.5, "d_max": 32.0}, {"alpha": 1.0, "d_max": 2.0}]),
+        ("statistical", 0.2, [{"alpha": 0.5, "d_max": 32.0}, {"alpha": 1.0, "d_max": 2.0}]),
+        ("exact", None, [{"epsilon_total": 0.01}, {"epsilon_total": math.inf}]),
+    ],
+)
+def test_optimize_is_unchanged_by_settings_its_mode_does_not_read(mode, epsilon_total, varied):
+    # the CLI passes alpha, d_max and epsilon_total to every mode
+    h = bundled_hamiltonian("toy2q")
+    template = Ansatz(2, 1, np.array([0.2, -0.4]))
+    runs = [
+        optimize(h, template, **{"max_iters": 5, "mode": mode, "epsilon_total": epsilon_total, "seed": 3, **kw})
+        for kw in varied
+    ]
+    assert _history(runs[0]) == _history(runs[1])
+    assert runs[0].total_measurements == runs[1].total_measurements
 
 
 def test_optimizer_config_validation():
