@@ -37,10 +37,12 @@ leaves the cyclic garbage collector anything to walk.  Two consequences of
 the packing: an `EstimationTrace` is not hashable, and a row's m and theta
 read back as floats even where an oracle's `pinned_theta` is an int.
 
-Each iteration takes one uniform.  The loop draws its uniforms in blocks, and
-on every exit it leaves the Generator exactly where one scalar `random()`
-call per completed iteration would.  Identical seeds and configuration
-reproduce traces bit for bit.
+Each iteration takes one uniform, and the loop draws them from its Generator
+in whole blocks of 256.  An iteration starts once the stopping rules and the
+cap let it, and a run that starts j iterations draws 256 ceil(j / 256)
+uniforms however it ends, raising or not, so a Generator shared by several
+runs gives each run the uniforms after the last block of the one before.
+Identical seeds and configuration reproduce traces bit for bit.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ __all__ = [
 ]
 
 HARD_ITERATION_CAP = 1_000_000
-# uniforms drawn from a run's Generator at a time
+# uniforms drawn from a run's Generator at a time: part of the stream a
+# Generator shared across runs gives each run
 _UNIFORM_BLOCK = 256
 
 
@@ -209,9 +212,10 @@ def run_estimation(
 ) -> tuple[NormalBelief, EstimationTrace]:
     """Estimate a phase until sigma <= epsilon or max_iterations, whichever first.
 
-    `seed` is an integer or a Generator, which is drawn from in place: one
-    uniform per completed iteration, whatever way the run ends.  At least one
-    stopping rule is required.  If only epsilon is given and the hard cap of
+    `seed` is an integer or a Generator, drawn from in place in whole blocks
+    of 256 uniforms: a run that starts j iterations leaves it 256 ceil(j /
+    256) draws on, however it ends.  At least one stopping rule is
+    required.  If only epsilon is given and the hard cap of
     10**6 iterations is reached, EstimationTimeout is raised with the partial
     trace attached.  An update the closed form cannot make raises
     `DegenerateUpdateError`.  Every return gives the belief as a
@@ -224,7 +228,6 @@ def run_estimation(
     if max_iterations is not None and max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     rng = np.random.default_rng(seed)
-    bit_generator = rng.bit_generator
     # looked up per call, not at import, so that wrappers installed on these
     # names see every run: `sample` and `_moment_step` are called on every
     # iteration, `next_setting` only on the pinned path
@@ -247,48 +250,39 @@ def run_estimation(
     values: list = []
     push = values.extend
     k = 0
-    # iteration k takes block[k - base]; `saved` is the Generator's state
-    # before the block was drawn
-    saved, block, base = None, [], 0
-    try:
-        while True:
-            if max_iterations is not None and k >= max_iterations:
-                break
-            if epsilon is not None and sigma <= epsilon:
-                break
-            if k >= cap:
-                _pack(packed, values)
-                raise EstimationTimeout(
-                    f"sigma={sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
-                    EstimationTrace(packed, prior.mu, prior.sigma),
-                )
-            if k - base == len(block):
-                _pack(packed, values)
-                saved, base = bit_generator.state, k
-                block = rng.random(_UNIFORM_BLOCK).tolist()
-            if pinned_theta is None:
-                m = raw_m(sigma)
-                if m > top:
-                    m = top
-                theta = mu - sigma
-                # the checks of ExperimentSetting, as comparisons that nan
-                # fails; a setting that fails them goes through it for its
-                # message
-                if not (0.0 < m < inf and -inf < theta < inf):
-                    ExperimentSetting(m, theta)
-            else:
-                m, theta = choose(policy, (mu, sigma), pinned_theta)
-            outcome = sample((m, theta), block[k - base])
-            mu, sigma = step(mu, sigma, outcome, m, theta)
-            k += 1
-            push((m, theta, outcome, mu, sigma))
-    finally:
-        # Generator.random(n) gives the same values as n scalar calls, so
-        # rewinding and redrawing the used part of the block leaves the
-        # Generator where scalar draws would have
-        if saved is not None:
-            bit_generator.state = saved
-            rng.random(k - base)
+    # iteration k takes block[k - base]
+    block, base = [], 0
+    while True:
+        if max_iterations is not None and k >= max_iterations:
+            break
+        if epsilon is not None and sigma <= epsilon:
+            break
+        if k >= cap:
+            _pack(packed, values)
+            raise EstimationTimeout(
+                f"sigma={sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
+                EstimationTrace(packed, prior.mu, prior.sigma),
+            )
+        if k - base == len(block):
+            _pack(packed, values)
+            base = k
+            block = rng.random(_UNIFORM_BLOCK).tolist()
+        if pinned_theta is None:
+            m = raw_m(sigma)
+            if m > top:
+                m = top
+            theta = mu - sigma
+            # the checks of ExperimentSetting, as comparisons that nan
+            # fails; a setting that fails them goes through it for its
+            # message
+            if not (0.0 < m < inf and -inf < theta < inf):
+                ExperimentSetting(m, theta)
+        else:
+            m, theta = choose(policy, (mu, sigma), pinned_theta)
+        outcome = sample((m, theta), block[k - base])
+        mu, sigma = step(mu, sigma, outcome, m, theta)
+        k += 1
+        push((m, theta, outcome, mu, sigma))
     _pack(packed, values)
     return tuple.__new__(NormalBelief, (mu, sigma)), EstimationTrace(packed, prior.mu, prior.sigma)
 

@@ -149,10 +149,10 @@ class Ansatz:
     """Trial-state circuit: per layer, a Y rotation on every qubit followed by
     a ring of controlled-Z entanglers (no entangler for a single qubit).
 
-    params is layer-major with length n_qubits * layers; amplitudes stay real.
-    The ansatz keeps a read-only copy of params, so the trial state it caches
-    for `prepare` cannot go stale.  Two ansatzes are equal when their shapes
-    and parameter values are.
+    params is layer-major with length n_qubits * layers, every value finite;
+    amplitudes stay real.  The ansatz keeps a read-only copy of params, so
+    the trial state it caches for `prepare` cannot go stale.  Two ansatzes
+    are equal when their shapes and parameter values are.
     """
 
     n_qubits: int
@@ -170,6 +170,10 @@ class Ansatz:
                 f"params must have length n_qubits * layers = {self.n_qubits * self.layers}, "
                 f"got shape {params.shape}"
             )
+        bad = ~np.isfinite(params)
+        if bad.any():
+            positions = np.flatnonzero(bad).tolist()
+            raise ValueError(f"params must be finite, got {params[bad].tolist()} at positions {positions}")
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 

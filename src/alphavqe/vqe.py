@@ -7,12 +7,14 @@ Hamiltonians are plain text, one term per line:
     -0.25 XX
 
 Energy estimation owns the precision: it splits a total budget uniformly
-over terms (epsilon_i = epsilon_total / sum_j |a_j|, so sum_i |a_i|
-epsilon_i = epsilon_total) and supports three modes: exact statevector
-expectations, statistical sampling at ceil(1/epsilon_i^2) shots per term, and
-the gated two-stage estimator, whose exponent alpha and depth budget d_max
-the caller passes.  The sampled modes estimate the terms in order from the
-caller's one Generator, each term drawing where the previous one stopped.
+over the measured terms (epsilon_i = epsilon_total / sum_j |a_j| over those
+terms, so sum_i |a_i| epsilon_i = epsilon_total) and supports three modes:
+exact statevector expectations, statistical sampling at ceil(1/epsilon_i^2)
+shots per term, and the gated two-stage estimator, whose exponent alpha and
+depth budget d_max the caller passes.  An all-I term is 1 on every state, so
+the sampled modes add its coefficient exactly and do not measure it.  They
+estimate the other terms in order from the caller's one Generator, each term
+drawing where the previous one stopped.
 The outer loop is a derivative-free Nelder-Mead simplex that re-evaluates the
 incumbent on every shrink, which keeps a lucky noisy estimate from freezing
 the search.
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expectation import TwoStageConfig, _PrecisionRefused, _shot_count, statistical_estimate, two_stage_estimate
-from .statevector import MAX_QUBITS, Ansatz, _pauli_action, pauli_expectation, prepare, validate_pauli
+from .statevector import Ansatz, _pauli_action, pauli_expectation, prepare, validate_pauli
 
 __all__ = [
     "Hamiltonian",
@@ -133,8 +135,6 @@ def bundled_hamiltonian(name: str) -> Hamiltonian:
 
 def dense_matrix(h: Hamiltonian) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the Pauli sum, qubit 0 first, from `apply_pauli`'s bit-mask action."""
-    if h.n_qubits > MAX_QUBITS:
-        raise ValueError(f"dense form limited to {MAX_QUBITS} qubits")
     dim = 2**h.n_qubits
     rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
@@ -160,17 +160,20 @@ def estimate_energy(
 ) -> tuple[float, int]:
     """Energy of the trial state and the number of measurements spent.
 
-    mode 'exact' evaluates expectations analytically (0 measurements);
-    'statistical' and 'alpha' estimate each term to epsilon_i =
-    epsilon_total / sum_j |a_j|, for a finite positive epsilon_total, with at
-    least one shot per term.  Alpha mode runs every term through the gated
+    mode 'exact' evaluates expectations analytically (0 measurements).
+    'statistical' and 'alpha' add each all-I term's coefficient exactly, with
+    no draw, and estimate every other term to epsilon_i = epsilon_total /
+    measured_norm, measured_norm = sum_j |a_j| over those terms, for a
+    finite positive epsilon_total, with at least one shot per term; a
+    Hamiltonian of all-I terms alone gets its exact energy for 0
+    measurements.  Alpha mode runs every measured term through the gated
     two-stage estimator at `TwoStageConfig(alpha, d_max, epsilon_i)`, built
     once before any draw.  A share that either mode refuses is refused by the
     values that set it; the other modes read neither alpha nor d_max.
 
-    Both sampled modes draw every term from `rng` itself, in term order:
-    term i's draws follow term i-1's, so the same seed gives the same bytes
-    and `rng` is left after the last term's draws.  Each draw is a fresh
+    Both sampled modes draw every measured term from `rng` itself, in term
+    order: term i's draws follow term i-1's, so the same seed gives the same
+    bytes and `rng` is left after the last term's draws.  Each draw is a fresh
     uniform, so the term estimates stay independent.  Any Generator works,
     whatever its bit generator and however it was seeded.
     """
@@ -186,7 +189,13 @@ def estimate_energy(
         raise ValueError(f"{mode} mode needs a finite positive epsilon_total, got {epsilon_total}")
     if rng is None:
         raise ValueError(f"{mode} mode needs a random generator")
-    eps_term = epsilon_total / h.coeff_norm
+    # an all-I term is 1 on every state: it adds its coefficient and is not measured
+    measured = [(coeff, pauli) for coeff, pauli in h.terms if pauli.strip("I")]
+    energy = float(sum(coeff for coeff, pauli in h.terms if not pauli.strip("I")))
+    if not measured:
+        return energy, 0
+    measured_norm = float(sum(abs(coeff) for coeff, _ in measured))
+    eps_term = epsilon_total / measured_norm
 
     try:
         if mode == "statistical":
@@ -199,11 +208,11 @@ def estimate_energy(
             config = TwoStageConfig(alpha, d_max, eps_term)
     except _PrecisionRefused as exc:
         raise ValueError(
-            f"epsilon_total = {epsilon_total:.6g} over coeff_norm = {h.coeff_norm:.6g} leaves each term "
+            f"epsilon_total = {epsilon_total:.6g} over measured_norm = {measured_norm:.6g} leaves each term "
             f"a share of {eps_term:.6g}, which {exc.reason}"
         ) from None
-    energy, measurements = 0.0, 0
-    for coeff, pauli in h.terms:
+    measurements = 0
+    for coeff, pauli in measured:
         if mode == "statistical":
             value, used = statistical_estimate(ansatz, pauli, shots, rng), shots
         else:

@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # record digests of the smoke tasks (3 on phase-to-eps, 1 on energy-tfim8)
-SMOKE_DIGESTS = {"phase-to-eps": "3362652874006c0d", "energy-tfim8": "c43ec47071d04151"}
+SMOKE_DIGESTS = {"phase-to-eps": "3362652874006c0d", "energy-tfim8": "2321bd2cd6c367cb"}
 
 
 def test_bench_smoke_runs_and_keeps_its_digests():

@@ -17,7 +17,7 @@ DEFAULT_CSV_DIGESTS = {
     "phase-sim": "b0c361ca7eb102fd318d29399ab0c9baefe8271b56c969db8efb3b292e9abb68",
     "tradeoff": "c64739d9f879281335a1f9b8db0d17130e8a2ba7aa5304e6367c09b4ea7f3ee7",
     "expectation": "0b0f9d1c964d5676f086190049d0493c86345d2bd8411598adfb2451d8fb808a",
-    "vqe": "2e5a4304a6b50b8b86fd54653b8d2e75305ba20429f6b0c89cb4f5f26f123df6",
+    "vqe": "95df9fca225c0c4c535ee20c414c4d61c1edb66a9f47021fd009249acdf1d803",
     "collapse-check": "28716873e9002c4b3cba7cb5a0524b8fa534e56ac130b8c346194f6a8badfa34",
 }
 
@@ -192,16 +192,16 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert "alphavqe: statistical mode needs a finite positive epsilon_total, got inf" in err
     assert "alphavqe: epsilon = 1e-200 asks for more than the 2**32 shots one estimate may take" in err
     assert (
-        "alphavqe: epsilon_total = 1e-05 over coeff_norm = 1.3 leaves each term a share of 7.69231e-06, "
+        "alphavqe: epsilon_total = 1e-05 over measured_norm = 1.3 leaves each term a share of 7.69231e-06, "
         "which asks for more than the 2**32 shots one estimate may take"
     ) in err
-    assert "alphavqe: epsilon_total = 1 over coeff_norm = 1 leaves each term a share of 1, which alpha mode needs below 1" in err
+    assert "alphavqe: epsilon_total = 1 over measured_norm = 1 leaves each term a share of 1, which alpha mode needs below 1" in err
     assert (
-        "alphavqe: epsilon_total = 0.0001 over coeff_norm = 1.3 leaves each term a share of 7.69231e-05, "
+        "alphavqe: epsilon_total = 0.0001 over measured_norm = 1.3 leaves each term a share of 7.69231e-05, "
         "which at alpha = 0 and depth budget 32 needs at least 4.225e+07 stage-2 iterations (the Fisher bound "
         "at the window's deepest count, 2), more than 2 x the cap of 1000000 iterations a run may take"
     ) in err
-    assert "alphavqe: epsilon_total = 1e-200 over coeff_norm = 1 leaves each term a share of 1e-200, which asks" in err
+    assert "alphavqe: epsilon_total = 1e-200 over measured_norm = 1 leaves each term a share of 1e-200, which asks" in err
     assert "target_epsilon" not in err
     assert "Traceback" not in err
 

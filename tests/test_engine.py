@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import pickle
 import tracemalloc
 
@@ -71,11 +72,10 @@ def rows_digest(rows) -> tuple[int, str]:
     return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def next_uniform_after(seed, draws):
-    """The uniform a fresh Generator gives after `draws` scalar random() calls."""
+def uniform_after(seed, draws):
+    """The uniform a fresh Generator gives after its first `draws`."""
     twin = np.random.default_rng(seed)
-    for _ in range(draws):
-        twin.random()
+    twin.random(draws)
     return twin.random()
 
 
@@ -370,71 +370,67 @@ def test_a_timed_out_trace_reads_back_the_rows_of_an_uncapped_run(monkeypatch):
     assert err.value.trace.sigmas().tobytes() == uncapped.sigmas()[:301].tobytes()
 
 
+def assert_the_next_run_starts_after_whole_blocks(gen, started):
+    """`gen` has drawn whole blocks for a run that started `started` iterations.
+
+    A second run on it is the run a fresh Generator gives after those draws,
+    and it too draws one whole block.
+    """
+    draws = 256 * math.ceil(started / 256)
+    twin = np.random.default_rng(17)
+    twin.random(draws)
+    second = (SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0))
+    _, shared = run_estimation(*second, max_iterations=40, seed=gen)
+    _, fresh = run_estimation(*second, max_iterations=40, seed=twin)
+    assert repr(shared.rows) == repr(fresh.rows)
+    assert gen.random() == uniform_after(17, draws + 256)
+
+
 # run lengths on either side of the ends of the loop's first two 256-uniform
 # blocks
 BLOCK_EDGE_RUNS = [255, 256, 257, 511, 512, 513]
 
 
-@pytest.mark.parametrize(
-    "alpha, stop",
-    [
-        (1.0, dict(epsilon=0.02)),
-        (0.0, dict(epsilon=0.02)),
-        (0.5, dict(max_iterations=0)),
-        *((0.5, dict(max_iterations=n)) for n in BLOCK_EDGE_RUNS),
-    ],
-)
-def test_generator_ends_one_scalar_draw_per_row_on_return(alpha, stop):
-    gen = np.random.default_rng(17)
-    _, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(alpha), NormalBelief(0.0, 1.0), seed=gen, **stop)
-    assert gen.random() == next_uniform_after(17, len(trace.rows))
+@pytest.mark.parametrize("k", [0, 5, 300, *BLOCK_EDGE_RUNS])
+@pytest.mark.parametrize("exit", ["return", "timeout", "update_raises"])
+def test_a_run_draws_whole_blocks_and_the_next_run_starts_after_them(monkeypatch, exit, k):
+    # the first run completes k rows and then ends by `exit`; one that raises
+    # has started its (k + 1)-th iteration, so it has drawn that one's block
+    args = (SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0))
+    gen, started = np.random.default_rng(17), k
+    if exit == "return":
+        _, trace = run_estimation(*args, max_iterations=k, seed=gen)
+        assert len(trace.rows) == k
+    elif exit == "timeout":
+        monkeypatch.setattr(engine, "HARD_ITERATION_CAP", k)
+        with pytest.raises(EstimationTimeout) as err:
+            run_estimation(*args, epsilon=1e-9, seed=gen)
+        assert len(err.value.trace.rows) == k
+    else:
+        started, update, calls = k + 1, engine._moment_step, []
 
+        def failing(*step_args):
+            if len(calls) == k:
+                raise FloatingPointError("update failed")
+            calls.append(step_args)
+            return update(*step_args)
 
-@pytest.mark.parametrize("cap", [6, 300, *BLOCK_EDGE_RUNS])
-def test_generator_ends_one_scalar_draw_per_row_on_timeout(monkeypatch, cap):
-    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", cap)
-    gen = np.random.default_rng(17)
-    with pytest.raises(EstimationTimeout) as err:
-        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
-    assert len(err.value.trace.rows) == cap
-    assert gen.random() == next_uniform_after(17, cap)
+        monkeypatch.setattr(engine, "_moment_step", failing)
+        with pytest.raises(FloatingPointError):
+            run_estimation(*args, epsilon=1e-9, seed=gen)
+    monkeypatch.undo()
+    assert_the_next_run_starts_after_whole_blocks(gen, started)
 
 
 @pytest.mark.parametrize("rows", [0, 5, 300, *BLOCK_EDGE_RUNS])
 def test_generator_ends_one_scalar_draw_per_row_when_the_oracle_raises(rows):
+    # the name is the one this exit's test had when the loop kept a scalar
+    # stream; the Generator now ends at the whole block of the iteration
+    # whose readout raised, the (rows + 1)-th
     gen = np.random.default_rng(17)
     with pytest.raises(RuntimeError, match="readout failed"):
         run_estimation(FailingOracle(rows), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
-    assert gen.random() == next_uniform_after(17, rows)
-
-
-def test_generator_ends_one_scalar_draw_per_row_when_the_update_raises(monkeypatch):
-    calls = []
-    update = engine._moment_step
-
-    def failing(*args):
-        if len(calls) == 300:
-            raise FloatingPointError("update failed")
-        calls.append(args)
-        return update(*args)
-
-    monkeypatch.setattr(engine, "_moment_step", failing)
-    gen = np.random.default_rng(17)
-    with pytest.raises(FloatingPointError):
-        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
-    assert gen.random() == next_uniform_after(17, 300)
-
-
-def test_a_shared_generator_reproduces_scalar_draws_across_runs():
-    # two runs on one Generator read the same uniforms as one scalar stream
-    gen = np.random.default_rng(23)
-    args = (SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0))
-    _, first = run_estimation(*args, max_iterations=300, seed=gen)
-    _, second = run_estimation(*args, max_iterations=40, seed=gen)
-    stream = np.random.default_rng(23)
-    for row in (*first.rows, *second.rows):
-        u = stream.random()
-        assert row.outcome == (0 if u < likelihood(0, 0.3, ExperimentSetting(row.m, row.theta)) else 1)
+    assert_the_next_run_starts_after_whole_blocks(gen, rows + 1)
 
 
 @pytest.mark.parametrize(
@@ -478,8 +474,8 @@ def test_a_degenerate_update_raises_out_of_the_loop(monkeypatch):
     gen = np.random.default_rng(3)
     with pytest.raises(DegenerateUpdateError, match="outcome [01] at m=1.0"):
         run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1e-320), max_iterations=50, seed=gen)
-    # no row completed, so the Generator is where it started
-    assert gen.random() == next_uniform_after(3, 0)
+    # no row completed, but the first iteration started and drew its block
+    assert gen.random() == uniform_after(3, 256)
     # a step that degenerates on the fourth update ends the run there too
     closed_form, calls = engine._moment_step, []
 
@@ -494,4 +490,4 @@ def test_a_degenerate_update_raises_out_of_the_loop(monkeypatch):
     with pytest.raises(DegenerateUpdateError, match="injected"):
         run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=gen)
     assert len(calls) == 4
-    assert gen.random() == next_uniform_after(17, 3)
+    assert gen.random() == uniform_after(17, 256)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from alphavqe import vqe
 from alphavqe.expectation import TwoStageConfig, statistical_estimate, two_stage_estimate
-from alphavqe.statevector import Ansatz, pauli_expectation, prepare
+from alphavqe.statevector import MAX_QUBITS, Ansatz, pauli_expectation, prepare
 from alphavqe.vqe import (
     Hamiltonian,
     HamiltonianParseError,
@@ -89,6 +89,15 @@ def test_hamiltonian_validation():
         Hamiltonian(((0.0, "Z"),), 1)
 
 
+def test_a_hamiltonian_holds_no_more_qubits_than_the_simulator():
+    # what keeps dense_matrix and the estimators within MAX_QUBITS
+    pauli = "Z" * (MAX_QUBITS + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_QUBITS} qubits supported, got {MAX_QUBITS + 1}"):
+        Hamiltonian(((1.0, pauli),), MAX_QUBITS + 1)
+    with pytest.raises(HamiltonianParseError, match=f"line 1: at most {MAX_QUBITS} qubits"):
+        parse_hamiltonian(f"1.0 {pauli}")
+
+
 def test_dense_matrix_matches_kron_construction():
     h = parse_hamiltonian("0.7 ZXI\n-0.2 IYX\n0.1 XXX")
     want = 0.7 * kron_pauli("ZXI") - 0.2 * kron_pauli("IYX") + 0.1 * kron_pauli("XXX")
@@ -149,7 +158,7 @@ def test_statistical_mode_refuses_a_share_past_the_shot_cap_before_any_draw():
     ansatz = Ansatz(2, 1, np.array([0.4, -0.8]))
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=r"epsilon_total = 1e-05 over coeff_norm = 1\.3 .* share of 7\.69231e-06"):
+    with pytest.raises(ValueError, match=r"epsilon_total = 1e-05 over measured_norm = 1\.3 .* share of 7\.69231e-06"):
         estimate_energy(h, ansatz, "statistical", epsilon_total=1e-5, rng=rng)
     assert rng.bit_generator.state == state
 
@@ -161,10 +170,10 @@ def test_alpha_mode_refuses_a_share_the_config_refuses_before_any_draw():
     ansatz = Ansatz(2, 1, np.array([0.4, -0.8]))
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
-    share = r"epsilon_total = 0\.0001 over coeff_norm = 1\.3 leaves each term a share of 7\.69231e-05, which "
+    share = r"epsilon_total = 0\.0001 over measured_norm = 1\.3 leaves each term a share of 7\.69231e-05, which "
     with pytest.raises(ValueError, match=share + r"at alpha = 0 and depth budget 32 needs at least 4\.225e\+07"):
         estimate_energy(h, ansatz, "alpha", epsilon_total=1e-4, rng=rng, alpha=0.0)
-    share = r"epsilon_total = 1e-05 over coeff_norm = 1\.3 leaves each term a share of 7\.69231e-06, which "
+    share = r"epsilon_total = 1e-05 over measured_norm = 1\.3 leaves each term a share of 7\.69231e-06, which "
     with pytest.raises(ValueError, match=share + r"asks for more than the 2\*\*32 shots one estimate may take$"):
         estimate_energy(h, ansatz, "alpha", epsilon_total=1e-5, rng=rng)
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
@@ -172,7 +181,7 @@ def test_alpha_mode_refuses_a_share_the_config_refuses_before_any_draw():
     with pytest.raises(ValueError, match=r"^d_max must be >= 2 "):
         estimate_energy(h, ansatz, "alpha", epsilon_total=1e-4, rng=rng, d_max=1.0)
     # a share that underflows to 0 is refused by the share too
-    share = r"^epsilon_total = 4\.94066e-324 over coeff_norm = 2 leaves each term a share of 0, which "
+    share = r"^epsilon_total = 4\.94066e-324 over measured_norm = 2 leaves each term a share of 0, which "
     with pytest.raises(ValueError, match=share) as refused:
         estimate_energy(Hamiltonian(((2.0, "Z"),), 1), Ansatz(1, 1, np.array([0.3])), "alpha", 5e-324, rng)
     assert "target_epsilon" not in str(refused.value)
@@ -186,6 +195,34 @@ def test_statistical_mode_takes_one_shot_per_term_at_a_huge_epsilon():
     energy, used = estimate_energy(h, ansatz, "statistical", epsilon_total=1e200, rng=np.random.default_rng(2))
     assert used == len(h.terms)
     assert abs(energy) <= h.coeff_norm
+
+
+@pytest.mark.parametrize("mode", ["statistical", "alpha"])
+def test_identity_terms_are_exact_and_take_no_share_of_the_budget(mode):
+    ansatz = Ansatz(2, 1, np.array([0.4, -0.8]))
+    rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+    with_identity = Hamiltonian(((1.0, "II"), (0.5, "ZZ")), 2)
+    energy, used = estimate_energy(with_identity, ansatz, mode, epsilon_total=0.01, rng=rng)
+    # the same draws as ZZ alone at the whole budget, plus the exact 1.0
+    alone, alone_used = estimate_energy(Hamiltonian(((0.5, "ZZ"),), 2), ansatz, mode, epsilon_total=0.01, rng=twin)
+    assert (energy, used) == (1.0 + alone, alone_used)
+    assert rng.random() == twin.random()
+    if mode == "statistical":
+        # ceil(1 / 0.02^2) shots on ZZ, none on II
+        assert used == 2500
+    # a Hamiltonian of identity terms alone is exact and draws nothing
+    state = rng.bit_generator.state
+    only_identity = Hamiltonian(((1.0, "II"), (-0.25, "II")), 2)
+    assert estimate_energy(only_identity, ansatz, mode, epsilon_total=0.01, rng=rng) == (0.75, 0)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["exact", "statistical", "alpha"])
+def test_non_finite_params_are_refused_by_name_in_every_mode(mode, bad):
+    h = bundled_hamiltonian("toy1q")
+    with pytest.raises(ValueError, match=rf"^params must be finite, got \[{bad}\] at positions \[1\]$"):
+        estimate_energy(h, Ansatz(1, 2, np.array([0.3, bad])), mode, 0.05, np.random.default_rng(0))
 
 
 def test_estimate_energy_statistical_mode():
@@ -385,7 +422,7 @@ def test_optimize_statistical_improves_on_noisy_objective():
 
 # SHA-256 of the repr of every ExpectationResult's field values, each taken
 # as a plain tuple in field order, over the sweep below
-ALPHA_MODE_DIGEST = "d8605d442789a85efa1f0a9718550e7858b3c54826bef9c29dde248557641b1e"
+ALPHA_MODE_DIGEST = "289989001a8de4791c16b1ece33c1bfef505abc0a813c288d964a6456c3fec8c"
 RESULT_FIELDS = (
     "value",
     "path",
@@ -399,7 +436,7 @@ RESULT_FIELDS = (
 
 def test_alpha_mode_term_results_are_pinned_bit_for_bit(monkeypatch):
     # 24 seeded 8-qubit ansatzes on the transverse-field Ising ring, each at
-    # alpha in {0, 0.5, 1} and d_max in {2, 32}: 2,304 terms, 829 of them
+    # alpha in {0, 0.5, 1} and d_max in {2, 32}: 2,304 terms, 837 of them
     # through stage 2
     n = 8
     bonds = [(1.0, "".join("Z" if q in (i, (i + 1) % n) else "I" for q in range(n))) for i in range(n)]
@@ -420,5 +457,5 @@ def test_alpha_mode_term_results_are_pinned_bit_for_bit(monkeypatch):
                 rng = np.random.default_rng([seed, int(2 * alpha), int(d_max)])
                 estimate_energy(h, ansatz, "alpha", epsilon_total=0.272, rng=rng, alpha=alpha, d_max=d_max)
     assert len(results) == 2304
-    assert sum(path == "alpha_qpe" for _, path, *_ in results) == 829
+    assert sum(path == "alpha_qpe" for _, path, *_ in results) == 837
     assert hashlib.sha256(repr(results).encode()).hexdigest() == ALPHA_MODE_DIGEST
