@@ -11,12 +11,15 @@ N(mu, sigma^2).  Posteriors are computed two ways: exactly on a dense grid
 (the validation oracle), and in closed form, since the refit normal's moments
 are Gaussian trigonometric integrals.
 
-The closed form exists once, in `_moment_step`, on plain floats.
-`moment_update` wraps it in the value types.  The estimation loop calls
-`_moment_step` itself on every iteration, and an update it cannot make raises
-`DegenerateUpdateError` out of the loop.  `rejection_filter_update`, which no
-estimator calls, takes the closed form and falls back to the grid when it
-degenerates.
+The closed form is `_moment_step`, on plain floats, and `moment_update`
+wraps it in the value types.  The estimation loop's kernel, which serves
+unpinned runs on `engine.SyntheticOracle`, spells it a second time inline, in
+the same arithmetic order and with the same checks, and
+`tests/test_engine.py` pins that copy to `_moment_step` bit for bit.  Every
+other run of the loop calls `_moment_step` on every iteration.  On both paths
+an update the closed form cannot make raises `DegenerateUpdateError` out of
+the loop.  `rejection_filter_update`, which no estimator calls, takes the
+closed form and falls back to the grid when it degenerates.
 
 The closed-form expected posterior variance after one measurement (the Bayes
 risk) is
@@ -32,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-# bound once for `_moment_step`, which runs on every iteration of a run
+# bound once for `_moment_step`, which the estimation loop's general path
+# calls on every iteration
 from math import cos as _cos, exp as _exp, expm1 as _expm1, isfinite as _isfinite, sin as _sin, sqrt as _sqrt
 from typing import NamedTuple
 
@@ -220,9 +224,9 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
 def _moment_step(mu: float, sigma: float, e: int, m: float, theta: float) -> tuple[float, float]:
     """`moment_update`'s closed form on plain floats: the belief (mu, sigma),
     outcome e and setting (m, theta) in, a (mu, sigma) pair that passes every
-    check of `NormalBelief` out.  The one copy of the closed form: every
-    normal update runs through it, and the estimation loop calls it directly
-    on every iteration."""
+    check of `NormalBelief` out.  Every normal update outside the estimation
+    loop's kernel runs through it; the kernel spells it out inline, pinned to
+    it bit for bit."""
     if e == 0:
         s, half = 1.0, _cos
     elif e == 1:

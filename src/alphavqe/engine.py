@@ -13,17 +13,24 @@ theta the oracle can read out at, which `next_setting` then holds fixed while
 it picks a whole m.  `SyntheticOracle` compares u with the cosine at a hidden
 true phase.
 
-Inside the loop the belief is two plain floats, mu and sigma, and the
-oracle receives the setting as a plain (m, theta) tuple.  An unpinned
-iteration makes two calls: `oracle.sample` and `bayes._moment_step`, the
-closed-form update.  It picks its setting itself: m from `policy.raw_m`,
-clamped to the depth cap, theta = mu - sigma, and the checks of
-`ExperimentSetting`, whose constructor raises for a setting that fails them.
-A pinned iteration also calls `next_setting`, for its window scan.  An update
+Inside the loop the belief is two plain floats, mu and sigma.  An unpinned
+iteration picks its setting itself: m from `policy.raw_m`, clamped to the
+depth cap, theta = mu - sigma, and the checks of `ExperimentSetting`, whose
+constructor raises for a setting that fails them.  A run takes one of two
+paths, chosen once at its start.  The kernel takes an unpinned run whose
+oracle reads out with `SyntheticOracle.sample` as it was at import, while
+`engine._moment_step` is still `bayes._moment_step`: it writes that
+cosine readout and the closed-form update out in the loop, in their
+arithmetic order and with their checks and messages, and calls neither.
+Every other run takes the general path, which calls `oracle.sample`, with the
+setting as a plain (m, theta) tuple, and `engine._moment_step` on every
+iteration, and `next_setting` on every pinned one, for its window scan.  So
+an oracle that overrides `sample`, or a wrapper set on
+`SyntheticOracle.sample` or `engine._moment_step`, switches a run to the
+general path and sees every iteration, while a wrapper on
+`engine.next_setting` sees only pinned iterations.  On either path an update
 the closed form cannot make raises `DegenerateUpdateError` out of the loop.
-So a wrapper on `engine.next_setting` sees only pinned iterations, while
-`oracle.sample` and `engine._moment_step` see every iteration.  The
-validated value types sit at the loop's edges: the prior comes in as a
+The validated value types sit at the loop's edges: the prior comes in as a
 `NormalBelief` and the run returns a `NormalBelief`.
 
 Each iteration adds its row to a short plain list.  Every 256 iterations,
@@ -48,6 +55,7 @@ Identical seeds and configuration reproduce traces bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from array import array
 from collections.abc import Sequence
@@ -59,7 +67,7 @@ import numpy as np
 
 # rejection_filter_update goes uncalled here (a degenerate update raises out
 # of the loop): bench/tracing.py patches it by name
-from .bayes import ExperimentSetting, NormalBelief, _moment_step, rejection_filter_update
+from .bayes import DegenerateUpdateError, ExperimentSetting, NormalBelief, _moment_step, rejection_filter_update
 from .rand import child_seed, rng_for
 from .schedules import AlphaQPE, next_setting
 
@@ -103,6 +111,13 @@ class SyntheticOracle:
     def sample(self, setting, u: float) -> int:
         m, theta = setting
         return 0 if u < 0.5 * (1.0 + math.cos(m * (self.true_phi - theta))) else 1
+
+
+# the readout and the update that `run_estimation`'s kernel writes out,
+# taken at import: a wrapper set later on `SyntheticOracle.sample` or
+# `engine._moment_step` is neither, so the runs it can reach keep calling it
+_COSINE_READOUT = SyntheticOracle.sample
+_CLOSED_FORM = _moment_step
 
 
 class TraceRow(NamedTuple):
@@ -201,6 +216,12 @@ def _pack(packed: array, values: list) -> None:
     values.clear()
 
 
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Refuse a count that is not a whole number >= least, naming it."""
+    if not (isinstance(value, numbers.Real) and value >= least and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
 def run_estimation(
     oracle,
     policy: AlphaQPE,
@@ -214,23 +235,23 @@ def run_estimation(
 
     `seed` is an integer or a Generator, drawn from in place in whole blocks
     of 256 uniforms: a run that starts j iterations leaves it 256 ceil(j /
-    256) draws on, however it ends.  At least one stopping rule is
-    required.  If only epsilon is given and the hard cap of
-    10**6 iterations is reached, EstimationTimeout is raised with the partial
-    trace attached.  An update the closed form cannot make raises
-    `DegenerateUpdateError`.  Every return gives the belief as a
-    `NormalBelief`.
+    256) draws on, however it ends.  At least one stopping rule is required,
+    and max_iterations must be a whole number >= 0.  The hard cap of 10**6
+    iterations bounds every run: a run that reaches it before its own
+    stopping rule raises EstimationTimeout, with the partial trace attached
+    and a message that names what the run did not reach.  An update the
+    closed form cannot make raises `DegenerateUpdateError`.  Every return
+    gives the belief as a `NormalBelief`.
     """
     if epsilon is None and max_iterations is None:
         raise ValueError("provide a stopping rule: epsilon and/or max_iterations")
     if epsilon is not None and not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if max_iterations is not None and max_iterations < 0:
-        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    if max_iterations is not None:
+        _check_count("max_iterations", max_iterations)
     rng = np.random.default_rng(seed)
     # looked up per call, not at import, so that wrappers installed on these
-    # names see every run: `sample` and `_moment_step` are called on every
-    # iteration, `next_setting` only on the pinned path
+    # names see every run they can reach
     pinned_theta, sample = oracle.pinned_theta, oracle.sample
     choose, step = next_setting, _moment_step
     # the unpinned setting: the policy's rule, clamped to its depth cap (no
@@ -241,50 +262,100 @@ def run_estimation(
     inf = math.inf
     top = inf if depth_cap is None else float(depth_cap)
     cap = HARD_ITERATION_CAP
+    # an iteration starts while k < limit and sigma > eps; sigma is positive,
+    # so an eps of -inf never stops a run
+    limit = int(cap if max_iterations is None else min(max_iterations, cap))
+    eps = -inf if epsilon is None else epsilon
     # the belief is two plain floats inside the loop
     mu, sigma = prior
     # the trace's rows, _ROW_WIDTH values each: `values` collects the rows
     # since the last block was drawn, and `packed` takes them over at each
-    # block and on the return and the timeout
+    # block and at the run's end
     packed = array("d")
     values: list = []
     push = values.extend
     k = 0
-    # iteration k takes block[k - base]
-    block, base = [], 0
-    while True:
-        if max_iterations is not None and k >= max_iterations:
-            break
-        if epsilon is not None and sigma <= epsilon:
-            break
-        if k >= cap:
+    # `sample` is `SyntheticOracle.sample` as it was at import, bound to this
+    # oracle, for an oracle whose class neither overrides nor wraps it and
+    # that sets no `sample` of its own
+    cosine = getattr(sample, "__func__", None) is _COSINE_READOUT and sample.__self__ is oracle
+    if pinned_theta is None and cosine and step is _CLOSED_FORM:
+        # the kernel: `SyntheticOracle.sample`'s readout and `_moment_step`'s
+        # update written out in the loop, in their arithmetic order, with
+        # their checks and messages; tests/test_engine.py holds it to the
+        # general path below bit for bit
+        phi = oracle.true_phi
+        cos, sin, exp, expm1, sqrt, isfinite = math.cos, math.sin, math.exp, math.expm1, math.sqrt, math.isfinite
+        while k < limit and not sigma <= eps:
             _pack(packed, values)
-            raise EstimationTimeout(
-                f"sigma={sigma:.3g} after {k} iterations without reaching epsilon={epsilon}",
-                EstimationTrace(packed, prior.mu, prior.sigma),
-            )
-        if k - base == len(block):
-            _pack(packed, values)
-            base = k
-            block = rng.random(_UNIFORM_BLOCK).tolist()
-        if pinned_theta is None:
-            m = raw_m(sigma)
-            if m > top:
-                m = top
-            theta = mu - sigma
-            # the checks of ExperimentSetting, as comparisons that nan
-            # fails; a setting that fails them goes through it for its
-            # message
-            if not (0.0 < m < inf and -inf < theta < inf):
-                ExperimentSetting(m, theta)
-        else:
-            m, theta = choose(policy, (mu, sigma), pinned_theta)
-        outcome = sample((m, theta), block[k - base])
-        mu, sigma = step(mu, sigma, outcome, m, theta)
-        k += 1
-        push((m, theta, outcome, mu, sigma))
+            # the block's first limit - k uniforms; the stopping rules were
+            # checked for the first, and sigma is checked after each row
+            for u in rng.random(_UNIFORM_BLOCK).tolist()[: limit - k]:
+                m = raw_m(sigma)
+                if m > top:
+                    m = top
+                theta = mu - sigma
+                if not (0.0 < m < inf and -inf < theta < inf):
+                    ExperimentSetting(m, theta)
+                if u < 0.5 * (1.0 + cos(m * (phi - theta))):
+                    outcome, s, half = 0, 1.0, cos
+                else:
+                    outcome, s, half = 1, -1.0, sin
+                t = (m * sigma) ** 2
+                damp = exp(-0.5 * t)
+                g = -expm1(-0.5 * t)
+                delta = m * (mu - theta)
+                h = half(0.5 * delta) ** 2
+                z = g + 2.0 * damp * h
+                if not z > 0.0:
+                    raise DegenerateUpdateError(f"posterior mass vanished for outcome {outcome} at m={m}")
+                var = sigma**2
+                mu = mu - s * m * var * damp * sin(delta) / z
+                var *= 1.0 - (t / z) * (damp * (2.0 * h - g) / z)
+                if not (isfinite(mu) and var > 0.0):
+                    raise DegenerateUpdateError(f"closed-form update degenerated for outcome {outcome} at m={m}")
+                sigma = sqrt(var)
+                if not isfinite(sigma):
+                    NormalBelief(mu, sigma)
+                push((m, theta, outcome, mu, sigma))
+                if sigma <= eps:
+                    break
+            k += len(values) // _ROW_WIDTH
+    else:
+        # iteration k takes block[k - base]
+        block, base = [], 0
+        while k < limit and not sigma <= eps:
+            if k - base == len(block):
+                _pack(packed, values)
+                base = k
+                block = rng.random(_UNIFORM_BLOCK).tolist()
+            if pinned_theta is None:
+                m = raw_m(sigma)
+                if m > top:
+                    m = top
+                theta = mu - sigma
+                # the checks of ExperimentSetting, as comparisons that nan
+                # fails; a setting that fails them goes through it for its
+                # message
+                if not (0.0 < m < inf and -inf < theta < inf):
+                    ExperimentSetting(m, theta)
+            else:
+                m, theta = choose(policy, (mu, sigma), pinned_theta)
+            outcome = sample((m, theta), block[k - base])
+            mu, sigma = step(mu, sigma, outcome, m, theta)
+            k += 1
+            push((m, theta, outcome, mu, sigma))
     _pack(packed, values)
-    return tuple.__new__(NormalBelief, (mu, sigma)), EstimationTrace(packed, prior.mu, prior.sigma)
+    trace = EstimationTrace(packed, prior.mu, prior.sigma)
+    if k == cap and not sigma <= eps and (max_iterations is None or max_iterations > cap):
+        if max_iterations is None:
+            short_of = f"without reaching epsilon={epsilon}"
+        else:
+            short_of = f"at the hard cap of {cap}, short of max_iterations={max_iterations}"
+            if epsilon is not None:
+                short_of += f" and epsilon={epsilon}"
+        raise EstimationTimeout(f"sigma={sigma:.3g} after {k} iterations {short_of}", trace)
+    return tuple.__new__(NormalBelief, (mu, sigma)), trace
 
 
 def circular_distance(a, b):
@@ -316,10 +387,9 @@ def ensemble_run(
     substream (seed, "run", i), so the ensemble is reproducible and each run
     independently replayable.
     """
-    if n_phases < 1:
-        raise ValueError(f"n_phases must be positive, got {n_phases}")
-    if iterations < 0:
-        raise ValueError(f"iterations must be non-negative, got {iterations}")
+    _check_count("n_phases", n_phases, 1)
+    _check_count("iterations", iterations)
+    n_phases, iterations = int(n_phases), int(iterations)
     prior = NormalBelief(0.0, 1.0)
     phases = rng_for(seed, "phases").uniform(-np.pi, np.pi, n_phases)
     sigmas = np.empty((n_phases, iterations + 1))

@@ -24,6 +24,7 @@ from alphavqe.engine import (
 from alphavqe.schedules import AlphaQPE
 
 from dense_oracles import unpinned_setting
+from test_schedules import FixedM
 
 # (rows, SHA-256 of repr(trace.rows)) for run_estimation(SyntheticOracle(0.3),
 # AlphaQPE(alpha), NormalBelief(0, 1), epsilon=0.02, seed=5): they pin every
@@ -491,3 +492,239 @@ def test_a_degenerate_update_raises_out_of_the_loop(monkeypatch):
         run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=gen)
     assert len(calls) == 4
     assert gen.random() == uniform_after(17, 256)
+
+
+class ForwardingOracle(SyntheticOracle):
+    """SyntheticOracle with its readout behind an override, which sends a run
+    on it down the general path."""
+
+    def sample(self, setting, u):
+        return super().sample(setting, u)
+
+
+def run_result(oracle, policy, prior, **stop):
+    """Everything a run shows its caller: on a return, the belief and the
+    packed trace; on a raise, the exception's type, message and any trace;
+    and in both, where the Generator ends."""
+    gen = np.random.default_rng(29)
+    try:
+        belief, trace = run_estimation(oracle, policy, prior, seed=gen, **stop)
+        shown = ("return", type(belief), tuple(belief), trace._values.tobytes(), trace.prior_mu, trace.prior_sigma)
+    except Exception as exc:  # each error is compared, not expected
+        trace = getattr(exc, "trace", None)
+        shown = ("raise", type(exc), str(exc), None if trace is None else trace._values.tobytes())
+    return shown, gen.bit_generator.state
+
+
+def assert_kernel_is_general_path(phi, policy, prior, **stop):
+    """The kernel's run on SyntheticOracle(phi) shows exactly what the general
+    path's run on the forwarding oracle shows; returns what it showed."""
+    general = run_result(ForwardingOracle(phi), policy, prior, **stop)
+    kernel = run_result(SyntheticOracle(phi), policy, prior, **stop)
+    assert kernel == general
+    return kernel[0]
+
+
+def test_a_synthetic_oracle_run_takes_the_kernel(monkeypatch):
+    # the kernel calls neither seam: with counting wrappers on both, a run
+    # calls them on every iteration, until the selection takes the wrappers
+    # for the originals, and then calls neither
+    assert SyntheticOracle(0.3).sample.__func__ is engine._COSINE_READOUT
+    assert engine._moment_step is engine._CLOSED_FORM
+    calls, readout, step = [], SyntheticOracle.sample, engine._moment_step
+
+    def counted_readout(self, setting, u):
+        calls.append(u)
+        return readout(self, setting, u)
+
+    def counted_step(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(SyntheticOracle, "sample", counted_readout)
+    monkeypatch.setattr(engine, "_moment_step", counted_step)
+    args = (SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0))
+    _, general = run_estimation(*args, max_iterations=40, seed=4)
+    assert len(calls) == 80
+    monkeypatch.setattr(engine, "_COSINE_READOUT", counted_readout)
+    monkeypatch.setattr(engine, "_CLOSED_FORM", counted_step)
+    _, kernel = run_estimation(*args, max_iterations=40, seed=4)
+    assert len(calls) == 80 and kernel == general
+
+
+class PlainSubclassOracle(SyntheticOracle):
+    """A subclass that keeps SyntheticOracle's readout; unlike SyntheticOracle
+    itself, its instances take attributes beyond the fields."""
+
+
+def test_every_seam_a_wrapper_can_reach_sees_every_iteration(monkeypatch):
+    # an override on a subclass, a readout set on one oracle, and a wrapper
+    # set on the class attribute as the benchmark's tracer sets one: each
+    # takes the run off the kernel and is called on every iteration
+    args, rows = (AlphaQPE(0.5), NormalBelief(0.0, 1.0)), 300
+    _, plain = run_estimation(SyntheticOracle(0.3), *args, max_iterations=rows, seed=4)
+    overridden, own, wrapped = [], [], []
+
+    class CountingOracle(SyntheticOracle):
+        def sample(self, setting, u):
+            overridden.append(u)
+            return super().sample(setting, u)
+
+    _, trace = run_estimation(CountingOracle(0.3), *args, max_iterations=rows, seed=4)
+    assert len(overridden) == rows and trace == plain
+    oracle = PlainSubclassOracle(0.3)
+    _, trace = run_estimation(oracle, *args, max_iterations=rows, seed=4)
+    assert trace == plain
+    # a bound readout of another oracle, at another phase, is its own
+    other = SyntheticOracle(-2.0).sample
+
+    def own_sample(setting, u):
+        own.append(u)
+        return other(setting, u)
+
+    oracle.sample = own_sample
+    _, trace = run_estimation(oracle, *args, max_iterations=rows, seed=4)
+    _, elsewhere = run_estimation(SyntheticOracle(-2.0), *args, max_iterations=rows, seed=4)
+    assert len(own) == rows and trace == elsewhere != plain
+    oracle.sample = other
+    _, trace = run_estimation(oracle, *args, max_iterations=rows, seed=4)
+    assert trace == elsewhere
+    readout = SyntheticOracle.sample
+
+    def wrapper(self, setting, u):
+        wrapped.append(u)
+        return readout(self, setting, u)
+
+    monkeypatch.setattr(SyntheticOracle, "sample", wrapper)
+    _, trace = run_estimation(SyntheticOracle(0.3), *args, max_iterations=rows, seed=4)
+    assert len(wrapped) == rows and trace == plain
+
+
+STOPS = {
+    "epsilon": dict(epsilon=0.02),
+    "max_iterations": dict(max_iterations=300),
+    "both": dict(epsilon=0.05, max_iterations=120),
+}
+
+
+@pytest.mark.parametrize("stop", sorted(STOPS))
+@pytest.mark.parametrize("cap", [None, 4, 4.5, 32])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_the_kernel_is_the_general_path_bit_for_bit(alpha, cap, stop):
+    shown = assert_kernel_is_general_path(0.3, AlphaQPE(alpha, depth_cap=cap), NormalBelief(0.2, 0.8), **STOPS[stop])
+    assert shown[0] == "return"
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGE_RUNS)
+def test_the_kernel_is_the_general_path_at_block_edges(rows):
+    for stop in (dict(max_iterations=rows), dict(max_iterations=rows, epsilon=1e-9)):
+        shown = assert_kernel_is_general_path(-2.1, AlphaQPE(0.5), NormalBelief(0.0, 1.0), **stop)
+        assert shown[0] == "return" and len(shown[3]) == 8 * 5 * rows
+
+
+# the kernel's every error, each reached through its own arithmetic, with the
+# message the general path gives: (phi, policy, prior, start of the message)
+ERROR_RUNS = [
+    # the rule's m fails ExperimentSetting's check
+    (0.3, FixedM(math.nan), NormalBelief(0.0, 1.0), "m must be finite and positive, got nan"),
+    # theta = mu - sigma overflows
+    (0.3, AlphaQPE(0.5), NormalBelief(-1e308, 1e308), "theta must be finite, got -inf"),
+    # sigma^2 underflows to 0: no width for outcome 0, no mass for outcome 1
+    (0.3, AlphaQPE(0.0), NormalBelief(0.0, 1e-320), "closed-form update degenerated for outcome 0 at m=1.0"),
+    (3.0, AlphaQPE(0.0), NormalBelief(0.0, 1e-320), "posterior mass vanished for outcome 1 at m=1.0"),
+    # a readout angle past float range
+    (0.3, FixedM(1e300), NormalBelief(0.0, 1e10), "math domain error"),
+    # (m sigma)^2 past float range
+    (0.3, FixedM(1.0), NormalBelief(0.0, 1e200), "(34, 'Numerical result out of range')"),
+    # at m sigma = pi with mu one sigma below phi, outcome 0 grows the
+    # variance past float range
+    (0.3, FixedM(math.pi / 1.3e154), NormalBelief(0.3 - 1.3e154, 1.3e154), "sigma must be finite and positive, got inf"),
+]
+
+
+@pytest.mark.parametrize("phi, policy, prior, message", ERROR_RUNS)
+def test_the_kernel_raises_as_the_general_path_does(phi, policy, prior, message):
+    shown = assert_kernel_is_general_path(phi, policy, prior, max_iterations=50)
+    assert shown[0] == "raise" and shown[2] == message and shown[3] is None
+
+
+@pytest.mark.parametrize(
+    "stop",
+    [dict(epsilon=1e-9), dict(max_iterations=400), dict(max_iterations=400, epsilon=1e-9)],
+)
+@pytest.mark.parametrize("cap", [0, 255, 300, 512])
+def test_the_kernel_times_out_as_the_general_path_does(monkeypatch, cap, stop):
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", cap)
+    shown = assert_kernel_is_general_path(0.3, AlphaQPE(0.0), NormalBelief(0.0, 1.0), **stop)
+    if cap < stop.get("max_iterations", math.inf):
+        assert shown[:2] == ("raise", EstimationTimeout) and len(shown[3]) == 8 * 5 * cap
+    else:
+        assert shown[0] == "return"
+
+
+@pytest.mark.parametrize(
+    "stop",
+    [
+        dict(max_iterations=math.nan),
+        dict(max_iterations=math.inf),
+        dict(max_iterations=2.5),
+        dict(max_iterations=-1),
+        dict(max_iterations="3"),
+        dict(max_iterations=1.5, epsilon=0.1),
+    ],
+)
+def test_max_iterations_must_be_a_whole_number_before_any_draw(stop):
+    # nan and inf ran to the hard cap of 10**6 iterations, and 2.5 ran 3 rows
+    gen = np.random.default_rng(8)
+    state = gen.bit_generator.state
+    bad = stop["max_iterations"]
+    with pytest.raises(ValueError) as err:
+        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), seed=gen, **stop)
+    assert str(err.value) == f"max_iterations must be a whole number >= 0, got {bad!r}"
+    assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("whole", [3, 3.0, np.int64(3), np.float64(3.0)])
+def test_max_iterations_takes_any_whole_number(whole):
+    _, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=whole)
+    assert len(trace.rows) == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, -1])
+def test_ensemble_counts_must_be_whole_numbers(bad):
+    # each raised numpy's TypeError, or ran, where it now names the count
+    with pytest.raises(ValueError) as err:
+        ensemble_run(AlphaQPE(0.5), n_phases=2, iterations=bad)
+    assert str(err.value) == f"iterations must be a whole number >= 0, got {bad!r}"
+    with pytest.raises(ValueError) as err:
+        ensemble_run(AlphaQPE(0.5), n_phases=bad, iterations=3)
+    assert str(err.value) == f"n_phases must be a whole number >= 1, got {bad!r}"
+
+
+def test_ensemble_takes_a_whole_float_count_as_its_int():
+    res = ensemble_run(AlphaQPE(0.5), n_phases=2.0, iterations=4.0, seed=8)
+    again = ensemble_run(AlphaQPE(0.5), n_phases=2, iterations=4, seed=8)
+    assert_array_equal(res.iterations, again.iterations)
+    assert res.iterations.dtype == again.iterations.dtype
+    assert_array_equal(res.median_error, again.median_error)
+
+
+@pytest.mark.parametrize(
+    "stop, short_of",
+    [
+        (dict(epsilon=1e-9), "without reaching epsilon=1e-09"),
+        (dict(max_iterations=80), "at the hard cap of 50, short of max_iterations=80"),
+        (dict(max_iterations=80, epsilon=1e-9), "at the hard cap of 50, short of max_iterations=80 and epsilon=1e-09"),
+    ],
+)
+def test_a_timeout_names_what_the_cap_stopped_short_of(monkeypatch, stop, short_of):
+    monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 50)
+    for oracle in (SyntheticOracle(0.3), ForwardingOracle(0.3)):
+        with pytest.raises(EstimationTimeout) as err:
+            run_estimation(oracle, AlphaQPE(0.0), NormalBelief(0.0, 1.0), seed=1, **stop)
+        rows = err.value.trace.rows
+        assert len(rows) == 50
+        assert str(err.value) == f"sigma={rows[-1].sigma:.3g} after 50 iterations {short_of}"
+    # a run whose max_iterations the cap allows returns at the cap
+    _, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), max_iterations=50, seed=1)
+    assert len(trace.rows) == 50
