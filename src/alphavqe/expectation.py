@@ -4,9 +4,15 @@
 alpha, the depth budget d_max and the target precision epsilon.  Everything
 else is a fixed module constant.
 
-Stage 1 measures the Pauli 1000 times (`_STAGE1_SAMPLES`) and gates on the
-magnitude of the sample mean: estimates landing inside the fixed gate
-interval [0.36, 0.85] are routed to phase estimation on the rotation
+Coherent depth pays only at tight precision.  Where stage 1's shots plus the
+least iterations stage 2 could take (its Fisher bound, see `TwoStageConfig`)
+reach the ceil(1/epsilon^2) shots plain sampling needs, as at every epsilon
+>= 1/sqrt(1000) ~ 0.032, a term skips both stages and is sampled at that
+count alone, as statistical sampling would sample it.
+
+Otherwise stage 1 measures the Pauli 1000 times (`_STAGE1_SAMPLES`) and
+gates on the magnitude of the sample mean: estimates landing inside the fixed
+gate interval [0.36, 0.85] are routed to phase estimation on the rotation
 operator (the sign rides along from the stage-1 mean for free); everything
 else falls back to plain statistical sampling at the target precision
 (`_shot_count`).  The gate sits at least a tolerance of 0.1 inside
@@ -142,6 +148,12 @@ class TwoStageConfig:
     when the Fisher bound (1/target_epsilon^2 - 1/sigma0^2) / m_top^2 on a
     run's iterations, which seeded runs took at least 0.857 times, is past
     `_BOUND_CAP_FACTOR` = 2 engine caps; then `_shot_count` may refuse first.
+
+    The same bound records, as `_stage2_pays`, whether stage 2 can beat plain
+    sampling: stage 1's 1000 shots plus the bound must come in under
+    1/target_epsilon^2.  The bound is a lower bound on stage 2's iterations,
+    so a config that fails this never had a stage 2 that could have paid, and
+    its terms skip both stages (see `two_stage_estimate`).
     """
 
     alpha: float
@@ -168,7 +180,9 @@ class TwoStageConfig:
             raise _PrecisionRefused(
                 eps, f"{budget} takes the window to count {m_top:g}, past 2 x its scan limit {schedules._MAX_WINDOW}"
             )
-        bound, cap = (1.0 / eps / eps - 1.0 / _PRIOR_SIGMA**2) / m_top**2, engine.HARD_ITERATION_CAP
+        fallback = 1.0 / eps / eps
+        bound, cap = (fallback - 1.0 / _PRIOR_SIGMA**2) / m_top**2, engine.HARD_ITERATION_CAP
+        object.__setattr__(self, "_stage2_pays", _STAGE1_SAMPLES + bound < fallback)
         if bound > _BOUND_CAP_FACTOR * cap:
             _shot_count(eps)
             raise _PrecisionRefused(
@@ -297,8 +311,11 @@ class ExpectationResult(NamedTuple):
 
     max_depth_used counts the largest number of coherent base-operator
     applications in any single circuit (0 on the sampling path); measurements
-    include the stage-1 shots.  Stage 2 reads out through `SyntheticOracle`
-    at -phi, theta pinned at 0; iterations and max depth span both attempts.
+    include the stage-1 shots.  stage1_estimate is the stage-1 mean; a term
+    whose config skips stage 1 runs no screen, and there it holds the value
+    itself (not nan, so results still compare equal).  Stage 2 reads out
+    through `SyntheticOracle` at -phi, theta pinned at 0; iterations and max
+    depth span both attempts.
     """
 
     value: float
@@ -315,27 +332,34 @@ def two_stage_estimate(
 ) -> ExpectationResult:
     """Estimate <psi|P|psi> with sign to precision ~target_epsilon.
 
-    Gate passes: stage 2 is `engine.run_estimation` through a
-    `SyntheticOracle` at the exact eigenphase -phi, theta pinned at 0, drawing
-    from `rng`.  Each iteration is one ancilla measurement on the trial state
-    with m controlled applications of U, m the whole count `next_setting`
-    picks, until sigma <= target_epsilon.  A converged magnitude
+    Stage 2 cannot pay (see `TwoStageConfig`): no screen and no gate; the
+    term is `statistical_estimate` at `_shot_count(target_epsilon)` shots, the
+    draws and value statistical sampling gives, on the path
+    'statistical_fallback'.  Gate passes: stage 2 is `engine.run_estimation`
+    through a `SyntheticOracle` at the exact eigenphase -phi, theta pinned at
+    0, drawing from `rng`.  Each iteration is one ancilla measurement on the
+    trial state with m controlled applications of U, m the whole count
+    `next_setting` picks, until sigma <= target_epsilon.  A converged magnitude
     |cos(mu / 2)| that contradicts the stage-1 estimate beyond the gate's
     tolerance is treated as an alias capture and run once more from the
     prior.  The counts and max_depth_used are read from the runs' traces.
     Each run may take the engine's 10**6 iterations; past that,
     EstimationTimeout carries that run's partial trace.  Gate fails:
     statistical sampling topped up to `_shot_count(target_epsilon)` total
-    shots, stage 1 included.
+    shots, stage 1 included; a config that runs stage 1 needs more than its
+    1000 shots, so the top-up is at least one shot.
     """
+    if not config._stage2_pays:
+        shots = _shot_count(config.target_epsilon)
+        value = statistical_estimate(ansatz, pauli, shots, rng)
+        sigma = math.sqrt(max(0.0, 1.0 - value * value) / shots)
+        return ExpectationResult(value, "statistical_fallback", shots, 0.0, sigma, value, 0)
     s1 = stage1_gate(ansatz, pauli, rng)
     if not s1.passed:
-        total = max(_STAGE1_SAMPLES, _shot_count(config.target_epsilon))
+        total = _shot_count(config.target_epsilon)
         extra = total - _STAGE1_SAMPLES
-        value = s1.estimate
-        if extra > 0:
-            mean_extra = statistical_estimate(ansatz, pauli, extra, rng)
-            value = (s1.estimate * _STAGE1_SAMPLES + mean_extra * extra) / total
+        mean_extra = statistical_estimate(ansatz, pauli, extra, rng)
+        value = (s1.estimate * _STAGE1_SAMPLES + mean_extra * extra) / total
         sigma = math.sqrt(max(0.0, 1.0 - value * value) / total)
         return ExpectationResult(float(value), "statistical_fallback", total, 0.0, sigma, s1.estimate, 0)
 

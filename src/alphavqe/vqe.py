@@ -11,7 +11,9 @@ over the measured terms (epsilon_i = epsilon_total / sum_j |a_j| over those
 terms, so sum_i |a_i| epsilon_i = epsilon_total) and supports three modes:
 exact statevector expectations, statistical sampling at ceil(1/epsilon_i^2)
 shots per term, and the gated two-stage estimator, whose exponent alpha and
-depth budget d_max the caller passes.  An all-I term is 1 on every state, so
+depth budget d_max the caller passes.  At a share loose enough that stage 2
+cannot beat plain sampling (every epsilon_i >= 1/sqrt(1000) ~ 0.032), alpha
+mode is statistical mode, bit for bit.  An all-I term is 1 on every state, so
 the sampled modes add its coefficient exactly and do not measure it.  They
 estimate the other terms in order from the caller's one Generator, each term
 drawing where the previous one stopped.

@@ -82,6 +82,17 @@ def test_expectation_reports_summary_footer(tmp_path):
     assert "alpha_qpe" in text or "statistical_fallback" in text
 
 
+def test_expectation_at_a_loose_epsilon_samples_each_trial_at_the_fallbacks_count(tmp_path):
+    # at epsilon = 0.1 stage 1's 1,000 shots alone exceed the fallback's 100,
+    # so no trial runs stage 1 or stage 2
+    args = ["expectation", "--avalues", "0.7071", "--trials", "2", "--epsilon", "0.1"]
+    code, body = run_to_file(tmp_path, "loose.csv", args)
+    text = body.decode()
+    assert code == 0
+    assert text.count(",statistical_fallback,") == 2 and ",alpha_qpe," not in text
+    assert "# median_measurements = 100\n" in text
+
+
 def test_expectation_at_alpha_zero_finishes_where_m_2_alone_has_no_gain(tmp_path):
     # |A| = 0.69675 puts phi near pi/2, where at theta = 0 the Bayes gain of
     # m = 2 vanishes; alpha = 0 pins m* at 1.5, so stage 2 needs a window of

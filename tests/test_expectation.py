@@ -137,14 +137,18 @@ def test_an_admitted_window_never_outgrows_its_scan(monkeypatch):
     # lo >= hi / 2, so a window whose top stays below 2 _MAX_WINDOW holds at
     # most _MAX_WINDOW counts: at a limit of 16, alpha = 1 and epsilon =
     # 0.067 reach a top of floor(1.5 sqrt 2 / 0.067) = 31 and are admitted,
-    # and every sigma down to epsilon gets a setting; 0.066 reaches 32
+    # and every sigma down to epsilon gets a setting; 0.066 reaches 32.
+    # Stage 2 cannot pay at 0.067, so the run is at alpha = 0.5 and epsilon =
+    # 0.00468, whose top is also floor(1.5 sqrt(2 / 0.00468)) = 31
     monkeypatch.setattr(schedules, "_MAX_WINDOW", 16)
     config = TwoStageConfig(alpha=1.0, d_max=1e9, target_epsilon=0.067)
-    for sigma in np.geomspace(1.0, 0.067, 400).tolist():
-        for mu in (0.3, 1.0, 2.5):
-            m, _ = schedules.next_setting(config._policy, (mu, sigma), 0.0)
-            assert 1.0 <= m <= 31.0
-    result = two_stage_estimate(ansatz_with_z(0.6), "Z", config, np.random.default_rng(3))
+    deep = TwoStageConfig(alpha=0.5, d_max=1e9, target_epsilon=0.00468)
+    for admitted in (config, deep):
+        for sigma in np.geomspace(1.0, admitted.target_epsilon, 400).tolist():
+            for mu in (0.3, 1.0, 2.5):
+                m, _ = schedules.next_setting(admitted._policy, (mu, sigma), 0.0)
+                assert 1.0 <= m <= 31.0
+    result = two_stage_estimate(ansatz_with_z(0.6), "Z", deep, np.random.default_rng(3))
     assert result.path == "alpha_qpe" and result.max_depth_used <= 31.0
     with pytest.raises(ValueError, match="to count 32, past 2 x its scan limit 16$"):
         TwoStageConfig(alpha=1.0, d_max=1e9, target_epsilon=0.066)
@@ -467,6 +471,85 @@ def test_two_stage_timeout_carries_the_partial_trace(monkeypatch):
     assert [row.k for row in rows] == [1, 2, 3, 4, 5]
 
 
+def fisher_bound(alpha, d_max, epsilon):
+    """Stage 2's least iterations, (1/epsilon^2 - 1/sigma0^2) / m_top^2 with
+    sigma0 = 4 / sqrt(1000), at the window's top floor(sqrt 2 * 1.5
+    epsilon^-alpha) held within the depth cap floor(d_max)."""
+    m_top = min(math.floor(math.sqrt(2.0) * 1.5 * epsilon**-alpha), math.floor(d_max))
+    return (1.0 / epsilon**2 - 1000.0 / 16.0) / m_top**2
+
+
+@pytest.mark.parametrize(
+    "alpha, d_max, pays, skips",
+    [(0.5, 32.0, 0.031, 0.0315), (0.0, 2.0, 0.0275, 0.0277), (1.0, 32.0, 0.0316, 0.0317), (1.0, 5.0, 0.031, 0.0311)],
+)
+def test_a_term_skips_stage1_exactly_where_stage2_cannot_pay(alpha, d_max, pays, skips):
+    # a term inside the gate: at `pays` the stage-1 shots plus the Fisher
+    # bound come in under the fallback's 1/epsilon^2 and it runs stage 2; at
+    # `skips` they do not, and it is sampled at the fallback's count alone
+    for epsilon in (pays, skips):
+        routed = 1000 + fisher_bound(alpha, d_max, epsilon) >= 1.0 / epsilon**2
+        assert routed == (epsilon == skips)
+        config = TwoStageConfig(alpha, d_max, epsilon)
+        result = two_stage_estimate(ansatz_with_z(0.6), "Z", config, rng_for(33, epsilon))
+        if routed:
+            shots = math.ceil(1.0 / epsilon**2)
+            assert result.path == "statistical_fallback"
+            assert (result.measurements_used, result.iterations, result.max_depth_used) == (shots, 0, 0.0)
+            assert result.stage1_estimate == result.value
+            assert result.posterior_sigma == math.sqrt((1.0 - result.value * result.value) / shots)
+        else:
+            assert result.path == "alpha_qpe" and result.measurements_used > 1000
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.0317, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("value", [-0.6, 0.05, 0.95])
+def test_a_term_that_skips_stage1_draws_its_shots_and_nothing_else(epsilon, value):
+    # alpha = 0.5 and d_max = 32: the term is sampled as statistical mode
+    # samples it, so the next draw is that of a fresh Generator advanced by
+    # ceil(1 / epsilon^2) uniforms
+    rng, fresh = np.random.default_rng(41), np.random.default_rng(41)
+    result = two_stage_estimate(ansatz_with_z(value), "Z", TwoStageConfig(0.5, 32.0, epsilon), rng)
+    shots = math.ceil(1.0 / epsilon**2)
+    assert result.value == statistical_estimate(ansatz_with_z(value), "Z", shots, np.random.default_rng(41))
+    assert result.measurements_used == shots
+    fresh.random(shots)
+    assert rng.random() == fresh.random()
+
+
+def test_every_fallback_after_stage1_tops_up_to_the_shot_count(monkeypatch):
+    # every config that runs stage 1 has ceil(1 / epsilon^2) > 1000 + bound,
+    # so a term that fails the gate tops up by at least one shot, to exactly
+    # the fallback's count; epsilons sit on a seeded log grid up to just past
+    # 1/sqrt(1000), plus 0.031615, where alpha = 1 and d_max = 1000 still pay
+    # (bound 0.21) and the top-up is 1 shot
+    calls = []
+    sample = expectation.statistical_estimate
+
+    def recording(ansatz, pauli, shots, rng):
+        calls.append(shots)
+        return sample(ansatz, pauli, shots, rng)
+
+    monkeypatch.setattr(expectation, "statistical_estimate", recording)
+    draws = np.random.default_rng(34).uniform(np.log(0.003), np.log(0.0317), 60)
+    epsilons = [0.031615, 0.0316, *np.exp(draws).tolist()]
+    top_ups = []
+    for i, epsilon in enumerate(epsilons):
+        for alpha, d_max in ((0.0, 2.0), (0.5, 32.0), (1.0, 32.0), (1.0, 1e3)):
+            config = TwoStageConfig(alpha, d_max, epsilon)
+            if 1000 + fisher_bound(alpha, d_max, epsilon) >= 1.0 / epsilon**2:
+                continue
+            for value in (0.05, -0.95):
+                calls.clear()
+                result = two_stage_estimate(ansatz_with_z(value), "Z", config, rng_for(34, i, alpha, value))
+                shots = math.ceil(1.0 / epsilon**2)
+                assert result.path == "statistical_fallback"
+                assert result.measurements_used == shots
+                assert calls[0] == 1000 and len(calls) == 2 and calls[1] >= 1 and sum(calls) == shots
+                top_ups.append(calls[1])
+    assert len(top_ups) >= 300 and min(top_ups) == 1
+
+
 def test_fallback_path_for_tiny_expectation():
     res = two_stage_estimate(ansatz_with_z(0.05), "Z", CONFIG, np.random.default_rng(6))
     assert res.path == "statistical_fallback"
@@ -519,7 +602,9 @@ def test_alpha_path_estimates_magnitude_and_sign():
 
 
 def test_depth_cap_respected_for_small_budget():
-    cfg = TwoStageConfig(alpha=1.0, d_max=5.0, target_epsilon=0.05)
+    # at epsilon = 0.05 stage 2 cannot pay and the term skips it; at 0.02 its
+    # Fisher bound is 97.5 iterations against the fallback's 2,500 shots
+    cfg = TwoStageConfig(alpha=1.0, d_max=5.0, target_epsilon=0.02)
     res = two_stage_estimate(ansatz_with_z(0.6), "Z", cfg, np.random.default_rng(12))
     assert res.path == "alpha_qpe"
     assert res.max_depth_used <= 5.0

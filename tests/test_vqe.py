@@ -300,9 +300,10 @@ def legacy_generator(seed):
 )
 @pytest.mark.parametrize("mode", ["statistical", "alpha"])
 def test_estimate_energy_draws_every_term_from_the_one_generator(mode, make_rng):
+    # a share of 0.15 / 5.1 = 0.0294, below 1/sqrt(1000), where stage 2 can pay
     rng, loop_rng = make_rng(), make_rng()
-    got = estimate_energy(TFIM3, TFIM3_ANSATZ, mode, epsilon_total=0.5, rng=rng)
-    energy, used, paths = term_by_term(TFIM3, TFIM3_ANSATZ, mode, 0.5, loop_rng)
+    got = estimate_energy(TFIM3, TFIM3_ANSATZ, mode, epsilon_total=0.15, rng=rng)
+    energy, used, paths = term_by_term(TFIM3, TFIM3_ANSATZ, mode, 0.15, loop_rng)
     assert got == (energy, used)
     # both leave the Generator at the same place
     assert rng.random() == loop_rng.random()
@@ -420,6 +421,44 @@ def test_optimize_statistical_improves_on_noisy_objective():
     assert res.best_energy < -0.6
 
 
+# the 8-qubit transverse-field Ising ring: 8 ZZ bonds at 1.0, 8 X fields at 0.7
+TFIM8 = Hamiltonian(
+    tuple(
+        [(1.0, "".join("Z" if q in (i, (i + 1) % 8) else "I" for q in range(8))) for i in range(8)]
+        + [(0.7, "".join("X" if q == i else "I" for q in range(8))) for i in range(8)]
+    ),
+    8,
+)
+
+
+def test_alpha_mode_is_statistical_mode_where_stage2_cannot_pay():
+    # epsilon_total = 0.68 over coeff_norm = 13.6 leaves each term 0.05, where
+    # stage 1's 1,000 shots alone exceed the fallback's 400: both modes draw
+    # the same 400 shots per term from the same stream
+    for seed in range(20):
+        ansatz = Ansatz(8, 2, np.random.default_rng(seed).uniform(-np.pi, np.pi, 16))
+        alpha_rng, statistical_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        got = estimate_energy(TFIM8, ansatz, "alpha", epsilon_total=0.68, rng=alpha_rng)
+        assert got == estimate_energy(TFIM8, ansatz, "statistical", epsilon_total=0.68, rng=statistical_rng)
+        assert got[1] == 6400
+        assert alpha_rng.random() == statistical_rng.random()
+
+
+def test_every_term_of_a_loose_evaluation_reaches_the_estimator(monkeypatch):
+    results = []
+    estimate = vqe.two_stage_estimate
+
+    def recording(ansatz, pauli, config, rng):
+        results.append((pauli, estimate(ansatz, pauli, config, rng)))
+        return results[-1][1]
+
+    monkeypatch.setattr(vqe, "two_stage_estimate", recording)
+    ansatz = Ansatz(8, 2, np.random.default_rng(7).uniform(-np.pi, np.pi, 16))
+    estimate_energy(TFIM8, ansatz, "alpha", epsilon_total=0.68, rng=np.random.default_rng(8))
+    assert [pauli for pauli, _ in results] == [pauli for _, pauli in TFIM8.terms]
+    assert all(r.measurements_used == 400 and r.path == "statistical_fallback" for _, r in results)
+
+
 # SHA-256 of the repr of every ExpectationResult's field values, each taken
 # as a plain tuple in field order, over the sweep below
 ALPHA_MODE_DIGEST = "289989001a8de4791c16b1ece33c1bfef505abc0a813c288d964a6456c3fec8c"
@@ -438,10 +477,6 @@ def test_alpha_mode_term_results_are_pinned_bit_for_bit(monkeypatch):
     # 24 seeded 8-qubit ansatzes on the transverse-field Ising ring, each at
     # alpha in {0, 0.5, 1} and d_max in {2, 32}: 2,304 terms, 837 of them
     # through stage 2
-    n = 8
-    bonds = [(1.0, "".join("Z" if q in (i, (i + 1) % n) else "I" for q in range(n))) for i in range(n)]
-    fields = [(0.7, "".join("X" if q == i else "I" for q in range(n))) for i in range(n)]
-    h = Hamiltonian(tuple(bonds + fields), n)
     results = []
 
     def recording(*args):
@@ -451,11 +486,11 @@ def test_alpha_mode_term_results_are_pinned_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(vqe, "two_stage_estimate", recording)
     for seed in range(24):
-        ansatz = Ansatz(n, 2, np.random.default_rng(seed).uniform(-np.pi, np.pi, 2 * n))
+        ansatz = Ansatz(8, 2, np.random.default_rng(seed).uniform(-np.pi, np.pi, 16))
         for alpha in (0.0, 0.5, 1.0):
             for d_max in (2.0, 32.0):
                 rng = np.random.default_rng([seed, int(2 * alpha), int(d_max)])
-                estimate_energy(h, ansatz, "alpha", epsilon_total=0.272, rng=rng, alpha=alpha, d_max=d_max)
+                estimate_energy(TFIM8, ansatz, "alpha", epsilon_total=0.272, rng=rng, alpha=alpha, d_max=d_max)
     assert len(results) == 2304
     assert sum(path == "alpha_qpe" for _, path, *_ in results) == 837
     assert hashlib.sha256(repr(results).encode()).hexdigest() == ALPHA_MODE_DIGEST
