@@ -12,14 +12,12 @@ N(mu, sigma^2).  Posteriors are computed two ways: exactly on a dense grid
 are Gaussian trigonometric integrals.
 
 The closed form is `_moment_step`, on plain floats, and `moment_update`
-wraps it in the value types.  The estimation loop's kernel, which serves
-unpinned runs on `engine.SyntheticOracle`, spells it a second time inline, in
-the same arithmetic order and with the same checks, and
-`tests/test_engine.py` pins that copy to `_moment_step` bit for bit.  Every
-other run of the loop calls `_moment_step` on every iteration.  On both paths
-an update the closed form cannot make raises `DegenerateUpdateError` out of
-the loop.  `rejection_filter_update`, which no estimator calls, takes the
-closed form and falls back to the grid when it degenerates.
+wraps it in the value types.  The estimation loop (`engine.run_estimation`)
+spells it out inline, in the same arithmetic order and with the same checks,
+and the tests hold that copy to `_moment_step` bit for bit; an update the
+closed form cannot make raises `DegenerateUpdateError` out of the loop.
+`rejection_filter_update`, which no estimator calls, takes the closed form
+and falls back to the grid when it degenerates.
 
 The closed-form expected posterior variance after one measurement (the Bayes
 risk) is
@@ -35,9 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-# bound once for `_moment_step`, which the estimation loop's general path
-# calls on every iteration
-from math import cos as _cos, exp as _exp, expm1 as _expm1, isfinite as _isfinite, sin as _sin, sqrt as _sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -224,32 +219,31 @@ def moment_update(prior: NormalBelief, e: int, setting: ExperimentSetting) -> No
 def _moment_step(mu: float, sigma: float, e: int, m: float, theta: float) -> tuple[float, float]:
     """`moment_update`'s closed form on plain floats: the belief (mu, sigma),
     outcome e and setting (m, theta) in, a (mu, sigma) pair that passes every
-    check of `NormalBelief` out.  Every normal update outside the estimation
-    loop's kernel runs through it; the kernel spells it out inline, pinned to
-    it bit for bit."""
+    check of `NormalBelief` out.  The estimation loop spells it out inline,
+    held to it bit for bit."""
     if e == 0:
-        s, half = 1.0, _cos
+        s, half = 1.0, math.cos
     elif e == 1:
-        s, half = -1.0, _sin
+        s, half = -1.0, math.sin
     else:
         raise ValueError(f"outcome must be 0 or 1, got {e!r}")
     t = (m * sigma) ** 2
-    damp = _exp(-0.5 * t)
-    g = -_expm1(-0.5 * t)
+    damp = math.exp(-0.5 * t)
+    g = -math.expm1(-0.5 * t)
     delta = m * (mu - theta)
     h = half(0.5 * delta) ** 2
     z = g + 2.0 * damp * h
     if not z > 0.0:
         raise DegenerateUpdateError(f"posterior mass vanished for outcome {e} at m={m}")
     var = sigma**2
-    mu = mu - s * m * var * damp * _sin(delta) / z
+    mu = mu - s * m * var * damp * math.sin(delta) / z
     var *= 1.0 - (t / z) * (damp * (2.0 * h - g) / z)
-    if not (_isfinite(mu) and var > 0.0):
+    if not (math.isfinite(mu) and var > 0.0):
         raise DegenerateUpdateError(f"closed-form update degenerated for outcome {e} at m={m}")
-    sigma = _sqrt(var)
+    sigma = math.sqrt(var)
     # mu is finite and sigma positive here, so only an infinite sigma fails
     # the checks of NormalBelief, which then raises its own error
-    if not _isfinite(sigma):
+    if not math.isfinite(sigma):
         NormalBelief(mu, sigma)
     return mu, sigma
 

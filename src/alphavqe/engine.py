@@ -4,33 +4,24 @@ A run threads a normal belief through repeated single-bit measurements.
 `run_estimation` is the one estimation loop: plain phase estimation and stage
 2 of the two-stage expectation estimator both run through it.
 
-An oracle has a `pinned_theta` attribute and `sample(setting, u) -> outcome`,
-where setting is a plain (m, theta) tuple.  The loop draws u, one uniform in
-[0, 1), from its Generator, and the oracle returns 0 when u falls below P(0)
-at that setting and 1 otherwise, so the outcome is a bit from the cosine
-likelihood.  pinned_theta is None when any (m, theta) can be run, or the one
-theta the oracle can read out at, which `next_setting` then holds fixed while
-it picks a whole m.  `SyntheticOracle` compares u with the cosine at a hidden
-true phase.
+An oracle is a `SyntheticOracle`: a hidden true phase, and `pinned_theta`,
+None or the one theta it can read out at, which `next_setting` then holds
+while it picks a whole m.  A readout at (m, theta) takes a uniform u and
+gives 0 when u falls below P(0) = (1 + cos(m (phi - theta))) / 2, else 1.
+The loop draws u from its Generator and writes that readout
+(`SyntheticOracle.sample`) and the closed-form update (`bayes._moment_step`)
+out inline, with their arithmetic, checks and messages; the tests hold it
+bit for bit to `reference_run` in `tests/dense_oracles.py`, which calls
+both.  Any other oracle, a subclass that overrides `sample` too, would have
+its readout ignored, so a run refuses it with a TypeError before any draw.
 
 Inside the loop the belief is two plain floats, mu and sigma.  An unpinned
 iteration picks its setting itself: m from `policy.raw_m`, clamped to the
 depth cap, theta = mu - sigma, and the checks of `ExperimentSetting`, whose
-constructor raises for a setting that fails them.  A run takes one of two
-paths, chosen once at its start.  The kernel takes an unpinned run whose
-oracle reads out with `SyntheticOracle.sample` as it was at import, while
-`engine._moment_step` is still `bayes._moment_step`: it writes that
-cosine readout and the closed-form update out in the loop, in their
-arithmetic order and with their checks and messages, and calls neither.
-Every other run takes the general path, which calls `oracle.sample`, with the
-setting as a plain (m, theta) tuple, and `engine._moment_step` on every
-iteration, and `next_setting` on every pinned one, for its window scan.  So
-an oracle that overrides `sample`, or a wrapper set on
-`SyntheticOracle.sample` or `engine._moment_step`, switches a run to the
-general path and sees every iteration, while a wrapper on
-`engine.next_setting` sees only pinned iterations.  On either path an update
-the closed form cannot make raises `DegenerateUpdateError` out of the loop.
-The validated value types sit at the loop's edges: the prior comes in as a
+constructor raises for a setting that fails them.  A pinned iteration calls
+`next_setting`, so a wrapper on `engine.next_setting` sees every pinned
+iteration and no other.  An update the closed form cannot make raises
+`DegenerateUpdateError` out of the loop.  The prior comes in as a
 `NormalBelief` and the run returns a `NormalBelief`.
 
 Each iteration adds its row to a short plain list.  Every 256 iterations,
@@ -61,13 +52,14 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, repeat
+from types import MethodType
 from typing import NamedTuple
 
 import numpy as np
 
 # rejection_filter_update goes uncalled here (a degenerate update raises out
 # of the loop): bench/tracing.py patches it by name
-from .bayes import DegenerateUpdateError, ExperimentSetting, NormalBelief, _moment_step, rejection_filter_update
+from .bayes import DegenerateUpdateError, ExperimentSetting, NormalBelief, rejection_filter_update
 from .rand import child_seed, rng_for
 from .schedules import AlphaQPE, next_setting
 
@@ -99,10 +91,11 @@ class EstimationTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class SyntheticOracle:
-    """Outcomes drawn from the analytic likelihood at a known true phase."""
+    """Outcomes drawn from the analytic likelihood at a known true phase,
+    read out at any theta or, with `pinned_theta` set, at that one alone."""
 
     true_phi: float
-    pinned_theta = None
+    pinned_theta: float | None = None
 
     def __post_init__(self) -> None:
         if not -np.pi <= self.true_phi < np.pi:
@@ -111,13 +104,6 @@ class SyntheticOracle:
     def sample(self, setting, u: float) -> int:
         m, theta = setting
         return 0 if u < 0.5 * (1.0 + math.cos(m * (self.true_phi - theta))) else 1
-
-
-# the readout and the update that `run_estimation`'s kernel writes out,
-# taken at import: a wrapper set later on `SyntheticOracle.sample` or
-# `engine._moment_step` is neither, so the runs it can reach keep calling it
-_COSINE_READOUT = SyntheticOracle.sample
-_CLOSED_FORM = _moment_step
 
 
 class TraceRow(NamedTuple):
@@ -223,7 +209,7 @@ def _check_count(name: str, value, least: int = 0) -> None:
 
 
 def run_estimation(
-    oracle,
+    oracle: SyntheticOracle,
     policy: AlphaQPE,
     prior: NormalBelief,
     *,
@@ -249,11 +235,16 @@ def run_estimation(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if max_iterations is not None:
         _check_count("max_iterations", max_iterations)
+    # the loop reads out inline, so any other readout would be ignored; the
+    # class attribute is read live, so a wrapper set on it, as
+    # bench/tracing.py sets one, still passes
+    if not (isinstance(oracle, SyntheticOracle) and oracle.sample == MethodType(SyntheticOracle.sample, oracle)):
+        raise TypeError(f"oracle must be a SyntheticOracle read out by SyntheticOracle.sample, got {oracle!r}")
     rng = np.random.default_rng(seed)
-    # looked up per call, not at import, so that wrappers installed on these
-    # names see every run they can reach
-    pinned_theta, sample = oracle.pinned_theta, oracle.sample
-    choose, step = next_setting, _moment_step
+    phi, pinned_theta = oracle.true_phi, oracle.pinned_theta
+    # looked up per call, not at import, so that a wrapper installed on
+    # `engine.next_setting` sees every pinned iteration
+    choose = next_setting
     # the unpinned setting: the policy's rule, clamped to its depth cap (no
     # cap is an infinite one), and theta = mu - sigma.  float(depth_cap) is
     # the float nearest an int cap, so `m > top` clamps exactly as
@@ -275,60 +266,12 @@ def run_estimation(
     values: list = []
     push = values.extend
     k = 0
-    # `sample` is `SyntheticOracle.sample` as it was at import, bound to this
-    # oracle, for an oracle whose class neither overrides nor wraps it and
-    # that sets no `sample` of its own
-    cosine = getattr(sample, "__func__", None) is _COSINE_READOUT and sample.__self__ is oracle
-    if pinned_theta is None and cosine and step is _CLOSED_FORM:
-        # the kernel: `SyntheticOracle.sample`'s readout and `_moment_step`'s
-        # update written out in the loop, in their arithmetic order, with
-        # their checks and messages; tests/test_engine.py holds it to the
-        # general path below bit for bit
-        phi = oracle.true_phi
-        cos, sin, exp, expm1, sqrt, isfinite = math.cos, math.sin, math.exp, math.expm1, math.sqrt, math.isfinite
-        while k < limit and not sigma <= eps:
-            _pack(packed, values)
-            # the block's first limit - k uniforms; the stopping rules were
-            # checked for the first, and sigma is checked after each row
-            for u in rng.random(_UNIFORM_BLOCK).tolist()[: limit - k]:
-                m = raw_m(sigma)
-                if m > top:
-                    m = top
-                theta = mu - sigma
-                if not (0.0 < m < inf and -inf < theta < inf):
-                    ExperimentSetting(m, theta)
-                if u < 0.5 * (1.0 + cos(m * (phi - theta))):
-                    outcome, s, half = 0, 1.0, cos
-                else:
-                    outcome, s, half = 1, -1.0, sin
-                t = (m * sigma) ** 2
-                damp = exp(-0.5 * t)
-                g = -expm1(-0.5 * t)
-                delta = m * (mu - theta)
-                h = half(0.5 * delta) ** 2
-                z = g + 2.0 * damp * h
-                if not z > 0.0:
-                    raise DegenerateUpdateError(f"posterior mass vanished for outcome {outcome} at m={m}")
-                var = sigma**2
-                mu = mu - s * m * var * damp * sin(delta) / z
-                var *= 1.0 - (t / z) * (damp * (2.0 * h - g) / z)
-                if not (isfinite(mu) and var > 0.0):
-                    raise DegenerateUpdateError(f"closed-form update degenerated for outcome {outcome} at m={m}")
-                sigma = sqrt(var)
-                if not isfinite(sigma):
-                    NormalBelief(mu, sigma)
-                push((m, theta, outcome, mu, sigma))
-                if sigma <= eps:
-                    break
-            k += len(values) // _ROW_WIDTH
-    else:
-        # iteration k takes block[k - base]
-        block, base = [], 0
-        while k < limit and not sigma <= eps:
-            if k - base == len(block):
-                _pack(packed, values)
-                base = k
-                block = rng.random(_UNIFORM_BLOCK).tolist()
+    cos, sin, exp, expm1, sqrt, isfinite = math.cos, math.sin, math.exp, math.expm1, math.sqrt, math.isfinite
+    while k < limit and not sigma <= eps:
+        _pack(packed, values)
+        # the block's first limit - k uniforms; the stopping rules were
+        # checked for the first, and sigma is checked after each row
+        for u in rng.random(_UNIFORM_BLOCK).tolist()[: limit - k]:
             if pinned_theta is None:
                 m = raw_m(sigma)
                 if m > top:
@@ -341,10 +284,34 @@ def run_estimation(
                     ExperimentSetting(m, theta)
             else:
                 m, theta = choose(policy, (mu, sigma), pinned_theta)
-            outcome = sample((m, theta), block[k - base])
-            mu, sigma = step(mu, sigma, outcome, m, theta)
-            k += 1
+            # `SyntheticOracle.sample`'s readout and `bayes._moment_step`'s
+            # update, in their arithmetic order, with their checks and messages
+            if u < 0.5 * (1.0 + cos(m * (phi - theta))):
+                outcome, s, half = 0, 1.0, cos
+            else:
+                outcome, s, half = 1, -1.0, sin
+            t = (m * sigma) ** 2
+            damp = exp(-0.5 * t)
+            g = -expm1(-0.5 * t)
+            delta = m * (mu - theta)
+            h = half(0.5 * delta) ** 2
+            z = g + 2.0 * damp * h
+            if not z > 0.0:
+                raise DegenerateUpdateError(f"posterior mass vanished for outcome {outcome} at m={m}")
+            var = sigma**2
+            mu = mu - s * m * var * damp * sin(delta) / z
+            var *= 1.0 - (t / z) * (damp * (2.0 * h - g) / z)
+            if not (isfinite(mu) and var > 0.0):
+                raise DegenerateUpdateError(f"closed-form update degenerated for outcome {outcome} at m={m}")
+            sigma = sqrt(var)
+            # mu is finite and sigma positive here, so only an infinite sigma
+            # fails the checks of NormalBelief, which then raises its own error
+            if not isfinite(sigma):
+                NormalBelief(mu, sigma)
             push((m, theta, outcome, mu, sigma))
+            if sigma <= eps:
+                break
+        k += len(values) // _ROW_WIDTH
     _pack(packed, values)
     trace = EstimationTrace(packed, prior.mu, prior.sigma)
     if k == cap and not sigma <= eps and (max_iterations is None or max_iterations > cap):

@@ -297,15 +297,6 @@ def collapse_distribution(phi: float) -> dict[tuple[int, int], tuple[float, floa
     return {(b2, b1): (float(p_b2[b2] * p1), conf) for (b2, b1), (p1, conf) in branches.items()}
 
 
-class _TrialStateCircuit(engine.SyntheticOracle):
-    """Stage-2 oracle: one ancilla circuit on the freshly prepared trial
-    state, read out at theta = 0, where it follows the plain cosine at the
-    term's exact eigenphase.  It is built at -phi: the readout cannot tell
-    +-phi apart, and -phi stays inside [-pi, pi) even at phi = pi."""
-
-    pinned_theta = 0.0
-
-
 class ExpectationResult(NamedTuple):
     """Outcome of the gated estimator, an immutable named tuple.
 
@@ -364,7 +355,11 @@ def two_stage_estimate(
         return ExpectationResult(float(value), "statistical_fallback", total, 0.0, sigma, s1.estimate, 0)
 
     prior = NormalBelief(_eigenphase(s1.estimate), _PRIOR_SIGMA)
-    oracle = _TrialStateCircuit(-_eigenphase(pauli_expectation(prepare(ansatz), pauli)))
+    # one ancilla circuit on the freshly prepared trial state, read out at
+    # theta = 0, follows the plain cosine at the term's exact eigenphase.  It
+    # is built at -phi: the readout cannot tell +-phi apart, and -phi stays
+    # inside [-pi, pi) even at phi = pi
+    oracle = engine.SyntheticOracle(-_eigenphase(pauli_expectation(prepare(ansatz), pauli)), pinned_theta=0.0)
     runs = []
     # a posterior parked on an alias lobe of the periodic likelihood is
     # confidently wrong, and more updates of the same kind cannot move it;

@@ -5,14 +5,20 @@ matrices recovered column by column, the rotation operator as its two
 defining reflections and its ancilla circuit as m repeated applications,
 posterior moments by huge-sample rejection sampling or by brute quadrature.
 Slow but independent of the library's own shortcuts: nothing here calls the
-library's kernels or its plane restriction.
+library's kernels or its plane restriction.  The one exception is
+`reference_run`, the estimation loop as a plain loop of the library's
+one-step calls, which the loop's inline arithmetic is held to.
 """
 
 import math
+from array import array
 
 import numpy as np
 
-from alphavqe.bayes import ExperimentSetting
+from alphavqe import engine
+from alphavqe.bayes import ExperimentSetting, NormalBelief, _moment_step
+from alphavqe.engine import EstimationTimeout, EstimationTrace, SyntheticOracle
+from alphavqe.schedules import next_setting
 
 _P1 = {
     "I": np.eye(2, dtype=complex),
@@ -205,6 +211,43 @@ def unpinned_setting(policy, belief) -> tuple[float, float]:
     if math.isfinite(m) and m > 0.0 and math.isfinite(theta):
         return m, theta
     return tuple(ExperimentSetting(m, theta))
+
+
+def reference_run(oracle, policy, prior, *, epsilon=None, max_iterations=None, seed=0):
+    """`engine.run_estimation` as a plain loop of library calls, for runs
+    with a valid stopping rule.  Each iteration takes the next uniform of a
+    256-uniform block, drawn when the iteration starts and the last block is
+    spent; picks its setting with `unpinned_setting`, or with `next_setting`
+    on a pinned oracle; reads out with `SyntheticOracle.sample` and updates
+    with `bayes._moment_step`.  A run that reaches `engine.HARD_ITERATION_CAP`
+    short of its own stopping rule raises EstimationTimeout as the engine
+    does, with the partial trace and the same message."""
+    cap = engine.HARD_ITERATION_CAP
+    limit = cap if max_iterations is None else min(max_iterations, cap)
+    rng = np.random.default_rng(seed)
+    mu, sigma = prior
+    rows, block = [], []
+    while len(rows) < limit and (epsilon is None or sigma > epsilon):
+        if not block:
+            block = rng.random(256).tolist()
+        u = block.pop(0)
+        if oracle.pinned_theta is None:
+            m, theta = unpinned_setting(policy, (mu, sigma))
+        else:
+            m, theta = next_setting(policy, (mu, sigma), oracle.pinned_theta)
+        outcome = SyntheticOracle.sample(oracle, (m, theta), u)
+        mu, sigma = _moment_step(mu, sigma, outcome, m, theta)
+        rows.append((m, theta, outcome, mu, sigma))
+    trace = EstimationTrace(array("d", [value for row in rows for value in row]), prior.mu, prior.sigma)
+    if len(rows) == cap and (epsilon is None or sigma > epsilon) and (max_iterations is None or max_iterations > cap):
+        if max_iterations is None:
+            short_of = f"without reaching epsilon={epsilon}"
+        else:
+            short_of = f"at the hard cap of {cap}, short of max_iterations={max_iterations}"
+            if epsilon is not None:
+                short_of += f" and epsilon={epsilon}"
+        raise EstimationTimeout(f"sigma={sigma:.3g} after {cap} iterations {short_of}", trace)
+    return NormalBelief(mu, sigma), trace
 
 
 def window_bounds(policy, belief) -> tuple[int, int]:

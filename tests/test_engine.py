@@ -23,7 +23,7 @@ from alphavqe.engine import (
 )
 from alphavqe.schedules import AlphaQPE
 
-from dense_oracles import unpinned_setting
+from dense_oracles import reference_run, unpinned_setting
 from test_schedules import FixedM
 
 # (rows, SHA-256 of repr(trace.rows)) for run_estimation(SyntheticOracle(0.3),
@@ -39,34 +39,26 @@ ROW_DIGESTS = {
 PINNED_ROW_DIGEST = (31, "fcc49dd411e916a9a1477870914a5b72dc93f494aab5cae7e37e27d3065409ae")
 
 
-class PinnedCosineOracle:
-    """Reads out only at theta = 0, from the same cosine as SyntheticOracle(0.3)."""
-
-    pinned_theta = 0.0
-
-    def sample(self, setting, u):
-        return 0 if u < likelihood(0, 0.3, setting) else 1
-
-
 def pinned_run():
     """The run PINNED_ROW_DIGEST pins."""
     policy = AlphaQPE(0.5, scale=1.5, depth_cap=32.0)
-    return run_estimation(PinnedCosineOracle(), policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5)
+    oracle = SyntheticOracle(0.3, pinned_theta=0.0)
+    return run_estimation(oracle, policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5)
 
 
-class FailingOracle:
-    """SyntheticOracle(0.3) whose readout fails after `calls` successful ones."""
-
-    pinned_theta = None
+class NanAfter(FixedM):
+    """A policy whose rule gives m = 1 for `calls` calls and nan after them,
+    which the loop refuses as `ExperimentSetting` does."""
 
     def __init__(self, calls):
+        super().__init__(1.0)
         self.calls = calls
 
-    def sample(self, setting, u):
+    def raw_m(self, sigma):
         if self.calls == 0:
-            raise RuntimeError("readout failed")
+            return math.nan
         self.calls -= 1
-        return SyntheticOracle(0.3).sample(setting, u)
+        return self.m
 
 
 def rows_digest(rows) -> tuple[int, str]:
@@ -288,13 +280,10 @@ def test_the_flat_trace_reads_back_exactly(alpha):
         hash(trace)
 
 
-class IntPinnedCosineOracle(PinnedCosineOracle):
-    pinned_theta = 0
-
-
 def test_an_int_pinned_theta_reads_back_as_a_float():
     policy = AlphaQPE(0.5, scale=1.5, depth_cap=32.0)
-    _, trace = run_estimation(IntPinnedCosineOracle(), policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5)
+    oracle = SyntheticOracle(0.3, pinned_theta=0)
+    _, trace = run_estimation(oracle, policy, NormalBelief(0.25, 0.125), epsilon=0.02, seed=5)
     assert repr(trace.rows) == repr(pinned_run()[1].rows)
     assert all(type(row.theta) is float and type(row.m) is float for row in trace.rows)
 
@@ -408,30 +397,12 @@ def test_a_run_draws_whole_blocks_and_the_next_run_starts_after_them(monkeypatch
             run_estimation(*args, epsilon=1e-9, seed=gen)
         assert len(err.value.trace.rows) == k
     else:
-        started, update, calls = k + 1, engine._moment_step, []
-
-        def failing(*step_args):
-            if len(calls) == k:
-                raise FloatingPointError("update failed")
-            calls.append(step_args)
-            return update(*step_args)
-
-        monkeypatch.setattr(engine, "_moment_step", failing)
-        with pytest.raises(FloatingPointError):
-            run_estimation(*args, epsilon=1e-9, seed=gen)
+        # the (k + 1)-th iteration's setting fails its checks
+        started = k + 1
+        with pytest.raises(ValueError, match="m must be finite and positive, got nan"):
+            run_estimation(args[0], NanAfter(k), args[2], epsilon=1e-9, seed=gen)
     monkeypatch.undo()
     assert_the_next_run_starts_after_whole_blocks(gen, started)
-
-
-@pytest.mark.parametrize("rows", [0, 5, 300, *BLOCK_EDGE_RUNS])
-def test_generator_ends_one_scalar_draw_per_row_when_the_oracle_raises(rows):
-    # the name is the one this exit's test had when the loop kept a scalar
-    # stream; the Generator now ends at the whole block of the iteration
-    # whose readout raised, the (rows + 1)-th
-    gen = np.random.default_rng(17)
-    with pytest.raises(RuntimeError, match="readout failed"):
-        run_estimation(FailingOracle(rows), AlphaQPE(0.0), NormalBelief(0.0, 1.0), epsilon=1e-9, seed=gen)
-    assert_the_next_run_starts_after_whole_blocks(gen, rows + 1)
 
 
 @pytest.mark.parametrize(
@@ -469,7 +440,7 @@ def test_the_loop_picks_next_settings_unpinned_setting_bit_for_bit(alpha, cap):
         assert rows[-1].m == float(cap)
 
 
-def test_a_degenerate_update_raises_out_of_the_loop(monkeypatch):
+def test_a_degenerate_update_raises_out_of_the_loop():
     # at sigma = 1e-320, sigma^2 underflows to 0, so the first closed-form
     # step has no posterior width to return
     gen = np.random.default_rng(3)
@@ -477,38 +448,21 @@ def test_a_degenerate_update_raises_out_of_the_loop(monkeypatch):
         run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1e-320), max_iterations=50, seed=gen)
     # no row completed, but the first iteration started and drew its block
     assert gen.random() == uniform_after(3, 256)
-    # a step that degenerates on the fourth update ends the run there too
-    closed_form, calls = engine._moment_step, []
-
-    def degenerate_on_fourth(*args):
-        calls.append(args)
-        if len(calls) == 4:
-            raise DegenerateUpdateError("injected")
-        return closed_form(*args)
-
-    monkeypatch.setattr(engine, "_moment_step", degenerate_on_fourth)
-    gen = np.random.default_rng(17)
-    with pytest.raises(DegenerateUpdateError, match="injected"):
-        run_estimation(SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=40, seed=gen)
-    assert len(calls) == 4
+    # an iteration that raises on the fourth setting ends the run there too
+    gen, policy = np.random.default_rng(17), NanAfter(3)
+    with pytest.raises(ValueError, match="m must be finite and positive, got nan"):
+        run_estimation(SyntheticOracle(0.3), policy, NormalBelief(0.0, 1.0), max_iterations=40, seed=gen)
+    assert policy.calls == 0
     assert gen.random() == uniform_after(17, 256)
 
 
-class ForwardingOracle(SyntheticOracle):
-    """SyntheticOracle with its readout behind an override, which sends a run
-    on it down the general path."""
-
-    def sample(self, setting, u):
-        return super().sample(setting, u)
-
-
-def run_result(oracle, policy, prior, **stop):
+def run_result(run, oracle, policy, prior, **stop):
     """Everything a run shows its caller: on a return, the belief and the
     packed trace; on a raise, the exception's type, message and any trace;
     and in both, where the Generator ends."""
     gen = np.random.default_rng(29)
     try:
-        belief, trace = run_estimation(oracle, policy, prior, seed=gen, **stop)
+        belief, trace = run(oracle, policy, prior, seed=gen, **stop)
         shown = ("return", type(belief), tuple(belief), trace._values.tobytes(), trace.prior_mu, trace.prior_sigma)
     except Exception as exc:  # each error is compared, not expected
         trace = getattr(exc, "trace", None)
@@ -516,88 +470,15 @@ def run_result(oracle, policy, prior, **stop):
     return shown, gen.bit_generator.state
 
 
-def assert_kernel_is_general_path(phi, policy, prior, **stop):
-    """The kernel's run on SyntheticOracle(phi) shows exactly what the general
-    path's run on the forwarding oracle shows; returns what it showed."""
-    general = run_result(ForwardingOracle(phi), policy, prior, **stop)
-    kernel = run_result(SyntheticOracle(phi), policy, prior, **stop)
-    assert kernel == general
-    return kernel[0]
-
-
-def test_a_synthetic_oracle_run_takes_the_kernel(monkeypatch):
-    # the kernel calls neither seam: with counting wrappers on both, a run
-    # calls them on every iteration, until the selection takes the wrappers
-    # for the originals, and then calls neither
-    assert SyntheticOracle(0.3).sample.__func__ is engine._COSINE_READOUT
-    assert engine._moment_step is engine._CLOSED_FORM
-    calls, readout, step = [], SyntheticOracle.sample, engine._moment_step
-
-    def counted_readout(self, setting, u):
-        calls.append(u)
-        return readout(self, setting, u)
-
-    def counted_step(*args):
-        calls.append(args)
-        return step(*args)
-
-    monkeypatch.setattr(SyntheticOracle, "sample", counted_readout)
-    monkeypatch.setattr(engine, "_moment_step", counted_step)
-    args = (SyntheticOracle(0.3), AlphaQPE(0.5), NormalBelief(0.0, 1.0))
-    _, general = run_estimation(*args, max_iterations=40, seed=4)
-    assert len(calls) == 80
-    monkeypatch.setattr(engine, "_COSINE_READOUT", counted_readout)
-    monkeypatch.setattr(engine, "_CLOSED_FORM", counted_step)
-    _, kernel = run_estimation(*args, max_iterations=40, seed=4)
-    assert len(calls) == 80 and kernel == general
-
-
-class PlainSubclassOracle(SyntheticOracle):
-    """A subclass that keeps SyntheticOracle's readout; unlike SyntheticOracle
-    itself, its instances take attributes beyond the fields."""
-
-
-def test_every_seam_a_wrapper_can_reach_sees_every_iteration(monkeypatch):
-    # an override on a subclass, a readout set on one oracle, and a wrapper
-    # set on the class attribute as the benchmark's tracer sets one: each
-    # takes the run off the kernel and is called on every iteration
-    args, rows = (AlphaQPE(0.5), NormalBelief(0.0, 1.0)), 300
-    _, plain = run_estimation(SyntheticOracle(0.3), *args, max_iterations=rows, seed=4)
-    overridden, own, wrapped = [], [], []
-
-    class CountingOracle(SyntheticOracle):
-        def sample(self, setting, u):
-            overridden.append(u)
-            return super().sample(setting, u)
-
-    _, trace = run_estimation(CountingOracle(0.3), *args, max_iterations=rows, seed=4)
-    assert len(overridden) == rows and trace == plain
-    oracle = PlainSubclassOracle(0.3)
-    _, trace = run_estimation(oracle, *args, max_iterations=rows, seed=4)
-    assert trace == plain
-    # a bound readout of another oracle, at another phase, is its own
-    other = SyntheticOracle(-2.0).sample
-
-    def own_sample(setting, u):
-        own.append(u)
-        return other(setting, u)
-
-    oracle.sample = own_sample
-    _, trace = run_estimation(oracle, *args, max_iterations=rows, seed=4)
-    _, elsewhere = run_estimation(SyntheticOracle(-2.0), *args, max_iterations=rows, seed=4)
-    assert len(own) == rows and trace == elsewhere != plain
-    oracle.sample = other
-    _, trace = run_estimation(oracle, *args, max_iterations=rows, seed=4)
-    assert trace == elsewhere
-    readout = SyntheticOracle.sample
-
-    def wrapper(self, setting, u):
-        wrapped.append(u)
-        return readout(self, setting, u)
-
-    monkeypatch.setattr(SyntheticOracle, "sample", wrapper)
-    _, trace = run_estimation(SyntheticOracle(0.3), *args, max_iterations=rows, seed=4)
-    assert len(wrapped) == rows and trace == plain
+# the names below keep the words of the loop's two former paths: "the
+# kernel" is `run_estimation`, and "the general path" is `reference_run`
+def assert_kernel_is_general_path(oracle, policy, prior, **stop):
+    """The loop's run on `oracle` shows exactly what `reference_run`, the
+    plain loop of library calls, shows; returns what it showed."""
+    reference = run_result(reference_run, oracle, policy, prior, **stop)
+    loop = run_result(run_estimation, oracle, policy, prior, **stop)
+    assert loop == reference
+    return loop[0]
 
 
 STOPS = {
@@ -611,19 +492,30 @@ STOPS = {
 @pytest.mark.parametrize("cap", [None, 4, 4.5, 32])
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_the_kernel_is_the_general_path_bit_for_bit(alpha, cap, stop):
-    shown = assert_kernel_is_general_path(0.3, AlphaQPE(alpha, depth_cap=cap), NormalBelief(0.2, 0.8), **STOPS[stop])
+    shown = assert_kernel_is_general_path(
+        SyntheticOracle(0.3), AlphaQPE(alpha, depth_cap=cap), NormalBelief(0.2, 0.8), **STOPS[stop]
+    )
+    assert shown[0] == "return"
+
+
+@pytest.mark.parametrize("stop", sorted(STOPS))
+@pytest.mark.parametrize("cap", [4, 4.5, 32])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_a_pinned_run_is_the_reference_loop_bit_for_bit(alpha, cap, stop):
+    oracle = SyntheticOracle(0.3, pinned_theta=0.0)
+    shown = assert_kernel_is_general_path(oracle, AlphaQPE(alpha, depth_cap=cap), NormalBelief(0.2, 0.8), **STOPS[stop])
     assert shown[0] == "return"
 
 
 @pytest.mark.parametrize("rows", BLOCK_EDGE_RUNS)
 def test_the_kernel_is_the_general_path_at_block_edges(rows):
     for stop in (dict(max_iterations=rows), dict(max_iterations=rows, epsilon=1e-9)):
-        shown = assert_kernel_is_general_path(-2.1, AlphaQPE(0.5), NormalBelief(0.0, 1.0), **stop)
+        shown = assert_kernel_is_general_path(SyntheticOracle(-2.1), AlphaQPE(0.5), NormalBelief(0.0, 1.0), **stop)
         assert shown[0] == "return" and len(shown[3]) == 8 * 5 * rows
 
 
-# the kernel's every error, each reached through its own arithmetic, with the
-# message the general path gives: (phi, policy, prior, start of the message)
+# the loop's every error, each reached through its own arithmetic, with the
+# message the reference loop gives: (phi, policy, prior, the message)
 ERROR_RUNS = [
     # the rule's m fails ExperimentSetting's check
     (0.3, FixedM(math.nan), NormalBelief(0.0, 1.0), "m must be finite and positive, got nan"),
@@ -644,7 +536,7 @@ ERROR_RUNS = [
 
 @pytest.mark.parametrize("phi, policy, prior, message", ERROR_RUNS)
 def test_the_kernel_raises_as_the_general_path_does(phi, policy, prior, message):
-    shown = assert_kernel_is_general_path(phi, policy, prior, max_iterations=50)
+    shown = assert_kernel_is_general_path(SyntheticOracle(phi), policy, prior, max_iterations=50)
     assert shown[0] == "raise" and shown[2] == message and shown[3] is None
 
 
@@ -655,7 +547,7 @@ def test_the_kernel_raises_as_the_general_path_does(phi, policy, prior, message)
 @pytest.mark.parametrize("cap", [0, 255, 300, 512])
 def test_the_kernel_times_out_as_the_general_path_does(monkeypatch, cap, stop):
     monkeypatch.setattr(engine, "HARD_ITERATION_CAP", cap)
-    shown = assert_kernel_is_general_path(0.3, AlphaQPE(0.0), NormalBelief(0.0, 1.0), **stop)
+    shown = assert_kernel_is_general_path(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), **stop)
     if cap < stop.get("max_iterations", math.inf):
         assert shown[:2] == ("raise", EstimationTimeout) and len(shown[3]) == 8 * 5 * cap
     else:
@@ -719,12 +611,90 @@ def test_ensemble_takes_a_whole_float_count_as_its_int():
 )
 def test_a_timeout_names_what_the_cap_stopped_short_of(monkeypatch, stop, short_of):
     monkeypatch.setattr(engine, "HARD_ITERATION_CAP", 50)
-    for oracle in (SyntheticOracle(0.3), ForwardingOracle(0.3)):
+    for run in (run_estimation, reference_run):
         with pytest.raises(EstimationTimeout) as err:
-            run_estimation(oracle, AlphaQPE(0.0), NormalBelief(0.0, 1.0), seed=1, **stop)
+            run(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), seed=1, **stop)
         rows = err.value.trace.rows
         assert len(rows) == 50
         assert str(err.value) == f"sigma={rows[-1].sigma:.3g} after 50 iterations {short_of}"
     # a run whose max_iterations the cap allows returns at the cap
     _, trace = run_estimation(SyntheticOracle(0.3), AlphaQPE(0.0), NormalBelief(0.0, 1.0), max_iterations=50, seed=1)
     assert len(trace.rows) == 50
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_next_setting_is_called_once_per_pinned_iteration_and_never_unpinned(monkeypatch, alpha):
+    # the seam a wrapper on `engine.next_setting` counts pinned iterations by
+    calls, choose = [], engine.next_setting
+
+    def counted(*args):
+        calls.append(args)
+        return choose(*args)
+
+    monkeypatch.setattr(engine, "next_setting", counted)
+    policy, prior = AlphaQPE(alpha, depth_cap=32), NormalBelief(0.2, 0.8)
+    _, trace = run_estimation(SyntheticOracle(0.3, pinned_theta=0.0), policy, prior, epsilon=0.02, seed=4)
+    pinned = len(calls)
+    assert pinned == len(trace.rows) > 0
+    _, trace = run_estimation(SyntheticOracle(0.3), policy, prior, epsilon=0.02, seed=4)
+    assert len(calls) == pinned and len(trace.rows) > 0
+
+
+class PlainSubclassOracle(SyntheticOracle):
+    """A subclass that keeps SyntheticOracle's readout; unlike SyntheticOracle
+    itself, its instances take attributes beyond the fields."""
+
+
+class OverridingOracle(SyntheticOracle):
+    """A subclass whose readout the loop would ignore."""
+
+    def sample(self, setting, u):
+        return 1 - super().sample(setting, u)
+
+
+class DuckOracle:
+    """Has everything the loop reads, but is no SyntheticOracle."""
+
+    true_phi, pinned_theta = 0.3, None
+
+    def sample(self, setting, u):
+        return SyntheticOracle(0.3).sample(setting, u)
+
+
+def refused_oracles():
+    """Each kind of oracle whose readout the loop would ignore, by name."""
+    own = PlainSubclassOracle(0.3)
+    own.sample = lambda setting, u: 1
+    other = PlainSubclassOracle(0.3)
+    # a readout bound to another oracle, at another phase, is not its own
+    other.sample = SyntheticOracle(-2.0).sample
+    return {"duck": DuckOracle(), "override": OverridingOracle(0.3), "own": own, "other": other, "none": None}
+
+
+@pytest.mark.parametrize("kind", ["duck", "override", "own", "other", "none"])
+def test_an_oracle_the_loop_would_not_read_out_is_refused_before_any_draw(kind):
+    oracle = refused_oracles()[kind]
+    gen = np.random.default_rng(8)
+    state = gen.bit_generator.state
+    with pytest.raises(TypeError, match="oracle must be a SyntheticOracle read out by SyntheticOracle.sample"):
+        run_estimation(oracle, AlphaQPE(0.5), NormalBelief(0.0, 1.0), max_iterations=10, seed=gen)
+    assert gen.bit_generator.state == state
+
+
+def test_a_wrapper_on_the_class_readout_still_runs_and_is_not_called(monkeypatch):
+    # as the benchmark's tracer sets one: the loop reads out inline, so the
+    # wrapper sees no iteration, and a subclass that keeps the class's
+    # readout runs too
+    args = (AlphaQPE(0.5), NormalBelief(0.0, 1.0))
+    _, plain = run_estimation(SyntheticOracle(0.3), *args, max_iterations=300, seed=4)
+    calls, readout = [], SyntheticOracle.sample
+
+    def wrapper(self, setting, u):
+        calls.append(u)
+        return readout(self, setting, u)
+
+    monkeypatch.setattr(SyntheticOracle, "sample", wrapper)
+    for oracle in (SyntheticOracle(0.3), PlainSubclassOracle(0.3)):
+        _, trace = run_estimation(oracle, *args, max_iterations=300, seed=4)
+        assert trace == plain
+    assert calls == []

@@ -14,7 +14,6 @@ from alphavqe.engine import EstimationTimeout
 from alphavqe.expectation import (
     TARGET_INTERVAL,
     TwoStageConfig,
-    _TrialStateCircuit,
     collapse_distribution,
     collapse_state,
     hoeffding_bound,
@@ -399,7 +398,7 @@ def test_trial_state_oracle_reads_the_plain_cosine():
     for ansatz, pauli in terms:
         phi = term_phase(ansatz, pauli)
         psi, apply_u = kron_rotation(ansatz, pauli)
-        oracle = _TrialStateCircuit(-phi)
+        oracle = engine.SyntheticOracle(-phi, pinned_theta=0.0)
         assert oracle.pinned_theta == 0.0
         for m in range(1, 33):
             setting = ExperimentSetting(float(m), oracle.pinned_theta)
@@ -655,7 +654,7 @@ def stage2_run(config, value, seed, epsilon):
     rng = np.random.default_rng(seed)
     s1 = stage1_gate(ansatz_with_z(value), "Z", rng)
     prior = NormalBelief(_eigenphase(s1.estimate), expectation._PRIOR_SIGMA)
-    oracle = _TrialStateCircuit(-_eigenphase(value))
+    oracle = engine.SyntheticOracle(-_eigenphase(value), pinned_theta=0.0)
     _, trace = engine.run_estimation(oracle, config._policy, prior, epsilon=epsilon, seed=rng)
     return trace
 

@@ -12,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphavqe.bayes import ExperimentSetting, likelihood
-from alphavqe.expectation import _TrialStateCircuit, collapse_distribution, statistical_estimate
+from alphavqe.engine import SyntheticOracle
+from alphavqe.expectation import collapse_distribution, statistical_estimate
 from alphavqe.statevector import (
     _SHOT_BLOCK,
     Ansatz,
@@ -352,7 +353,7 @@ def test_scalar_readout_matches_the_circuit():
     assert ops[-1].rotation_angle == pytest.approx(np.pi)
     assert any("Y" in op.pauli for op in ops[:MAX_QUBITS])
     for op, (psi, apply_u) in pairs:
-        oracle = _TrialStateCircuit(-op.rotation_angle)
+        oracle = SyntheticOracle(-op.rotation_angle, pinned_theta=0.0)
         assert oracle.pinned_theta == 0.0
         for m in range(1, 33):
             (exact_p0, _), _ = circuit_branches(apply_u, psi, m, 0.0)
